@@ -1,7 +1,6 @@
 """Deterministic water-heater self-adaptation simulator and assurance toolkit."""
 
 from .model import (
-    AdaptationAction,
     AdaptationModel,
     AdaptationOption,
     EnvironmentSample,
@@ -75,7 +74,6 @@ from .mapek import (
     AssessmentSuite,
     GoalTracker,
     admission_test,
-    analyze_goal,
     assess_candidate,
     execute_adaptation,
     fail_safe,

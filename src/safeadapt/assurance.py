@@ -236,12 +236,6 @@ def save_case(case: SafetyCase, path: Union[str, Path]) -> None:
 
 PredicateFn = Callable[["KnowledgeRepository", float], bool]
 
-PREDICATES: dict[str, PredicateFn] = {}
-
-
-def register_predicate(name: str, fn: PredicateFn) -> None:
-    PREDICATES[name] = fn
-
 
 def _predicate_spi_under_threshold(knowledge: "KnowledgeRepository", now: float) -> bool:
     from .spi import spi_breached
@@ -249,7 +243,9 @@ def _predicate_spi_under_threshold(knowledge: "KnowledgeRepository", now: float)
     return all(not spi_breached(w) for w in knowledge.spi_windows)
 
 
-register_predicate("spi-under-threshold", _predicate_spi_under_threshold)
+PREDICATES: dict[str, PredicateFn] = {
+    "spi-under-threshold": _predicate_spi_under_threshold,
+}
 
 
 # --- validity ---------------------------------------------------------------
@@ -383,25 +379,20 @@ def adapt_case(
     return new_case
 
 
+def constraint_context(case: SafetyCase) -> Optional[CaseNode]:
+    """The single node carrying a constraint, or None when there is none."""
+    carriers = [n for n in case.nodes.values() if n.constraint is not None]
+    if len(carriers) > 1:
+        raise StructuralError(
+            f"multiple active constraint contexts: {sorted(n.id for n in carriers)}"
+        )
+    return carriers[0] if carriers else None
+
+
 def current_constraints(case: SafetyCase) -> OperationalDomain:
     """The single active constraint context's domain, or the unbounded one."""
-    carriers = [n for n in case.nodes.values() if n.constraint is not None]
-    if len(carriers) > 1:
-        raise StructuralError(
-            f"multiple active constraint contexts: {sorted(n.id for n in carriers)}"
-        )
-    if not carriers:
-        return UNBOUNDED_DOMAIN
-    return carriers[0].constraint  # type: ignore[return-value]
-
-
-def constraint_context_id(case: SafetyCase) -> Optional[str]:
-    carriers = [n for n in case.nodes.values() if n.constraint is not None]
-    if len(carriers) > 1:
-        raise StructuralError(
-            f"multiple active constraint contexts: {sorted(n.id for n in carriers)}"
-        )
-    return carriers[0].id if carriers else None
+    node = constraint_context(case)
+    return UNBOUNDED_DOMAIN if node is None else node.constraint
 
 
 def nodes_discharging(case: SafetyCase, obligation: str) -> list[CaseNode]:

@@ -3,6 +3,11 @@
 Per-tick order: sense -> guard -> control -> plant -> hazard -> SPI ->
 MAPE phases. A fail-safe triggered by an SPI breach preempts any other
 adaptation within the same tick.
+
+Every adaptation model is classified before the first tick, so a system
+with an unclassifiable model fails with ``ClassificationError`` (CLI exit
+2) without running. The first model's type picks the planner; manual
+triggers are ignored for Type 0 and Type III.
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ from pathlib import Path
 from typing import Any, Mapping, Optional, Union
 
 from . import taxonomy
-from .assurance import SafetyCase, evaluate_validity, load_case
+from .assurance import SafetyCase, current_constraints, evaluate_validity, load_case
 from .controller import (
     NetControllerSpec,
     PidConfig,
@@ -53,6 +58,8 @@ from .spi import SpiWindow, spi_breached, spi_update
 TYPE2_PLAN_INTERVAL = 10.0
 ADAPTATION_COOLDOWN = 60.0
 TYPE3_ASSESS_COOLDOWN = 120.0
+
+_GOAL_VIOLATION = AdaptationTrigger("goal-violation")
 
 
 @dataclass
@@ -199,9 +206,8 @@ def run_scenario(
     goal = system.goal
 
     primary_model = system.models[0] if system.models else None
-    type_id = (
-        taxonomy.classify(primary_model.descriptor) if primary_model is not None else None
-    )
+    type_ids = [taxonomy.classify(model.descriptor) for model in system.models]
+    type_id = type_ids[0] if type_ids else None
     suite = system.assessment_suite()
 
     repo = KnowledgeRepository(
@@ -225,7 +231,6 @@ def run_scenario(
 
     report = RunReport(scenario_id=scenario.id)
     rows = [TRACE_HEADER]
-    decisions: list[AdaptationDecision] = []
     pending_manual = sorted(scenario.manual_triggers)
     manual_index = 0
     last_adaptation_time = -1e18
@@ -234,40 +239,47 @@ def run_scenario(
     candidate_index = 0
     assessed_failures: set[str] = set()
     activated_specs: list[str] = []
-    domain_sequence = []
+    last_domain = current_constraints(repo.safety_case) if type_id == "TII" else None
     monotone = True
     last_timeline_key: Optional[tuple[int, bool]] = None
 
-    if type_id == "TII":
-        from .assurance import current_constraints
+    def plan(trigger: AdaptationTrigger, t: float) -> Optional[AdaptationDecision]:
+        """The one map from the primary model's type to its planner."""
+        nonlocal candidate_index
+        if type_id == "TI":
+            return plan_type1(repo.models, trigger, repo.active_option_id, now=t)
+        if type_id == "TII":
+            return plan_type2(
+                repo.models, list(repo.sample_history), system.admission_policy,
+                repo.safety_case, repo.active_option_id, now=t, trigger=trigger,
+            )
+        if type_id == "TIII" and trigger.kind != "manual":
+            seed = scenario.seed * 1_000_003 + candidate_index
+            candidate_index += 1
+            return plan_type3(
+                repo.models, repo.active_net, suite, seed, now=t, trigger_kind=trigger.kind,
+            )
+        return None
 
-        domain_sequence.append(current_constraints(repo.safety_case))
-
-    def log_decision(decision: AdaptationDecision) -> None:
-        decisions.append(decision)
-        report.decisions.append(decision.to_dict())
-
-    def apply_decision(decision: AdaptationDecision, now: float) -> None:
-        nonlocal pid_state, last_adaptation_time, monotone
+    def apply_decision(decision: Optional[AdaptationDecision], now: float) -> None:
+        nonlocal pid_state, last_adaptation_time, monotone, last_domain
+        if decision is None:
+            return
         for item in decision.evidence_items:
             if item.kind == "runtime-assessment" and item.verdict == "fail":
                 assessed_failures.add(item.payload_ref)
-        if not decision.applied:
-            log_decision(decision)
-            return
-        execute_adaptation(decision, repo, now=now)
-        log_decision(decision)
-        if not decision.applied:  # rolled back by the executor
+        if decision.applied:
+            execute_adaptation(decision, repo, now=now)
+        report.decisions.append(decision.to_dict())
+        if not decision.applied:  # refused by the planner or rolled back by the executor
             return
         pid_state = PidState()
         last_adaptation_time = now
         if type_id == "TII":
-            from .assurance import current_constraints
-
             domain = current_constraints(repo.safety_case)
-            if not domain_subset(domain, domain_sequence[-1]):
+            if not domain_subset(domain, last_domain):
                 monotone = False
-            domain_sequence.append(domain)
+            last_domain = domain
         if decision.candidate_net is not None:
             activated_specs.append(spec_hash(decision.candidate_net))
 
@@ -326,44 +338,27 @@ def run_scenario(
             fail_safe(repo, now=t)
             pid_state = PidState()
             report.spi_breaches += 1
-            log_decision(AdaptationDecision(
+            report.decisions.append(AdaptationDecision(
                 trigger="spi-breach",
                 chosen_option=repo.baseline_option_id or None,
                 applied=True,
                 reason="fail-safe: SPI breach, baseline configuration restored",
                 time=t,
                 model_id=primary_model.id if primary_model else "",
-            ))
+            ).to_dict())
         else:
             while manual_index < len(pending_manual) and pending_manual[manual_index][0] <= t:
                 _, option_id = pending_manual[manual_index]
                 manual_index += 1
-                trigger = AdaptationTrigger("manual", requested_option_id=option_id, time=t)
-                if type_id == "TI":
-                    apply_decision(
-                        plan_type1(repo.models, trigger, repo.active_option_id, now=t), t
-                    )
-                elif type_id == "TII":
-                    apply_decision(plan_type2(
-                        repo.models, list(repo.sample_history),
-                        system.admission_policy, repo.safety_case,
-                        repo.active_option_id, now=t, trigger=trigger,
-                    ), t)
+                apply_decision(plan(AdaptationTrigger("manual", option_id), t), t)
 
             violated = tracker.take_violation()
             if type_id == "TI" and violated and t - last_adaptation_time >= ADAPTATION_COOLDOWN:
-                trigger = AdaptationTrigger("goal-violation", time=t)
-                apply_decision(
-                    plan_type1(repo.models, trigger, repo.active_option_id, now=t), t
-                )
+                apply_decision(plan(_GOAL_VIOLATION, t), t)
             elif type_id == "TII" and t >= next_type2_plan:
                 next_type2_plan = t + TYPE2_PLAN_INTERVAL
                 if t - last_adaptation_time >= ADAPTATION_COOLDOWN:
-                    decision = plan_type2(
-                        repo.models, list(repo.sample_history),
-                        system.admission_policy, repo.safety_case,
-                        repo.active_option_id, now=t,
-                    )
+                    decision = plan(_GOAL_VIOLATION, t)
                     if decision.applied:
                         apply_decision(decision, t)
             elif (
@@ -371,11 +366,7 @@ def run_scenario(
                 and t - last_assessment_time >= TYPE3_ASSESS_COOLDOWN
             ):
                 last_assessment_time = t
-                seed = scenario.seed * 1_000_003 + candidate_index
-                candidate_index += 1
-                apply_decision(plan_type3(
-                    repo.models, repo.active_net, suite, seed, now=t,
-                ), t)
+                apply_decision(plan(_GOAL_VIOLATION, t), t)
 
         # trace
         validity = evaluate_validity(repo.safety_case, t, repo)
@@ -411,15 +402,8 @@ def run_scenario(
     report.rise_times = [dict(e) for e in tracker.events]
     end_time = scenario.duration
     for model in repo.models:
-        try:
-            verdict = taxonomy.verdict_for(model, repo.safety_case, end_time, repo)
-            report.taxonomy_verdicts.append(verdict.to_dict())
-        except taxonomy.ClassificationError as exc:
-            report.taxonomy_verdicts.append({
-                "model_id": model.id,
-                "type": None,
-                "error": str(exc),
-            })
+        verdict = taxonomy.verdict_for(model, repo.safety_case, end_time, repo)
+        report.taxonomy_verdicts.append(verdict.to_dict())
     report.runtime_criteria = {
         "tii_c5_constraints_monotone": monotone if type_id == "TII" else None,
         "tiii_b4_never_applied_failed": (

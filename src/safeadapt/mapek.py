@@ -14,7 +14,7 @@ import math
 import random
 import statistics
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 from . import taxonomy
 from .assurance import (
@@ -24,7 +24,7 @@ from .assurance import (
     ReplaceConstraintContext,
     StaticNodeError,
     adapt_case,
-    constraint_context_id,
+    constraint_context,
     current_constraints,
     nodes_discharging,
 )
@@ -115,19 +115,6 @@ class GoalTracker:
         return self._violations_seen > 0
 
 
-def analyze_goal(
-    history: Iterable[EnvironmentSample], goal: AdaptationGoal
-) -> dict[str, Any]:
-    """Rise-time verdict for the most recent setpoint increase in a stream."""
-    tracker = GoalTracker(goal)
-    for sample in history:
-        tracker.observe(sample.time, sample.setpoint, sample.outflow_temp)
-    if not tracker.events:
-        return {"violation": False, "rise_time": None}
-    last = tracker.events[-1]
-    return {"violation": last["violation"], "rise_time": last["rise_time"]}
-
-
 # --- decisions --------------------------------------------------------------
 
 @dataclass
@@ -138,7 +125,6 @@ class AdaptationDecision:
     reason: str
     time: float = 0.0
     model_id: str = ""
-    assessment_evidence: list[str] = field(default_factory=list)
     evidence_items: list[EvidenceItem] = field(default_factory=list)
     candidate_net: Optional[NetControllerSpec] = None
     admission: Optional["AdmissionReport"] = None
@@ -151,7 +137,7 @@ class AdaptationDecision:
             "chosen_option": self.chosen_option,
             "applied": self.applied,
             "reason": self.reason,
-            "assessment_evidence": list(self.assessment_evidence),
+            "assessment_evidence": [item.id for item in self.evidence_items],
         }
         if self.admission is not None:
             out["admission"] = self.admission.to_dict()
@@ -162,7 +148,6 @@ class AdaptationDecision:
 class AdaptationTrigger:
     kind: str  # "goal-violation" | "spi-breach" | "manual"
     requested_option_id: Optional[str] = None
-    time: float = 0.0
 
 
 def _rank(option: AdaptationOption) -> tuple[float, str]:
@@ -392,7 +377,6 @@ def plan_type2(
             reason=f"admission passed on {report.n} samples",
             time=now,
             model_id=model.id,
-            assessment_evidence=[item.id],
             evidence_items=[item],
             admission=report,
         )
@@ -598,7 +582,6 @@ def plan_type3(
             reason=f"candidate {candidate_id} failed assessment (TIII.B4)",
             time=now,
             model_id=model.id,
-            assessment_evidence=[evidence.id],
             evidence_items=[evidence],
         )
     return AdaptationDecision(
@@ -608,13 +591,16 @@ def plan_type3(
         reason="candidate passed assessment suite",
         time=now,
         model_id=model.id,
-        assessment_evidence=[evidence.id],
         evidence_items=[evidence],
         candidate_net=candidate,
     )
 
 
 # --- executor ---------------------------------------------------------------
+
+#: The obligation whose solution node receives a decision's run-time evidence.
+_EVIDENCE_OBLIGATION = {"TII": "TII.B4", "TIII": "TIII.B6"}
+
 
 def _solution_discharging(case, obligation: str):
     for node in nodes_discharging(case, obligation):
@@ -640,22 +626,20 @@ def execute_adaptation(
     if model is None:
         raise ValidationError(f"unknown model {decision.model_id!r}")
     type_id = taxonomy.classify(model.descriptor)
-
-    patches = []
-    if type_id == "TII":
+    option = None
+    if type_id != "TIII":
         option = model.option_by_id(decision.chosen_option or "")
         if option is None:
             raise ValidationError(f"unknown option {decision.chosen_option!r}")
-        context_id = constraint_context_id(repo.safety_case)
-        if context_id is not None and option.domain is not None:
-            patches.append(ReplaceConstraintContext(context_id, option.domain))
-        target = _solution_discharging(repo.safety_case, "TII.B4")
-        if target is not None:
-            patches.extend(AttachEvidence(target.id, item) for item in decision.evidence_items)
-    elif type_id == "TIII":
-        target = _solution_discharging(repo.safety_case, "TIII.B6")
-        if target is not None:
-            patches.extend(AttachEvidence(target.id, item) for item in decision.evidence_items)
+
+    patches = []
+    context = constraint_context(repo.safety_case) if type_id == "TII" else None
+    if context is not None and option.domain is not None:
+        patches.append(ReplaceConstraintContext(context.id, option.domain))
+    obligation = _EVIDENCE_OBLIGATION.get(type_id)
+    target = _solution_discharging(repo.safety_case, obligation) if obligation else None
+    if target is not None:
+        patches.extend(AttachEvidence(target.id, item) for item in decision.evidence_items)
 
     if patches:
         try:
@@ -669,15 +653,12 @@ def execute_adaptation(
             return repo
         repo.safety_case = new_case
 
-    if type_id == "TIII":
+    if option is None:
         repo.active_net = decision.candidate_net
         repo.active_option_id = decision.chosen_option or ""
         for window in repo.spi_windows:
             spi_reset(window)
     else:
-        option = model.option_by_id(decision.chosen_option or "")
-        if option is None:
-            raise ValidationError(f"unknown option {decision.chosen_option!r}")
         repo.current_config = repo.current_config.with_assignment(option.assignment)
         repo.active_option_id = option.id
     return repo

@@ -1,6 +1,6 @@
 """Core domain types shared across the toolkit.
 
-Houses system configurations, adaptation models/options/actions,
+Houses system configurations, adaptation models and options,
 operational domains, environment samples, and the knowledge repository
 that the managing system reads and writes.
 """
@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 if TYPE_CHECKING:
     from .assurance import SafetyCase
@@ -327,35 +327,6 @@ def option_satisfies_model(option: AdaptationOption, model: AdaptationModel) -> 
 
 
 @dataclass(frozen=True)
-class AdaptationAction:
-    """Executable change plan realizing one adaptation option."""
-
-    option_id: str
-    steps: tuple[tuple[str, float], ...]
-    post_steps: tuple[str, ...] = ()
-
-    _POST_STEPS = ("update-case-constraints", "attach-assessment-evidence", "reset-spi")
-
-    def __post_init__(self) -> None:
-        for step in self.post_steps:
-            if step not in self._POST_STEPS:
-                raise ValidationError(f"unknown post step {step!r}")
-
-    @classmethod
-    def from_option(
-        cls, option: AdaptationOption, post_steps: Iterable[str] = ()
-    ) -> "AdaptationAction":
-        steps = tuple(sorted(option.assignment.items()))
-        return cls(option_id=option.id, steps=steps, post_steps=tuple(post_steps))
-
-    def resulting_assignment(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for name, value in self.steps:
-            out[name] = value
-        return out
-
-
-@dataclass(frozen=True)
 class EnvironmentSample:
     """One observation of the environment and the plant's response."""
 
@@ -417,14 +388,6 @@ class KnowledgeRepository:
             if model.id == model_id:
                 return model
         return None
-
-    def find_option(self, option_id: str):
-        """Return (model, option) for an option id, or (None, None)."""
-        for model in self.models:
-            option = model.option_by_id(option_id)
-            if option is not None:
-                return model, option
-        return None, None
 
     def latest_sample(self) -> Optional[EnvironmentSample]:
         return self.sample_history[-1] if self.sample_history else None

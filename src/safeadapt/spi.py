@@ -30,6 +30,8 @@ class SpiWindow:
     threshold: float = 60.0  # s
     ring: deque = field(default_factory=deque)
     true_count: int = 0
+    #: Tick of the latest update; None until the first one.
+    tick: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.threshold > self.window:
@@ -72,16 +74,15 @@ def spi_update(w: SpiWindow, sample: EnvironmentSample, tick: float) -> SpiWindo
     flag = sample.outflow_temp >= w.temp_threshold
     w.ring.append(1 if flag else 0)
     w.true_count += 1 if flag else 0
-    w._last_tick = tick
+    w.tick = tick
     return w
 
 
 def spi_breached(w: SpiWindow) -> bool:
     """True iff the accumulated duration strictly exceeds the threshold."""
-    tick = getattr(w, "_last_tick", None)
-    if tick is None:
+    if w.tick is None:
         return False
-    return w.accumulated(tick) > w.threshold + _EPS
+    return w.accumulated(w.tick) > w.threshold + _EPS
 
 
 def spi_reset(w: SpiWindow) -> SpiWindow:

@@ -13,7 +13,7 @@ from safeadapt.assurance import (
     StaticNodeError,
     StructuralError,
     adapt_case,
-    constraint_context_id,
+    constraint_context,
     current_constraints,
     evaluate_validity,
     load_case,
@@ -282,12 +282,12 @@ class TestAdaptCase:
 class TestConstraints:
     def test_single_context_domain(self):
         assert current_constraints(_dynamic_case()) == PERMISSIVE
-        assert constraint_context_id(_dynamic_case()) == "C1"
+        assert constraint_context(_dynamic_case()).id == "C1"
 
     def test_no_context_is_unbounded(self):
         case = SafetyCase(nodes={"G1": CaseNode("G1", "goal")}, root="G1")
         assert current_constraints(case) == UNBOUNDED_DOMAIN
-        assert constraint_context_id(case) is None
+        assert constraint_context(case) is None
 
     def test_multiple_contexts_are_structural(self):
         nodes = {

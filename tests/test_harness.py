@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from safeadapt.corpus import (
     CORPUS,
     type0_scenario,
     type0_system,
+    type1_model,
     type1_scenario,
     type1_system,
     type3_system,
@@ -22,7 +24,8 @@ from safeadapt.harness import (
 )
 from safeadapt.model import SystemConfiguration
 from safeadapt.plant import PlantParams
-from safeadapt.scenario import Scenario, Trace
+from safeadapt.scenario import Scenario, Trace, save_scenario
+from safeadapt.taxonomy import AdaptationDescriptor
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -110,6 +113,15 @@ class TestRunScenario:
             fields = row.split(",")
             t, active = float(fields[0]), fields[7]
             assert active == ("opt-1" if t <= switch_time - 0.05 else "opt-9")
+
+    @pytest.mark.parametrize("system_fn, option_id", [
+        (type0_system, "tel-1"),
+        (type3_system, "net-baseline"),
+    ])
+    def test_manual_trigger_ignored_for_type0_and_type3(self, system_fn, option_id):
+        scenario = replace(_flat_scenario(5.0), manual_triggers=((1.0, option_id),))
+        _, report = run_scenario(scenario, system_fn())
+        assert report.decisions == []
 
     def test_all_rows_have_header_arity(self, type1_run):
         rows, _ = type1_run
@@ -209,6 +221,27 @@ class TestCli:
         ])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unclassifiable_secondary_model_fails_before_the_run(self, tmp_path, capsys):
+        rogue = replace(
+            type1_model(), id="rogue",
+            descriptor=AdaptationDescriptor(affects_safety_critical=True),
+        )
+        system = type1_system()
+        system.models.append(rogue)
+        save_system(system, tmp_path / "system.json")
+        save_scenario(_flat_scenario(5.0), tmp_path / "scenario.json")
+        code = main([
+            "simulate",
+            "--scenario", str(tmp_path / "scenario.json"),
+            "--system", str(tmp_path / "system.json"),
+            "--out", str(tmp_path / "trace.csv"),
+            "--report", str(tmp_path / "report.json"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "trace.csv").exists()
+        assert not (tmp_path / "report.json").exists()
+        assert "first unmet TIII.C3" in capsys.readouterr().err
 
     def test_malformed_system_is_a_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "system.json"

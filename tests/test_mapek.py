@@ -14,6 +14,7 @@ from safeadapt.corpus import (
     TYPE3_PLANT,
     assessment_scenarios,
     baseline_net,
+    type1_case,
     type1_model,
     type2_case,
     type2_model,
@@ -27,7 +28,6 @@ from safeadapt.mapek import (
     AssessmentSuite,
     GoalTracker,
     admission_test,
-    analyze_goal,
     assess_candidate,
     execute_adaptation,
     fail_safe,
@@ -86,14 +86,6 @@ class TestGoalTracker:
         tracker = self._track(75.0)
         assert tracker.take_violation()
         assert not tracker.take_violation()
-
-    def test_analyze_goal_stream(self):
-        samples = [EnvironmentSample(0.0, 10, 0.1, 40.0, 40.0)]
-        samples += [
-            EnvironmentSample(0.1 + 0.1 * k, 10, 0.1, 60.0, 40.0) for k in range(700)
-        ]
-        result = analyze_goal(samples, AdaptationGoal())
-        assert result["violation"]
 
 
 class TestPlanType1:
@@ -393,6 +385,24 @@ class TestExecuteAdaptation:
         assert "rolled back" in decision.reason
         assert repo.current_config == before_config
         assert repo.safety_case.to_dict() == before_case
+
+    def test_type1_apply_updates_gains_and_keeps_case(self):
+        decision = plan_type1([type1_model()], AdaptationTrigger("goal-violation"), "opt-1")
+        assert decision.applied
+        repo = KnowledgeRepository(
+            current_config=SystemConfiguration("pid", {"kp": 50.0, "ki": 0.5, "kd": 0.0}),
+            safety_case=type1_case(),
+            models=[type1_model()],
+            sample_history=deque(maxlen=100),
+            active_option_id="opt-1",
+        )
+        revision = repo.safety_case.revision
+        execute_adaptation(decision, repo, now=10.0)
+        option = type1_model().option_by_id(decision.chosen_option)
+        assert repo.current_config.parameters == option.assignment
+        assert repo.active_option_id == option.id
+        assert repo.safety_case.revision == revision
+        assert decision.applied
 
     def test_unapplied_decision_is_a_no_op(self):
         repo = _type2_repo()

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from safeadapt.model import (
-    AdaptationAction,
     AdaptationModel,
     AdaptationOption,
     EnvironmentSample,
@@ -184,17 +183,6 @@ class TestAdaptationModel:
     def test_round_trip(self):
         model = _conditional_model()
         assert AdaptationModel.from_dict(model.to_dict()) == model
-
-
-class TestAdaptationAction:
-    def test_steps_reproduce_assignment(self):
-        option = AdaptationOption("o", "m", {"kp": 3.0, "ki": 1.0})
-        action = AdaptationAction.from_option(option, post_steps=("reset-spi",))
-        assert action.resulting_assignment() == option.assignment
-
-    def test_unknown_post_step(self):
-        with pytest.raises(ValidationError):
-            AdaptationAction("o", steps=(), post_steps=("reboot",))
 
 
 class TestEnvironmentSample:
