@@ -48,7 +48,6 @@ from .controller import (
 )
 from .spi import SpiWindow, spi_breached, spi_reset, spi_update
 from .assurance import (
-    AddDynamicSubtree,
     AttachEvidence,
     CaseNode,
     EvidenceItem,

@@ -6,12 +6,16 @@ assumptions. Nodes are static (design-time, immutable) or dynamic
 context nodes may carry operational-domain constraints, and dynamic
 nodes may bind named run-time predicates evaluated against the
 knowledge repository.
+
+A case is checked once, when it is built or loaded: every construction,
+including each revision `adapt_case` returns, runs `SafetyCase.validate`.
+A malformed case or an unknown predicate name raises StructuralError
+there (the CLI exits 2), never part way through a run.
 """
 from __future__ import annotations
 
-import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Union
 
@@ -162,7 +166,14 @@ class SafetyCase:
     revision: int = 0
     snapshots: list[tuple[int, float, str]] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
+        """Structural check of the whole case; the constructor runs it."""
+        for ev_id, item in self.evidence.items():
+            if ev_id != item.id:
+                raise StructuralError(f"evidence stored under {ev_id!r} has id {item.id!r}")
         if self.root not in self.nodes:
             raise StructuralError(f"root {self.root!r} not among nodes")
         seen: set[str] = set()
@@ -183,7 +194,11 @@ class SafetyCase:
             raise StructuralError(
                 f"nodes unreachable from root: {sorted(unreachable)}"
             )
-        for node in self.nodes.values():
+        for node_id, node in self.nodes.items():
+            if node_id != node.id:
+                raise StructuralError(f"node stored under {node_id!r} has id {node.id!r}")
+            if node.predicate is not None and node.predicate not in PREDICATES:
+                raise StructuralError(f"unknown predicate {node.predicate!r}")
             for ev_id in node.evidence:
                 if ev_id not in self.evidence:
                     raise StructuralError(
@@ -207,18 +222,20 @@ class SafetyCase:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SafetyCase":
-        case = cls(
-            nodes={nid: CaseNode.from_dict(nd) for nid, nd in data["nodes"].items()},
-            root=data["root"],
-            evidence={
-                eid: EvidenceItem.from_dict(ed)
-                for eid, ed in data.get("evidence", {}).items()
-            },
+        if not isinstance(data, Mapping):
+            raise StructuralError("a safety case must be a JSON object")
+        nodes, evidence, root = data.get("nodes"), data.get("evidence", {}), data.get("root")
+        if not isinstance(nodes, Mapping) or not isinstance(evidence, Mapping):
+            raise StructuralError("case 'nodes' and 'evidence' must be objects keyed by id")
+        if not isinstance(root, str):
+            raise StructuralError(f"case 'root' must be a node id, got {root!r}")
+        return cls(
+            nodes={nid: CaseNode.from_dict(nd) for nid, nd in nodes.items()},
+            root=root,
+            evidence={eid: EvidenceItem.from_dict(ed) for eid, ed in evidence.items()},
             revision=int(data.get("revision", 0)),
             snapshots=[tuple(s) for s in data.get("snapshots", ())],
         )
-        case.validate()
-        return case
 
 
 def load_case(path: Union[str, Path]) -> SafetyCase:
@@ -270,12 +287,7 @@ def _node_supported(
             if sample is not None and not node.constraint.contains(sample.domain_values()):
                 return False
         if node.predicate is not None:
-            if knowledge is None:
-                return False
-            fn = PREDICATES.get(node.predicate)
-            if fn is None:
-                raise StructuralError(f"unknown predicate {node.predicate!r}")
-            if not fn(knowledge, now):
+            if knowledge is None or not PREDICATES[node.predicate](knowledge, now):
                 return False
         return True
     # goal / strategy: conjunction over children (including attached
@@ -287,7 +299,6 @@ def support_map(
     case: SafetyCase, now: float, knowledge: Optional["KnowledgeRepository"] = None
 ) -> dict[str, bool]:
     """Per-node support, computed bottom-up over the tree."""
-    case.validate()
     support: dict[str, bool] = {}
 
     def visit(node_id: str) -> None:
@@ -323,14 +334,7 @@ class ReplaceConstraintContext:
     domain: OperationalDomain
 
 
-@dataclass(frozen=True)
-class AddDynamicSubtree:
-    parent: str
-    nodes: tuple[CaseNode, ...]
-    evidence: tuple[EvidenceItem, ...] = ()
-
-
-Patch = Union[AttachEvidence, ReplaceConstraintContext, AddDynamicSubtree]
+Patch = Union[AttachEvidence, ReplaceConstraintContext]
 
 
 def adapt_case(
@@ -342,41 +346,29 @@ def adapt_case(
     """Apply patches to dynamic nodes, returning a new case revision.
 
     The input case is left untouched. Any patch that targets a static
-    node raises StaticNodeError and nothing is applied.
+    node raises StaticNodeError and nothing is applied. Each patched node
+    is rebuilt with `dataclasses.replace` and the revision with the
+    `SafetyCase` constructor, so both are checked like any new case.
     """
-    patches = list(patches)
+    nodes = dict(case.nodes)
+    evidence = dict(case.evidence)
     for patch in patches:
-        target = patch.parent if isinstance(patch, AddDynamicSubtree) else patch.target
-        if case.node(target).lifecycle != "dynamic":
-            raise StaticNodeError(target)
-        if isinstance(patch, AddDynamicSubtree):
-            for node in patch.nodes:
-                if node.lifecycle != "dynamic":
-                    raise StaticNodeError(node.id)
-
-    new_case = copy.deepcopy(case)
-    for patch in patches:
+        if case.node(patch.target).lifecycle != "dynamic":
+            raise StaticNodeError(patch.target)
+        node = nodes[patch.target]
         if isinstance(patch, AttachEvidence):
-            new_case.evidence[patch.item.id] = patch.item
-            node = new_case.node(patch.target)
+            evidence[patch.item.id] = patch.item
             if patch.item.id not in node.evidence:
-                node.evidence.append(patch.item.id)
+                nodes[node.id] = replace(node, evidence=[*node.evidence, patch.item.id])
         elif isinstance(patch, ReplaceConstraintContext):
-            new_case.node(patch.target).constraint = patch.domain
-        elif isinstance(patch, AddDynamicSubtree):
-            for item in patch.evidence:
-                new_case.evidence[item.id] = item
-            for node in patch.nodes:
-                if node.id in new_case.nodes:
-                    raise StructuralError(f"node id {node.id!r} already present")
-                new_case.nodes[node.id] = copy.deepcopy(node)
-            new_case.node(patch.parent).children.extend(n.id for n in patch.nodes)
+            nodes[node.id] = replace(node, constraint=patch.domain)
         else:
             raise ValidationError(f"unknown patch {patch!r}")
-    new_case.revision += 1
-    new_case.snapshots.append((new_case.revision, now, cause))
-    new_case.validate()
-    return new_case
+    revision = case.revision + 1
+    return SafetyCase(
+        nodes=nodes, root=case.root, evidence=evidence, revision=revision,
+        snapshots=[*case.snapshots, (revision, now, cause)],
+    )
 
 
 def constraint_context(case: SafetyCase) -> Optional[CaseNode]:

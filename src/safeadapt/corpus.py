@@ -87,9 +87,7 @@ def type0_case() -> SafetyCase:
                         evidence=["ev-case-review"]),
     }
     nodes["G1"].children = ["S1"]
-    case = SafetyCase(nodes=nodes, root="G1", evidence=evidence)
-    case.validate()
-    return case
+    return SafetyCase(nodes=nodes, root="G1", evidence=evidence)
 
 
 def type1_case() -> SafetyCase:
@@ -113,9 +111,7 @@ def type1_case() -> SafetyCase:
         nodes[sol_id] = CaseNode(sol_id, "solution", f"Design evidence: {text}",
                                  discharges={obligation}, evidence=[ev_id])
         nodes["S1"].children.append(goal_id)
-    case = SafetyCase(nodes=nodes, root="G1", evidence=evidence)
-    case.validate()
-    return case
+    return SafetyCase(nodes=nodes, root="G1", evidence=evidence)
 
 
 def type2_case(initial_domain: OperationalDomain = PERMISSIVE_DOMAIN) -> SafetyCase:
@@ -166,9 +162,7 @@ def type2_case(initial_domain: OperationalDomain = PERMISSIVE_DOMAIN) -> SafetyC
                           lifecycle="dynamic", discharges={"TII.B5"},
                           evidence=["ev-b5"]),
     }
-    case = SafetyCase(nodes=nodes, root="G1", evidence=evidence)
-    case.validate()
-    return case
+    return SafetyCase(nodes=nodes, root="G1", evidence=evidence)
 
 
 def type3_case(baseline: Optional[NetControllerSpec] = None) -> SafetyCase:
@@ -224,9 +218,7 @@ def type3_case(baseline: Optional[NetControllerSpec] = None) -> SafetyCase:
     nodes["S1"].children = [
         "G-B1", "G-B2", "G-B3", "G-B4", "G-B5", "A-SPI", "G-B6", "G-B7",
     ]
-    case = SafetyCase(nodes=nodes, root="G1", evidence=evidence)
-    case.validate()
-    return case
+    return SafetyCase(nodes=nodes, root="G1", evidence=evidence)
 
 
 # --- adaptation models ------------------------------------------------------

@@ -250,7 +250,7 @@ def run_scenario(
             return plan_type1(repo.models, trigger, repo.active_option_id, now=t)
         if type_id == "TII":
             return plan_type2(
-                repo.models, list(repo.sample_history), system.admission_policy,
+                repo.models, repo.sample_history, system.admission_policy,
                 repo.safety_case, repo.active_option_id, now=t, trigger=trigger,
             )
         if type_id == "TIII" and trigger.kind != "manual":

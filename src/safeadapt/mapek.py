@@ -288,7 +288,6 @@ def admission_test(
     (mean +/- z s / sqrt(n)) and the sample extremum must both respect
     the bound. Insufficient data yields not-ready, never a reject.
     """
-    samples = list(samples)
     if not samples:
         return AdmissionReport(status="not-ready")
     latest = samples[-1].time

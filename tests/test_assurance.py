@@ -4,7 +4,6 @@ from collections import deque
 import pytest
 
 from safeadapt.assurance import (
-    AddDynamicSubtree,
     AttachEvidence,
     CaseNode,
     EvidenceItem,
@@ -21,6 +20,7 @@ from safeadapt.assurance import (
     save_case,
     support_map,
 )
+from safeadapt.corpus import type3_case
 from safeadapt.model import (
     EnvironmentSample,
     KnowledgeRepository,
@@ -133,9 +133,8 @@ class TestValidity:
             "G1": CaseNode("G1", "goal", children=["A1"]),
             "A1": CaseNode("A1", "assumption", lifecycle="dynamic", predicate="ouija"),
         }
-        case = SafetyCase(nodes=nodes, root="G1")
-        with pytest.raises(StructuralError):
-            evaluate_validity(case, 0.0, _repo_with_sample(case, 1.0))
+        with pytest.raises(StructuralError, match="ouija"):
+            SafetyCase(nodes=nodes, root="G1")
 
     def test_goal_with_no_children_is_vacuously_supported(self):
         case = SafetyCase(nodes={"G1": CaseNode("G1", "goal")}, root="G1")
@@ -144,11 +143,8 @@ class TestValidity:
 
 class TestStructure:
     def test_dangling_child(self):
-        case = SafetyCase(
-            nodes={"G1": CaseNode("G1", "goal", children=["ghost"])}, root="G1"
-        )
-        with pytest.raises(StructuralError):
-            case.validate()
+        with pytest.raises(StructuralError, match="ghost"):
+            SafetyCase(nodes={"G1": CaseNode("G1", "goal", children=["ghost"])}, root="G1")
 
     def test_shared_child_not_a_tree(self):
         nodes = {
@@ -158,7 +154,7 @@ class TestStructure:
             "G2": CaseNode("G2", "goal"),
         }
         with pytest.raises(StructuralError):
-            SafetyCase(nodes=nodes, root="G1").validate()
+            SafetyCase(nodes=nodes, root="G1")
 
     def test_unreachable_node(self):
         nodes = {
@@ -166,7 +162,7 @@ class TestStructure:
             "orphan": CaseNode("orphan", "goal"),
         }
         with pytest.raises(StructuralError):
-            SafetyCase(nodes=nodes, root="G1").validate()
+            SafetyCase(nodes=nodes, root="G1")
 
     def test_solution_must_be_leaf(self):
         nodes = {
@@ -174,7 +170,7 @@ class TestStructure:
             "Sn1": CaseNode("Sn1", "solution", children=["G1"]),
         }
         with pytest.raises(StructuralError):
-            SafetyCase(nodes=nodes, root="G1").validate()
+            SafetyCase(nodes=nodes, root="G1")
 
     def test_unknown_evidence_reference(self):
         nodes = {
@@ -182,7 +178,7 @@ class TestStructure:
             "Sn1": CaseNode("Sn1", "solution", evidence=["missing"]),
         }
         with pytest.raises(StructuralError):
-            SafetyCase(nodes=nodes, root="G1").validate()
+            SafetyCase(nodes=nodes, root="G1")
 
     def test_node_field_restrictions(self):
         with pytest.raises(ValidationError):
@@ -225,21 +221,14 @@ class TestAdaptCase:
         assert current_constraints(new) == COLD_FAST
         assert current_constraints(case) == PERMISSIVE
 
-    def test_add_dynamic_subtree(self):
-        case = _dynamic_case()
-        extra = CaseNode("Sn3", "solution", lifecycle="dynamic", evidence=["ev3"])
-        patch = AddDynamicSubtree("G2", nodes=(extra,),
-                                  evidence=(_fresh_pass("ev3"),))
-        new = adapt_case(case, [patch])
-        assert "Sn3" in new.node("G2").children
-        new.validate()
-
-    def test_subtree_under_static_parent_rejected(self):
-        case = _dynamic_case()
-        extra = CaseNode("Sn3", "solution", lifecycle="dynamic", evidence=["ev3"])
-        with pytest.raises(StaticNodeError):
-            adapt_case(case, [AddDynamicSubtree("G1", nodes=(extra,),
-                                                evidence=(_fresh_pass("ev3"),))])
+    @pytest.mark.parametrize("patch", [
+        AttachEvidence("A-SPI", _fresh_pass("ev-x")),
+        ReplaceConstraintContext("A-SPI", COLD_FAST),
+    ], ids=["evidence", "constraint"])
+    def test_patch_cannot_break_node_invariants(self, patch):
+        # A-SPI is a dynamic assumption: it may carry neither evidence nor a constraint.
+        with pytest.raises(ValidationError, match="A-SPI"):
+            adapt_case(type3_case(), [patch])
 
     def test_static_target_rejected_and_nothing_applied(self):
         case = _dynamic_case()

@@ -52,6 +52,11 @@ def _flat_scenario(duration, setpoint=20.0, inflow_temp=20.0, initial=20.0):
     )
 
 
+def _with_id(case, table, key, new_id):
+    case[table][key]["id"] = new_id
+    return case
+
+
 @pytest.fixture(scope="module")
 def type0_run():
     return run_scenario(type0_scenario(), type0_system())
@@ -123,6 +128,16 @@ class TestRunScenario:
         _, report = run_scenario(scenario, system_fn())
         assert report.decisions == []
 
+    def test_case_is_not_validated_per_tick(self, monkeypatch):
+        scenario, system = replace(type0_scenario(), duration=10.0), type0_system()
+        calls = []
+        validate = SafetyCase.validate
+        monkeypatch.setattr(
+            SafetyCase, "validate", lambda case: calls.append(case) or validate(case)
+        )
+        run_scenario(scenario, system)
+        assert calls == []
+
     def test_all_rows_have_header_arity(self, type1_run):
         rows, _ = type1_run
         arity = len(TRACE_HEADER.split(","))
@@ -185,6 +200,26 @@ class TestCli:
             "--case", str(case_path),
         ])
         assert code == 3
+
+    @pytest.mark.parametrize("corrupt, fault", [
+        (lambda case: _with_id(case, "nodes", "Sn-B1", "Sn-X"), "stored under 'Sn-B1'"),
+        (lambda case: _with_id(case, "evidence", "ev-b1", "ev-x"), "stored under 'ev-b1'"),
+        (lambda case: {**case, "nodes": []}, "'nodes'"),
+        (lambda case: {**case, "root": ["G1"]}, "'root'"),
+        (lambda case: [], "JSON object"),
+    ], ids=["node-key", "evidence-key", "nodes-list", "root-list", "list-document"])
+    def test_check_case_rejects_malformed_case(self, tmp_path, capsys, corrupt, fault):
+        case = json.loads((CORPUS_DIR / "type1_case.json").read_text())
+        case_path = tmp_path / "case.json"
+        case_path.write_text(json.dumps(corrupt(case)))
+        code = main([
+            "check-case",
+            "--system", str(CORPUS_DIR / "type1_system.json"),
+            "--case", str(case_path),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fault in err
 
     def test_assess_baseline_passes(self, tmp_path, capsys):
         system = load_system(CORPUS_DIR / "type3_system.json")

@@ -148,6 +148,7 @@ class TestAdmission:
             mean + 2.326 * statistics.stdev(values) / math.sqrt(report.n)
         )
         assert stats["upper_cb"] <= 2.0
+        assert admission_test(deque(samples), COLD_FAST_DOMAIN, AdmissionPolicy()) == report
 
     def test_not_ready_below_min_samples(self):
         report = admission_test(_cold_samples(50), COLD_FAST_DOMAIN, AdmissionPolicy())
