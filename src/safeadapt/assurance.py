@@ -84,12 +84,18 @@ class EvidenceItem:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EvidenceItem":
-        freshness = data.get("freshness")
+        if not isinstance(data, dict):
+            raise StructuralError(f"an evidence item must be a JSON object, got {data!r}")
+        produced_at, freshness = data.get("produced_at", 0.0), data.get("freshness")
+        if not isinstance(produced_at, (int, float)):
+            raise StructuralError(f"evidence 'produced_at' must be a number: {produced_at!r}")
+        if not isinstance(freshness, (int, float, type(None))):
+            raise StructuralError(f"evidence 'freshness' must be a number: {freshness!r}")
         return cls(
             id=data["id"],
             kind=data["kind"],
             verdict=data["verdict"],
-            produced_at=float(data.get("produced_at", 0.0)),
+            produced_at=float(produced_at),
             freshness=None if freshness is None else float(freshness),
             payload_ref=data.get("payload_ref", ""),
         )
@@ -144,18 +150,27 @@ class CaseNode:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CaseNode":
+        if not isinstance(data, dict):
+            raise StructuralError(f"a case node must be a JSON object, got {data!r}")
         constraint = data.get("constraint")
         return cls(
             id=data["id"],
             kind=data["kind"],
             text=data.get("text", ""),
             lifecycle=data.get("lifecycle", "static"),
-            children=list(data.get("children", ())),
-            discharges=set(data.get("discharges", ())),
+            children=_id_list(data, "children"),
+            discharges=set(_id_list(data, "discharges")),
             constraint=None if constraint is None else OperationalDomain.from_dict(constraint),
             predicate=data.get("predicate"),
-            evidence=list(data.get("evidence", ())),
+            evidence=_id_list(data, "evidence"),
         )
+
+
+def _id_list(node: Mapping[str, Any], key: str) -> list[str]:
+    ids = node.get(key, [])
+    if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+        raise StructuralError(f"node {node.get('id')!r}: {key!r} must be a list of ids")
+    return list(ids)
 
 
 @dataclass
@@ -229,12 +244,17 @@ class SafetyCase:
             raise StructuralError("case 'nodes' and 'evidence' must be objects keyed by id")
         if not isinstance(root, str):
             raise StructuralError(f"case 'root' must be a node id, got {root!r}")
+        revision, snapshots = data.get("revision", 0), data.get("snapshots", [])
+        if not isinstance(revision, int):
+            raise StructuralError(f"case 'revision' must be an integer: {revision!r}")
+        if not isinstance(snapshots, list) or not all(isinstance(s, list) for s in snapshots):
+            raise StructuralError(f"case 'snapshots' must be a list of lists: {snapshots!r}")
         return cls(
             nodes={nid: CaseNode.from_dict(nd) for nid, nd in nodes.items()},
             root=root,
             evidence={eid: EvidenceItem.from_dict(ed) for eid, ed in evidence.items()},
-            revision=int(data.get("revision", 0)),
-            snapshots=[tuple(s) for s in data.get("snapshots", ())],
+            revision=revision,
+            snapshots=[tuple(s) for s in snapshots],
         )
 
 

@@ -213,7 +213,6 @@ def run_scenario(
     repo = KnowledgeRepository(
         current_config=system.initial_config,
         safety_case=copy.deepcopy(system.safety_case),
-        models=list(system.models),
         sample_history=deque(maxlen=history_capacity(tick)),
         spi_windows=[copy.deepcopy(w) for w in system.spi_windows],
         active_option_id=system.initial_option_id,
@@ -247,17 +246,18 @@ def run_scenario(
         """The one map from the primary model's type to its planner."""
         nonlocal candidate_index
         if type_id == "TI":
-            return plan_type1(repo.models, trigger, repo.active_option_id, now=t)
+            return plan_type1(primary_model, trigger, repo.active_option_id, now=t)
         if type_id == "TII":
             return plan_type2(
-                repo.models, repo.sample_history, system.admission_policy,
+                primary_model, repo.sample_history, system.admission_policy,
                 repo.safety_case, repo.active_option_id, now=t, trigger=trigger,
             )
         if type_id == "TIII" and trigger.kind != "manual":
             seed = scenario.seed * 1_000_003 + candidate_index
             candidate_index += 1
             return plan_type3(
-                repo.models, repo.active_net, suite, seed, now=t, trigger_kind=trigger.kind,
+                primary_model, repo.active_net, suite, seed, repo.safety_case,
+                now=t, trigger_kind=trigger.kind,
             )
         return None
 
@@ -401,7 +401,7 @@ def run_scenario(
     report.hazard_count = state.hazard_count
     report.rise_times = [dict(e) for e in tracker.events]
     end_time = scenario.duration
-    for model in repo.models:
+    for model in system.models:
         verdict = taxonomy.verdict_for(model, repo.safety_case, end_time, repo)
         report.taxonomy_verdicts.append(verdict.to_dict())
     report.runtime_criteria = {

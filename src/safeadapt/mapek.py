@@ -5,6 +5,9 @@ Type I only ever selects design-time options, Type II admits options by
 statistical analysis under monotonically tightening domain constraints,
 Type III assesses run-time generated candidates in embedded simulations
 and refuses any candidate that fails.
+
+Each planner states the whole decision, including its safety-case
+patches; the executor applies it without knowing the adaptation type.
 """
 from __future__ import annotations
 
@@ -16,16 +19,15 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Sequence
 
-from . import taxonomy
 from .assurance import (
     AttachEvidence,
     DEFAULT_RUNTIME_FRESHNESS,
     EvidenceItem,
+    Patch,
     ReplaceConstraintContext,
     StaticNodeError,
     adapt_case,
     constraint_context,
-    current_constraints,
     nodes_discharging,
 )
 from .controller import NetControllerSpec, net_compute, zero_spec
@@ -35,6 +37,7 @@ from .model import (
     EnvironmentSample,
     KnowledgeRepository,
     OperationalDomain,
+    UNBOUNDED_DOMAIN,
     ValidationError,
     domain_subset,
 )
@@ -128,6 +131,9 @@ class AdaptationDecision:
     evidence_items: list[EvidenceItem] = field(default_factory=list)
     candidate_net: Optional[NetControllerSpec] = None
     admission: Optional["AdmissionReport"] = None
+    #: The design-time option to activate; None activates ``candidate_net``.
+    option: Optional[AdaptationOption] = None
+    patches: list[Patch] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
         out = {
@@ -155,15 +161,15 @@ def _rank(option: AdaptationOption) -> tuple[float, str]:
     return (math.inf if rise is None else rise, option.id)
 
 
-def _single_model(models: Sequence[AdaptationModel], type_id: str) -> AdaptationModel:
-    for model in models:
-        if taxonomy.classify(model.descriptor) == type_id:
-            return model
-    raise ValidationError(f"no model classified {type_id}")
+def _solution_discharging(case, obligation: str):
+    for node in nodes_discharging(case, obligation):
+        if node.kind == "solution":
+            return node
+    return None
 
 
 def plan_type1(
-    models: Sequence[AdaptationModel],
+    model: AdaptationModel,
     trigger: AdaptationTrigger,
     active_option_id: str = "",
     now: float = 0.0,
@@ -174,7 +180,6 @@ def plan_type1(
     synthesized); otherwise the eligible option with the smallest
     design-time rise time is chosen, ties broken by lowest id.
     """
-    model = _single_model(models, "TI")
     options = list(model.options or ())
     by_id = {o.id: o for o in options}
 
@@ -199,6 +204,7 @@ def plan_type1(
             reason="requested design-time option",
             time=now,
             model_id=model.id,
+            option=requested,
         )
 
     active = by_id.get(active_option_id)
@@ -222,6 +228,7 @@ def plan_type1(
         reason=f"best design-time rise time {best.design_rise_time}",
         time=now,
         model_id=model.id,
+        option=best,
     )
 
 
@@ -339,7 +346,7 @@ def admission_test(
 
 
 def plan_type2(
-    models: Sequence[AdaptationModel],
+    model: AdaptationModel,
     samples: Sequence[EnvironmentSample],
     policy: AdmissionPolicy,
     case,
@@ -354,11 +361,11 @@ def plan_type2(
     current constraints (TII.C5). The admission statistics are recorded
     as runtime evidence on the decision.
     """
-    model = _single_model(models, "TII")
     options = list(model.options or ())
     by_id = {o.id: o for o in options}
     kind = trigger.kind if trigger is not None else "goal-violation"
-    constraints = current_constraints(case)
+    context = constraint_context(case)
+    constraints = UNBOUNDED_DOMAIN if context is None else context.constraint
 
     def build(option: AdaptationOption, report: AdmissionReport) -> AdaptationDecision:
         item = EvidenceItem(
@@ -369,6 +376,12 @@ def plan_type2(
             freshness=DEFAULT_RUNTIME_FRESHNESS,
             payload_ref=json.dumps(report.to_dict(), sort_keys=True),
         )
+        patches: list[Patch] = []
+        if context is not None:
+            patches.append(ReplaceConstraintContext(context.id, option.domain))
+        target = _solution_discharging(case, "TII.B4")
+        if target is not None:
+            patches.append(AttachEvidence(target.id, item))
         return AdaptationDecision(
             trigger=kind,
             chosen_option=option.id,
@@ -378,6 +391,8 @@ def plan_type2(
             model_id=model.id,
             evidence_items=[item],
             admission=report,
+            option=option,
+            patches=patches,
         )
 
     if trigger is not None and trigger.requested_option_id is not None:
@@ -560,15 +575,15 @@ def assess_candidate(
 
 
 def plan_type3(
-    models: Sequence[AdaptationModel],
+    model: AdaptationModel,
     current: NetControllerSpec,
     suite: AssessmentSuite,
     seed: int,
+    case,
     now: float = 0.0,
     trigger_kind: str = "goal-violation",
 ) -> AdaptationDecision:
     """Type III policy: propose, assess, and only apply on a pass verdict."""
-    model = _single_model(models, "TIII")
     candidate = propose_candidate(current, seed)
     outcome = assess_candidate(candidate, suite, now)
     evidence: EvidenceItem = outcome["evidence"]
@@ -583,6 +598,7 @@ def plan_type3(
             model_id=model.id,
             evidence_items=[evidence],
         )
+    target = _solution_discharging(case, "TIII.B6")
     return AdaptationDecision(
         trigger=trigger_kind,
         chosen_option=candidate_id,
@@ -592,21 +608,11 @@ def plan_type3(
         model_id=model.id,
         evidence_items=[evidence],
         candidate_net=candidate,
+        patches=[] if target is None else [AttachEvidence(target.id, evidence)],
     )
 
 
 # --- executor ---------------------------------------------------------------
-
-#: The obligation whose solution node receives a decision's run-time evidence.
-_EVIDENCE_OBLIGATION = {"TII": "TII.B4", "TIII": "TIII.B6"}
-
-
-def _solution_discharging(case, obligation: str):
-    for node in nodes_discharging(case, obligation):
-        if node.kind == "solution":
-            return node
-    return None
-
 
 def execute_adaptation(
     decision: AdaptationDecision,
@@ -621,29 +627,10 @@ def execute_adaptation(
     """
     if not decision.applied:
         return repo
-    model = repo.model_by_id(decision.model_id)
-    if model is None:
-        raise ValidationError(f"unknown model {decision.model_id!r}")
-    type_id = taxonomy.classify(model.descriptor)
-    option = None
-    if type_id != "TIII":
-        option = model.option_by_id(decision.chosen_option or "")
-        if option is None:
-            raise ValidationError(f"unknown option {decision.chosen_option!r}")
-
-    patches = []
-    context = constraint_context(repo.safety_case) if type_id == "TII" else None
-    if context is not None and option.domain is not None:
-        patches.append(ReplaceConstraintContext(context.id, option.domain))
-    obligation = _EVIDENCE_OBLIGATION.get(type_id)
-    target = _solution_discharging(repo.safety_case, obligation) if obligation else None
-    if target is not None:
-        patches.extend(AttachEvidence(target.id, item) for item in decision.evidence_items)
-
-    if patches:
+    if decision.patches:
         try:
             new_case = adapt_case(
-                repo.safety_case, patches, now=now,
+                repo.safety_case, decision.patches, now=now,
                 cause=f"apply {decision.chosen_option}",
             )
         except StaticNodeError as exc:
@@ -652,14 +639,14 @@ def execute_adaptation(
             return repo
         repo.safety_case = new_case
 
-    if option is None:
+    if decision.option is None:
         repo.active_net = decision.candidate_net
         repo.active_option_id = decision.chosen_option or ""
         for window in repo.spi_windows:
             spi_reset(window)
     else:
-        repo.current_config = repo.current_config.with_assignment(option.assignment)
-        repo.active_option_id = option.id
+        repo.current_config = repo.current_config.with_assignment(decision.option.assignment)
+        repo.active_option_id = decision.option.id
     return repo
 
 

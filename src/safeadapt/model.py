@@ -28,9 +28,6 @@ class SimulationFault(RuntimeError):
 
 CONTROLLER_KINDS = ("pid", "parametric-net")
 
-#: Environment variables an operational domain may constrain.
-DOMAIN_VARIABLES = ("inflow_temp", "inflow_rate")
-
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
 
@@ -272,12 +269,11 @@ class AdaptationModel:
                 raise ValidationError(
                     f"model {self.id!r} declares enumerated options but lists none"
                 )
-
-    def option_by_id(self, option_id: str) -> Optional[AdaptationOption]:
         for option in self.options or ():
-            if option.id == option_id:
-                return option
-        return None
+            if not option_satisfies_model(option, self):
+                raise ValidationError(
+                    f"option {option.id!r} breaks the constraints of model {self.id!r}"
+                )
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -319,7 +315,8 @@ def option_satisfies_model(option: AdaptationOption, model: AdaptationModel) -> 
     unknown = sorted(set(option.assignment) - declared)
     if unknown:
         raise ValidationError(
-            f"assignment names unknown parameter(s): {', '.join(unknown)}"
+            f"option {option.id!r} of model {model.id!r} names unknown "
+            f"parameter(s): {', '.join(unknown)}"
         )
     if set(option.assignment) != declared:
         return False
@@ -369,7 +366,6 @@ class KnowledgeRepository:
 
     current_config: SystemConfiguration
     safety_case: "SafetyCase"
-    models: list["AdaptationModel"] = field(default_factory=list)
     sample_history: deque = field(default_factory=lambda: deque(maxlen=36000))
     spi_windows: list["SpiWindow"] = field(default_factory=list)
     active_option_id: str = ""
@@ -382,12 +378,6 @@ class KnowledgeRepository:
     def __post_init__(self) -> None:
         if self.sample_history.maxlen is None or self.sample_history.maxlen < 1:
             raise ValidationError("sample history must be a bounded ring")
-
-    def model_by_id(self, model_id: str) -> Optional["AdaptationModel"]:
-        for model in self.models:
-            if model.id == model_id:
-                return model
-        return None
 
     def latest_sample(self) -> Optional[EnvironmentSample]:
         return self.sample_history[-1] if self.sample_history else None

@@ -60,7 +60,6 @@ class PlantParams:
 class PlantState:
     tank_temp: float
     valve_open: bool = True
-    power_cmd: float = 0.0
     hazard_accum: float = 0.0
     hazard_count: int = 0
     #: True once the current contiguous over-limit episode has been counted.
@@ -109,7 +108,7 @@ def plant_step(
     new_temp = state.tank_temp + params.tick * rate
     if not math.isfinite(new_temp):
         raise SimulationFault("non-finite tank temperature")
-    return replace(state, tank_temp=new_temp, power_cmd=power_in)
+    return replace(state, tank_temp=new_temp)
 
 
 def hazard_update(state: PlantState, params: PlantParams) -> PlantState:

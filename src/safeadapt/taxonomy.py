@@ -204,13 +204,13 @@ def check_obligations(
     the correct lifecycle carries it, ``missing`` when no node carries
     it, and ``unsupported-node`` when only unsupported nodes carry it.
     """
-    from .assurance import support_map
+    from .assurance import nodes_discharging, support_map
 
     support = support_map(case, now, knowledge)
     result: dict[str, str] = {}
     for obligation in obligations_for(verdict_type):
         required = "dynamic" if obligation in DYNAMIC_OBLIGATIONS else "static"
-        carriers = [n for n in case.nodes.values() if obligation in n.discharges]
+        carriers = nodes_discharging(case, obligation)
         for node in carriers:
             if node.lifecycle != required:
                 raise LifecycleMismatchError(obligation, node.id, node.lifecycle)

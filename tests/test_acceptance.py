@@ -102,13 +102,13 @@ def test_criterion_2_closed_option_set(corpus_runs):
     ok = True
     for _ in range(120):
         active = rng.choice(sorted(option_ids) + [""])
-        decision = plan_type1([model], AdaptationTrigger("goal-violation"), active)
+        decision = plan_type1(model, AdaptationTrigger("goal-violation"), active)
         if decision.applied:
             ok = ok and decision.chosen_option in option_ids
     for _ in range(30):
         rogue = f"opt-{rng.randint(100, 999)}"
         decision = plan_type1(
-            [model], AdaptationTrigger("manual", requested_option_id=rogue)
+            model, AdaptationTrigger("manual", requested_option_id=rogue)
         )
         ok = ok and not decision.applied and rogue in decision.reason
     _, report = corpus_runs["type1"]
@@ -139,16 +139,18 @@ def test_criterion_3_constrained_assurance(corpus_runs):
 
 
 def test_criterion_4_dynamic_assurance(corpus_runs):
-    from safeadapt.corpus import TYPE3_PLANT, assessment_scenarios, baseline_net, type3_model
+    from safeadapt.corpus import (
+        TYPE3_PLANT, assessment_scenarios, baseline_net, type3_case, type3_model,
+    )
 
     suite = AssessmentSuite(assessment_scenarios(), TYPE3_PLANT, AdaptationGoal())
-    models = [type3_model()]
+    model, case = type3_model(), type3_case()
     base = baseline_net()
     ok = True
     proposals = 0
     failed_hashes = set()
     for seed in range(200):
-        decision = plan_type3(models, base, suite, seed)
+        decision = plan_type3(model, base, suite, seed, case)
         proposals += 1
         item = decision.evidence_items[0]
         if item.verdict == "fail":

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from safeadapt import taxonomy
 from safeadapt.assurance import CaseNode, SafetyCase
 from safeadapt.cli import main
 from safeadapt.corpus import (
@@ -13,6 +14,8 @@ from safeadapt.corpus import (
     type1_model,
     type1_scenario,
     type1_system,
+    type2_scenario,
+    type2_system,
     type3_system,
 )
 from safeadapt.harness import (
@@ -52,8 +55,8 @@ def _flat_scenario(duration, setpoint=20.0, inflow_temp=20.0, initial=20.0):
     )
 
 
-def _with_id(case, table, key, new_id):
-    case[table][key]["id"] = new_id
+def _with(case, table, key, field, value):
+    case[table][key][field] = value
     return case
 
 
@@ -138,6 +141,17 @@ class TestRunScenario:
         run_scenario(scenario, system)
         assert calls == []
 
+    def test_models_are_classified_once_per_run(self, monkeypatch):
+        # Once before the first tick and once for the end-of-run verdict;
+        # planners and executor take the type from the harness.
+        scenario, system = replace(type2_scenario(), duration=1200.0), type2_system()
+        calls = []
+        classify = taxonomy.classify
+        monkeypatch.setattr(taxonomy, "classify", lambda d: calls.append(d) or classify(d))
+        _, report = run_scenario(scenario, system)
+        assert any(d["applied"] for d in report.decisions)
+        assert len(calls) == 2
+
     def test_all_rows_have_header_arity(self, type1_run):
         rows, _ = type1_run
         arity = len(TRACE_HEADER.split(","))
@@ -202,12 +216,22 @@ class TestCli:
         assert code == 3
 
     @pytest.mark.parametrize("corrupt, fault", [
-        (lambda case: _with_id(case, "nodes", "Sn-B1", "Sn-X"), "stored under 'Sn-B1'"),
-        (lambda case: _with_id(case, "evidence", "ev-b1", "ev-x"), "stored under 'ev-b1'"),
+        (lambda case: _with(case, "nodes", "Sn-B1", "id", "Sn-X"), "stored under 'Sn-B1'"),
+        (lambda case: _with(case, "evidence", "ev-b1", "id", "ev-x"), "stored under 'ev-b1'"),
         (lambda case: {**case, "nodes": []}, "'nodes'"),
         (lambda case: {**case, "root": ["G1"]}, "'root'"),
         (lambda case: [], "JSON object"),
-    ], ids=["node-key", "evidence-key", "nodes-list", "root-list", "list-document"])
+        (lambda case: {**case, "nodes": {**case["nodes"], "Sn-B1": 5}}, "case node"),
+        (lambda case: _with(case, "nodes", "G1", "children", 7), "'children'"),
+        (lambda case: _with(case, "nodes", "G1", "children", "S1"), "'children'"),
+        (lambda case: {**case, "revision": "abc"}, "'revision'"),
+        (lambda case: _with(case, "evidence", "ev-b1", "produced_at", "x"), "'produced_at'"),
+        (lambda case: {**case, "snapshots": [5]}, "'snapshots'"),
+    ], ids=[
+        "node-key", "evidence-key", "nodes-list", "root-list", "list-document",
+        "node-number", "children-number", "children-string", "revision-string",
+        "produced-at-string", "snapshot-number",
+    ])
     def test_check_case_rejects_malformed_case(self, tmp_path, capsys, corrupt, fault):
         case = json.loads((CORPUS_DIR / "type1_case.json").read_text())
         case_path = tmp_path / "case.json"
@@ -277,6 +301,24 @@ class TestCli:
         assert not (tmp_path / "trace.csv").exists()
         assert not (tmp_path / "report.json").exists()
         assert "first unmet TIII.C3" in capsys.readouterr().err
+
+    def test_option_breaking_its_model_constraints_fails_at_load(self, tmp_path, capsys):
+        system = json.loads((CORPUS_DIR / "type1_system.json").read_text())
+        system["safety_case_path"] = str(CORPUS_DIR / "type1_case.json")
+        option = system["adaptation_models"][0]["options"][8]
+        assert option["id"] == "opt-9"
+        option["assignment"].update(kp=999999.0, kd=0.0)  # breaks kp <= 5000 and kd >= 10
+        (tmp_path / "system.json").write_text(json.dumps(system))
+        code = main([
+            "simulate",
+            "--scenario", str(CORPUS_DIR / "type1_scenario.json"),
+            "--system", str(tmp_path / "system.json"),
+            "--out", str(tmp_path / "trace.csv"),
+            "--report", str(tmp_path / "report.json"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "trace.csv").exists()
+        assert "'opt-9'" in capsys.readouterr().err
 
     def test_malformed_system_is_a_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "system.json"

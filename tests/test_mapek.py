@@ -6,7 +6,11 @@ from collections import deque
 
 import pytest
 
-from safeadapt.assurance import EvidenceItem, evaluate_validity
+from safeadapt.assurance import (
+    AttachEvidence,
+    ReplaceConstraintContext,
+    evaluate_validity,
+)
 from safeadapt.controller import NetControllerSpec, weight_count, zero_spec
 from safeadapt.corpus import (
     COLD_FAST_DOMAIN,
@@ -41,7 +45,6 @@ from safeadapt.model import (
     EnvironmentSample,
     KnowledgeRepository,
     SystemConfiguration,
-    ValidationError,
 )
 from safeadapt.spi import SpiWindow, spi_breached, spi_update
 
@@ -91,18 +94,18 @@ class TestGoalTracker:
 class TestPlanType1:
     def test_goal_violation_picks_fastest_option(self):
         decision = plan_type1(
-            [type1_model()], AdaptationTrigger("goal-violation"), "opt-1"
+            type1_model(), AdaptationTrigger("goal-violation"), "opt-1"
         )
         assert decision.applied
         assert decision.chosen_option == "opt-9"  # smallest design rise time
 
     def test_applied_choice_is_always_enumerated(self):
-        decision = plan_type1([type1_model()], AdaptationTrigger("goal-violation"), "opt-5")
+        decision = plan_type1(type1_model(), AdaptationTrigger("goal-violation"), "opt-5")
         assert decision.chosen_option in OPTION_IDS
 
     def test_rogue_request_refused_with_reason(self):
         decision = plan_type1(
-            [type1_model()],
+            type1_model(),
             AdaptationTrigger("manual", requested_option_id="opt-99"),
         )
         assert not decision.applied
@@ -111,19 +114,15 @@ class TestPlanType1:
 
     def test_valid_request_honoured(self):
         decision = plan_type1(
-            [type1_model()], AdaptationTrigger("manual", requested_option_id="opt-3")
+            type1_model(), AdaptationTrigger("manual", requested_option_id="opt-3")
         )
         assert decision.applied and decision.chosen_option == "opt-3"
 
     def test_no_better_option(self):
         decision = plan_type1(
-            [type1_model()], AdaptationTrigger("goal-violation"), "opt-9"
+            type1_model(), AdaptationTrigger("goal-violation"), "opt-9"
         )
         assert not decision.applied and decision.chosen_option is None
-
-    def test_needs_a_type1_model(self):
-        with pytest.raises(ValidationError):
-            plan_type1([type2_model()], AdaptationTrigger("goal-violation"))
 
 
 def _cold_samples(n, mean=1.0, spread=0.2, rate=0.5, tick=1.0, seed=3):
@@ -184,18 +183,23 @@ class TestAdmission:
 class TestPlanType2:
     def test_cold_window_admits_option_9(self):
         decision = plan_type2(
-            [type2_model()], _cold_samples(500), AdmissionPolicy(),
+            type2_model(), _cold_samples(500), AdmissionPolicy(),
             type2_case(), active_option_id="opt-1", now=500.0,
         )
         assert decision.applied and decision.chosen_option == "opt-9"
         assert decision.admission.admit
         assert len(decision.evidence_items) == 1
-        assert decision.evidence_items[0].kind == "runtime-observation"
+        item = decision.evidence_items[0]
+        assert item.kind == "runtime-observation"
+        assert decision.patches == [
+            ReplaceConstraintContext("C-DOM", COLD_FAST_DOMAIN),
+            AttachEvidence("Sn-B4", item),
+        ]
 
     def test_relaxing_request_refused_citing_monotonicity(self):
         case = type2_case(initial_domain=COLD_FAST_DOMAIN)
         decision = plan_type2(
-            [type2_model()], _cold_samples(500), AdmissionPolicy(), case,
+            type2_model(), _cold_samples(500), AdmissionPolicy(), case,
             active_option_id="opt-9",
             trigger=AdaptationTrigger("manual", requested_option_id="opt-1"),
         )
@@ -204,14 +208,14 @@ class TestPlanType2:
 
     def test_rogue_request_refused(self):
         decision = plan_type2(
-            [type2_model()], _cold_samples(500), AdmissionPolicy(), type2_case(),
+            type2_model(), _cold_samples(500), AdmissionPolicy(), type2_case(),
             trigger=AdaptationTrigger("manual", requested_option_id="opt-77"),
         )
         assert not decision.applied and "TII.B1" in decision.reason
 
     def test_not_ready_is_not_applied(self):
         decision = plan_type2(
-            [type2_model()], _cold_samples(50), AdmissionPolicy(), type2_case(),
+            type2_model(), _cold_samples(50), AdmissionPolicy(), type2_case(),
             active_option_id="opt-1",
         )
         assert not decision.applied
@@ -289,7 +293,6 @@ def _type3_repo():
     return KnowledgeRepository(
         current_config=SystemConfiguration("parametric-net", {}),
         safety_case=type3_case(),
-        models=[type3_model()],
         sample_history=deque(maxlen=100),
         spi_windows=[SpiWindow()],
         active_option_id="net-baseline",
@@ -306,7 +309,7 @@ class TestPlanType3:
         # zero-weight candidates, which fail the suite.
         failures = 0
         for seed in range(40):
-            decision = plan_type3([type3_model()], baseline_net(), _suite(), seed)
+            decision = plan_type3(type3_model(), baseline_net(), _suite(), seed, type3_case())
             item = decision.evidence_items[0]
             if item.verdict == "fail":
                 failures += 1
@@ -320,11 +323,14 @@ class TestPlanType3:
     def test_applied_candidate_updates_repo_and_case(self):
         passing = None
         for seed in range(40):
-            decision = plan_type3([type3_model()], baseline_net(), _suite(), seed, now=7.0)
+            decision = plan_type3(
+                type3_model(), baseline_net(), _suite(), seed, type3_case(), now=7.0,
+            )
             if decision.applied:
                 passing = decision
                 break
         assert passing is not None
+        assert passing.patches == [AttachEvidence("Sn-B6", passing.evidence_items[0])]
         repo = _type3_repo()
         spi_update(repo.spi_windows[0],
                    EnvironmentSample(0.0, 10, 0.1, 50.0, 86.0), 0.1)
@@ -341,7 +347,6 @@ def _type2_repo(case=None):
     return KnowledgeRepository(
         current_config=SystemConfiguration("pid", {"kp": 50.0, "ki": 0.5, "kd": 0.0}),
         safety_case=case if case is not None else type2_case(),
-        models=[model],
         sample_history=deque(maxlen=100),
         active_option_id="opt-1",
         baseline_option_id="opt-1",
@@ -352,7 +357,7 @@ def _type2_repo(case=None):
 class TestExecuteAdaptation:
     def test_type2_apply_updates_gains_and_constraints(self):
         decision = plan_type2(
-            [type2_model()], _cold_samples(500), AdmissionPolicy(),
+            type2_model(), _cold_samples(500), AdmissionPolicy(),
             type2_case(), active_option_id="opt-1", now=500.0,
         )
         repo = _type2_repo()
@@ -374,7 +379,7 @@ class TestExecuteAdaptation:
         case.node("Sn-B5").lifecycle = "static"
         case.node("G-B5").lifecycle = "static"
         decision = plan_type2(
-            [type2_model()], _cold_samples(500), AdmissionPolicy(),
+            type2_model(), _cold_samples(500), AdmissionPolicy(),
             case, active_option_id="opt-1", now=500.0,
         )
         assert decision.applied
@@ -388,18 +393,18 @@ class TestExecuteAdaptation:
         assert repo.safety_case.to_dict() == before_case
 
     def test_type1_apply_updates_gains_and_keeps_case(self):
-        decision = plan_type1([type1_model()], AdaptationTrigger("goal-violation"), "opt-1")
+        decision = plan_type1(type1_model(), AdaptationTrigger("goal-violation"), "opt-1")
         assert decision.applied
         repo = KnowledgeRepository(
             current_config=SystemConfiguration("pid", {"kp": 50.0, "ki": 0.5, "kd": 0.0}),
             safety_case=type1_case(),
-            models=[type1_model()],
             sample_history=deque(maxlen=100),
             active_option_id="opt-1",
         )
         revision = repo.safety_case.revision
         execute_adaptation(decision, repo, now=10.0)
-        option = type1_model().option_by_id(decision.chosen_option)
+        option = decision.option
+        assert option in type1_model().options and option.id == decision.chosen_option
         assert repo.current_config.parameters == option.assignment
         assert repo.active_option_id == option.id
         assert repo.safety_case.revision == revision
@@ -408,7 +413,7 @@ class TestExecuteAdaptation:
     def test_unapplied_decision_is_a_no_op(self):
         repo = _type2_repo()
         decision = plan_type1(
-            [type1_model()], AdaptationTrigger("manual", requested_option_id="nope")
+            type1_model(), AdaptationTrigger("manual", requested_option_id="nope")
         )
         before = repo.current_config
         execute_adaptation(decision, repo)
