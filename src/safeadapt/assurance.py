@@ -11,6 +11,10 @@ A case is checked once, when it is built or loaded: every construction,
 including each revision `adapt_case` returns, runs `SafetyCase.validate`.
 A malformed case or an unknown predicate name raises StructuralError
 there (the CLI exits 2), never part way through a run.
+
+Validity is compiled once per case revision (see `evaluate_validity`), so
+a `SafetyCase` must not be mutated after construction. `support_map`
+walks the whole tree and stays the reference.
 """
 from __future__ import annotations
 
@@ -19,6 +23,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Union
 
+from . import spi
 from .model import OperationalDomain, UNBOUNDED_DOMAIN, ValidationError
 
 if TYPE_CHECKING:
@@ -180,6 +185,7 @@ class SafetyCase:
     evidence: dict[str, EvidenceItem] = field(default_factory=dict)
     revision: int = 0
     snapshots: list[tuple[int, float, str]] = field(default_factory=list)
+    _plan: Optional[_ValidityPlan] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.validate()
@@ -275,9 +281,8 @@ PredicateFn = Callable[["KnowledgeRepository", float], bool]
 
 
 def _predicate_spi_under_threshold(knowledge: "KnowledgeRepository", now: float) -> bool:
-    from .spi import spi_breached
-
-    return all(not spi_breached(w) for w in knowledge.spi_windows)
+    # Looked up in `spi` on each call, so perfbench's layer tracer sees it.
+    return not any(map(spi.spi_breached, knowledge.spi_windows))
 
 
 PREDICATES: dict[str, PredicateFn] = {
@@ -331,13 +336,59 @@ def support_map(
     return support
 
 
+@dataclass(frozen=True)
+class _ValidityPlan:
+    """The nodes failing at every time, and each atom whose support can
+    change with its runtime evidence (None for a context or assumption)
+    and its failure closure: itself and the ancestors it reaches through
+    goal/strategy parents."""
+
+    const_failing: frozenset[str]
+    terms: tuple[tuple[CaseNode, Optional[tuple[EvidenceItem, ...]], frozenset[str]], ...]
+
+
+def _compile_validity(case: SafetyCase) -> _ValidityPlan:
+    const_failing: set[str] = set()
+    terms: list[tuple] = []
+
+    def visit(node_id: str, above: tuple[str, ...]) -> None:
+        node = case.nodes[node_id]
+        closure = (*above, node_id)
+        for child in node.children:
+            # A context's support ignores its children, so their failures stop there.
+            visit(child, closure if node.kind in ("goal", "strategy") else ())
+        if node.kind == "solution":
+            items = [case.evidence[eid] for eid in node.evidence]
+            runtime = tuple(ev for ev in items if ev.freshness is not None)
+            if not items or any(ev.verdict != "pass" for ev in items):
+                const_failing.update(closure)
+            elif runtime:
+                terms.append((node, runtime, frozenset(closure)))
+        elif node.kind in ("context", "assumption") and node.lifecycle == "dynamic":
+            if node.constraint is not None or node.predicate is not None:
+                terms.append((node, None, frozenset(closure)))
+
+    visit(case.root, ())
+    return _ValidityPlan(frozenset(const_failing), tuple(terms))
+
+
 def evaluate_validity(
     case: SafetyCase, now: float, knowledge: Optional["KnowledgeRepository"] = None
 ) -> dict[str, Any]:
-    """Validity verdict: the case is valid iff its root goal is supported."""
-    support = support_map(case, now, knowledge)
-    failing = sorted(nid for nid, ok in support.items() if not ok)
-    return {"valid": support[case.root], "failing_nodes": failing}
+    """Validity verdict: the case is valid iff its root goal is supported.
+
+    Equals `support_map`'s verdict, but re-checks only the terms of the plan
+    compiled on the case's first call, in `support_map`'s order."""
+    plan = case._plan or _compile_validity(case)
+    case._plan = plan
+    failing = set(plan.const_failing)
+    for node, runtime, closure in plan.terms:
+        if not (_node_supported(case, node, now, knowledge, {}) if runtime is None
+                else all(ev.fresh_at(now) for ev in runtime)):
+            failing.update(closure)
+    if not failing:
+        return {"valid": True, "failing_nodes": []}
+    return {"valid": case.root not in failing, "failing_nodes": sorted(failing)}
 
 
 # --- adaptation patches -----------------------------------------------------

@@ -17,6 +17,7 @@ import math
 import random
 import statistics
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import Any, Mapping, Optional, Sequence
 
 from .assurance import (
@@ -294,11 +295,13 @@ def admission_test(
     For each bounded variable the one-sided confidence bound
     (mean +/- z s / sqrt(n)) and the sample extremum must both respect
     the bound. Insufficient data yields not-ready, never a reject.
+    ``samples`` must be in time order: the window is read back from the newest.
     """
     if not samples:
         return AdmissionReport(status="not-ready")
     latest = samples[-1].time
-    windowed = [s for s in samples if s.time >= latest - policy.window]
+    start = latest - policy.window
+    windowed = list(takewhile(lambda s: s.time >= start, reversed(samples)))[::-1]
     span = samples[-1].time - samples[0].time
     if len(windowed) < policy.min_samples or span < policy.window:
         return AdmissionReport(

@@ -83,8 +83,14 @@ class OperationalDomain:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "OperationalDomain":
+        if not isinstance(data, Mapping):
+            raise ValidationError(f"an operational domain must be an object, got {data!r}")
         bounds = {}
         for name, pair in data.items():
+            if not (isinstance(pair, list) and len(pair) == 2) or any(
+                v is not None and (type(v) not in (int, float) or math.isnan(v)) for v in pair
+            ):
+                raise ValidationError(f"domain bound {name!r} must be [low, high], number or null")
             low = _NEG_INF if pair[0] is None else float(pair[0])
             high = _POS_INF if pair[1] is None else float(pair[1])
             bounds[name] = (low, high)

@@ -108,7 +108,8 @@ def plant_step(
     new_temp = state.tank_temp + params.tick * rate
     if not math.isfinite(new_temp):
         raise SimulationFault("non-finite tank temperature")
-    return replace(state, tank_temp=new_temp)
+    return PlantState(new_temp, state.valve_open, state.hazard_accum,
+                      state.hazard_count, state.episode_counted)
 
 
 def hazard_update(state: PlantState, params: PlantParams) -> PlantState:
@@ -125,10 +126,8 @@ def hazard_update(state: PlantState, params: PlantParams) -> PlantState:
         if not counted and accum > HAZARD_DURATION + _EPS:
             count += 1
             counted = True
-        return replace(
-            state, hazard_accum=accum, hazard_count=count, episode_counted=counted
-        )
-    return replace(state, hazard_accum=0.0, episode_counted=False)
+        return PlantState(state.tank_temp, state.valve_open, accum, count, counted)
+    return PlantState(state.tank_temp, state.valve_open, 0.0, state.hazard_count, False)
 
 
 def guard_step(

@@ -2,6 +2,7 @@ import copy
 from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from safeadapt.assurance import (
     AttachEvidence,
@@ -29,6 +30,7 @@ from safeadapt.model import (
     UNBOUNDED_DOMAIN,
     ValidationError,
 )
+from safeadapt.spi import SpiWindow
 
 COLD_FAST = OperationalDomain({"inflow_temp": (-10.0, 2.0), "inflow_rate": (0.2, 1.0)})
 PERMISSIVE = OperationalDomain({"inflow_temp": (-10.0, 40.0), "inflow_rate": (0.01, 1.0)})
@@ -300,3 +302,109 @@ class TestSerialization:
         text = render_text(_dynamic_case())
         assert "goal:G1" in text
         assert "evidence:ev1" in text
+
+
+# --- compiled validity against the support_map reference ---------------------
+
+def _reference_validity(case, now, repo):
+    support = support_map(case, now, repo)
+    failing = sorted(nid for nid, ok in support.items() if not ok)
+    return {"valid": support[case.root], "failing_nodes": failing}
+
+
+@st.composite
+def _random_cases(draw):
+    """Goals and strategies nested up to three levels, with solutions,
+    static and dynamic contexts and assumptions, and contexts with children."""
+    nodes, evidence = {}, {}
+    lifecycle = st.sampled_from(["static", "dynamic"])
+
+    def solution():
+        sid = f"Sn{len(nodes)}"
+        nodes[sid] = None  # reserve the id before drawing evidence
+        ev_ids = []
+        for _ in range(draw(st.integers(0, 2))):
+            eid = f"ev{len(evidence)}"
+            runtime = draw(st.booleans())
+            evidence[eid] = EvidenceItem(
+                id=eid,
+                kind="runtime-observation" if runtime else "design-analysis",
+                verdict=draw(st.sampled_from(["pass", "pass", "fail"])),
+                produced_at=draw(st.integers(0, 400)) / 8.0,
+                freshness=draw(st.integers(8, 800)) / 8.0 if runtime else None,
+            )
+            ev_ids.append(eid)
+        nodes[sid] = CaseNode(sid, "solution", lifecycle=draw(lifecycle), evidence=ev_ids)
+        return sid
+
+    def context(depth):
+        cid = f"C{len(nodes)}"
+        nodes[cid] = None
+        kind = draw(st.sampled_from(["context", "assumption"]))
+        life = draw(lifecycle)
+        constraint = (
+            draw(st.sampled_from([None, COLD_FAST, PERMISSIVE])) if kind == "context" else None
+        )
+        predicate = (
+            draw(st.sampled_from([None, "spi-under-threshold"])) if life == "dynamic" else None
+        )
+        children = [goal(depth + 1)] if depth < 3 and draw(st.booleans()) else []
+        nodes[cid] = CaseNode(cid, kind, lifecycle=life, children=children,
+                              constraint=constraint, predicate=predicate)
+        return cid
+
+    def goal(depth):
+        gid = f"G{len(nodes)}"
+        nodes[gid] = None
+        makers = [solution, lambda: context(depth)]
+        if depth < 3:
+            makers.append(lambda: goal(depth + 1))
+        children = [draw(st.sampled_from(makers))() for _ in range(draw(st.integers(0, 3)))]
+        kind = draw(st.sampled_from(["goal", "strategy"]))
+        nodes[gid] = CaseNode(gid, kind, lifecycle=draw(lifecycle), children=children)
+        return gid
+
+    root = goal(1)
+    return SafetyCase(nodes=nodes, root=root, evidence=evidence)
+
+
+def _revision_patches(case):
+    fresh = EvidenceItem(id="ev-new", kind="runtime-assessment", verdict="pass",
+                         produced_at=60.0, freshness=30.0)
+    for node in case.nodes.values():
+        if node.lifecycle != "dynamic":
+            continue
+        if node.kind == "solution":
+            yield AttachEvidence(node.id, fresh)
+        elif node.constraint is not None:
+            yield ReplaceConstraintContext(node.id, COLD_FAST)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=_random_cases(),
+    times=st.lists(st.integers(0, 2400), min_size=1, max_size=12, unique=True),
+    inflow_temps=st.lists(st.sampled_from([-20.0, 0.0, 1.0, 5.0, 30.0, 50.0]), min_size=1),
+    breached=st.lists(st.booleans(), min_size=1),
+    with_repo=st.booleans(),
+)
+def test_compiled_validity_matches_support_map(case, times, inflow_temps, breached, with_repo):
+    window = SpiWindow(window=10.0, threshold=1.0, tick=1.0)
+    repo = KnowledgeRepository(
+        current_config=SystemConfiguration("pid", {}), safety_case=case,
+        sample_history=deque(maxlen=10), spi_windows=[window],
+    )
+    # Eighths of a second hit each evidence item's inclusive freshness boundary.
+    nows = [k / 8.0 for k in sorted(times)]
+    revised = adapt_case(case, list(_revision_patches(case)), now=60.0)
+    for step, now in enumerate(nows):
+        repo.sample_history.append(EnvironmentSample(
+            now, inflow_temps[step % len(inflow_temps)], 0.5, 40.0, 40.0))
+        window.true_count = 5 if breached[step % len(breached)] else 0
+        knowledge = repo if with_repo else None
+        # The revision is first evaluated part way through, as a run would.
+        cases = [case, revised] if step >= len(nows) // 2 else [case]
+        for current in cases:
+            assert evaluate_validity(current, now, knowledge) == _reference_validity(
+                current, now, knowledge
+            )

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from safeadapt import taxonomy
+from safeadapt import assurance, harness, taxonomy
 from safeadapt.assurance import CaseNode, SafetyCase
 from safeadapt.cli import main
 from safeadapt.corpus import (
@@ -16,6 +16,7 @@ from safeadapt.corpus import (
     type1_system,
     type2_scenario,
     type2_system,
+    type3_scenario,
     type3_system,
 )
 from safeadapt.harness import (
@@ -58,6 +59,11 @@ def _flat_scenario(duration, setpoint=20.0, inflow_temp=20.0, initial=20.0):
 def _with(case, table, key, field, value):
     case[table][key][field] = value
     return case
+
+
+def _domain(case, inflow_temp):
+    """The type2 case with one bound of its operational domain replaced."""
+    return _with(case, "nodes", "C-DOM", "constraint", {"inflow_temp": inflow_temp})
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +158,40 @@ class TestRunScenario:
         assert any(d["applied"] for d in report.decisions)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("system_fn, scenario_fn", [
+        (type2_system, type2_scenario),
+        (type3_system, type3_scenario),
+    ], ids=["type2", "type3"])
+    def test_validity_agrees_with_support_map_every_tick(
+        self, monkeypatch, system_fn, scenario_fn
+    ):
+        revisions = set()
+
+        def checked(case, now, repo):
+            verdict = assurance.evaluate_validity(case, now, repo)
+            support = assurance.support_map(case, now, repo)
+            assert verdict == {
+                "valid": support[case.root],
+                "failing_nodes": sorted(n for n, ok in support.items() if not ok),
+            }
+            revisions.add(case.revision)
+            return verdict
+
+        monkeypatch.setattr(harness, "evaluate_validity", checked)
+        run_scenario(replace(scenario_fn(), duration=1200.0), system_fn())
+        assert len(revisions) > 1  # a revision's plan was compiled part way through
+
+    def test_support_map_runs_only_for_end_of_run_verdicts(self, monkeypatch):
+        scenario, system = replace(type3_scenario(), duration=1200.0), type3_system()
+        calls = []
+        support_map = assurance.support_map
+        monkeypatch.setattr(
+            assurance, "support_map", lambda *a: calls.append(a) or support_map(*a)
+        )
+        _, report = run_scenario(scenario, system)
+        assert report.spi_breaches > 0
+        assert len(calls) == len(system.models)
+
     def test_all_rows_have_header_arity(self, type1_run):
         rows, _ = type1_run
         arity = len(TRACE_HEADER.split(","))
@@ -215,30 +255,42 @@ class TestCli:
         ])
         assert code == 3
 
-    @pytest.mark.parametrize("corrupt, fault", [
-        (lambda case: _with(case, "nodes", "Sn-B1", "id", "Sn-X"), "stored under 'Sn-B1'"),
-        (lambda case: _with(case, "evidence", "ev-b1", "id", "ev-x"), "stored under 'ev-b1'"),
-        (lambda case: {**case, "nodes": []}, "'nodes'"),
-        (lambda case: {**case, "root": ["G1"]}, "'root'"),
-        (lambda case: [], "JSON object"),
-        (lambda case: {**case, "nodes": {**case["nodes"], "Sn-B1": 5}}, "case node"),
-        (lambda case: _with(case, "nodes", "G1", "children", 7), "'children'"),
-        (lambda case: _with(case, "nodes", "G1", "children", "S1"), "'children'"),
-        (lambda case: {**case, "revision": "abc"}, "'revision'"),
-        (lambda case: _with(case, "evidence", "ev-b1", "produced_at", "x"), "'produced_at'"),
-        (lambda case: {**case, "snapshots": [5]}, "'snapshots'"),
+    @pytest.mark.parametrize("corpus, corrupt, fault", [
+        ("type1", lambda case: _with(case, "nodes", "Sn-B1", "id", "Sn-X"),
+         "stored under 'Sn-B1'"),
+        ("type1", lambda case: _with(case, "evidence", "ev-b1", "id", "ev-x"),
+         "stored under 'ev-b1'"),
+        ("type1", lambda case: {**case, "nodes": []}, "'nodes'"),
+        ("type1", lambda case: {**case, "root": ["G1"]}, "'root'"),
+        ("type1", lambda case: [], "JSON object"),
+        ("type1", lambda case: {**case, "nodes": {**case["nodes"], "Sn-B1": 5}}, "case node"),
+        ("type1", lambda case: _with(case, "nodes", "G1", "children", 7), "'children'"),
+        ("type1", lambda case: _with(case, "nodes", "G1", "children", "S1"), "'children'"),
+        ("type1", lambda case: {**case, "revision": "abc"}, "'revision'"),
+        ("type1", lambda case: _with(case, "evidence", "ev-b1", "produced_at", "x"),
+         "'produced_at'"),
+        ("type1", lambda case: {**case, "snapshots": [5]}, "'snapshots'"),
+        ("type2", lambda case: _with(case, "nodes", "C-DOM", "constraint", 5),
+         "operational domain"),
+        ("type2", lambda case: _domain(case, 5), "must be [low, high]"),
+        ("type2", lambda case: _domain(case, [None, "x"]), "must be [low, high]"),
+        ("type2", lambda case: _domain(case, [1.0]), "must be [low, high]"),
+        ("type2", lambda case: _domain(case, [float("nan"), 1.0]), "must be [low, high]"),
     ], ids=[
         "node-key", "evidence-key", "nodes-list", "root-list", "list-document",
         "node-number", "children-number", "children-string", "revision-string",
         "produced-at-string", "snapshot-number",
+        "domain-number", "bound-number", "bound-string", "bound-single", "bound-nan",
     ])
-    def test_check_case_rejects_malformed_case(self, tmp_path, capsys, corrupt, fault):
-        case = json.loads((CORPUS_DIR / "type1_case.json").read_text())
+    def test_check_case_rejects_malformed_case(
+        self, tmp_path, capsys, corpus, corrupt, fault
+    ):
+        case = json.loads((CORPUS_DIR / f"{corpus}_case.json").read_text())
         case_path = tmp_path / "case.json"
         case_path.write_text(json.dumps(corrupt(case)))
         code = main([
             "check-case",
-            "--system", str(CORPUS_DIR / "type1_system.json"),
+            "--system", str(CORPUS_DIR / f"{corpus}_system.json"),
             "--case", str(case_path),
         ])
         assert code == 2
@@ -319,6 +371,15 @@ class TestCli:
         assert code == 2
         assert not (tmp_path / "trace.csv").exists()
         assert "'opt-9'" in capsys.readouterr().err
+
+    def test_malformed_option_domain_fails_at_load(self, tmp_path, capsys):
+        system = json.loads((CORPUS_DIR / "type2_system.json").read_text())
+        system["safety_case_path"] = str(CORPUS_DIR / "type2_case.json")
+        system["adaptation_models"][0]["options"][1]["domain"]["inflow_temp"] = [1.0]
+        (tmp_path / "system.json").write_text(json.dumps(system))
+        code = main(["classify", "--system", str(tmp_path / "system.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: domain bound 'inflow_temp'")
 
     def test_malformed_system_is_a_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "system.json"

@@ -2,6 +2,7 @@ import copy
 import math
 import random
 import statistics
+from dataclasses import replace
 from collections import deque
 
 import pytest
@@ -178,6 +179,27 @@ class TestAdmission:
 
     def test_empty_window(self):
         assert admission_test([], COLD_FAST_DOMAIN, AdmissionPolicy()).status == "not-ready"
+
+    @pytest.mark.parametrize("n, status", [(1000, "admit"), (200, "not-ready")],
+                             ids=["warm", "cold"])
+    @pytest.mark.parametrize("ring", [list, lambda s: deque(s, maxlen=900)],
+                             ids=["list", "deque"])
+    def test_window_equals_full_scan(self, n, status, ring):
+        # Uneven ticks; a warm window starts exactly on a sample.
+        samples = [replace(s, time=s.time * 0.5 + (s.time % 3) * 0.1)
+                   for s in _cold_samples(n)]
+        policy = AdmissionPolicy()
+        report = admission_test(ring(samples), COLD_FAST_DOMAIN, policy)
+        kept = list(ring(samples))
+        window = [s for s in kept if s.time >= kept[-1].time - policy.window]
+        assert window[0].time in (kept[0].time, kept[-1].time - policy.window)
+        assert report.status == status
+        assert (report.n, report.window_start, report.window_end) == (
+            len(window), window[0].time, window[-1].time)
+        for name, stats in report.variables.items():
+            values = [s.domain_values()[name] for s in window]
+            assert (stats["mean"], stats["stdev"], stats["min"], stats["max"]) == (
+                statistics.fmean(values), statistics.stdev(values), min(values), max(values))
 
 
 class TestPlanType2:

@@ -44,6 +44,10 @@ class TestOperationalDomain:
         domain = OperationalDomain.from_dict({"inflow_temp": [None, 2.0]})
         assert domain.interval("inflow_temp") == (-math.inf, 2.0)
 
+    def test_explicit_infinity_is_legal(self):
+        domain = OperationalDomain.from_dict({"inflow_temp": [-math.inf, math.inf]})
+        assert domain.interval("inflow_temp") == (-math.inf, math.inf)
+
 
 class TestDomainSubset:
     def test_cold_fast_inside_permissive(self):
