@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -95,19 +96,21 @@ class NetControllerSpec:
         if not all(math.isfinite(w) for w in self.weights):
             raise ValidationError("weights must be finite")
 
-    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Unflatten to (matrix, bias) pairs, output layer last."""
+    @cached_property
+    def layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(matrix, bias) pairs, output layer last, unflattened once per spec."""
         dims = (NET_INPUT_COUNT, *self.layer_sizes, 1)
         out = []
         pos = 0
-        flat = np.asarray(self.weights, dtype=float)
+        flat = np.array(self.weights, dtype=float)
+        flat.setflags(write=False)  # shared by every call on this spec
         for fan_in, fan_out in zip(dims, dims[1:]):
             matrix = flat[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out)
             pos += fan_in * fan_out
             bias = flat[pos:pos + fan_out]
             pos += fan_out
             out.append((matrix, bias))
-        return out
+        return tuple(out)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -144,7 +147,7 @@ def net_compute(
             f"expected {NET_INPUT_COUNT} inputs, got {len(inputs)}"
         )
     x = np.asarray(inputs, dtype=float)
-    layers = spec.layers()
+    layers = spec.layers
     for matrix, bias in layers[:-1]:
         x = np.tanh(x @ matrix + bias)
     matrix, bias = layers[-1]

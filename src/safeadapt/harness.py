@@ -8,10 +8,12 @@ Every adaptation model is classified before the first tick, so a system
 with an unclassifiable model fails with ``ClassificationError`` (CLI exit
 2) without running. The first model's type picks the planner; manual
 triggers are ignored for Type 0 and Type III.
+
+A run binds its SPI windows to the scenario's tick and shares the immutable
+safety case; PID gains are rebuilt only where the configuration changes.
 """
 from __future__ import annotations
 
-import copy
 import json
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -75,6 +77,10 @@ class SystemDescription:
     initial_option_id: str = ""
     net_controller: Optional[NetControllerSpec] = None
     assessment_scenarios: tuple[Scenario, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.initial_config.controller_kind == "parametric-net" and self.net_controller is None:
+            raise ValidationError("parametric-net initial configuration lacks a net_controller")
 
     def assessment_suite(self) -> Optional[AssessmentSuite]:
         if not self.assessment_scenarios:
@@ -153,9 +159,10 @@ TRACE_HEADER = (
     "case_revision,case_valid"
 )
 
-
-def _fmt(value: float) -> str:
-    return f"{value:.6f}"
+#: One trace row; bools print through ``{:d}`` as 1/0.
+_ROW = (
+    "{:.6f},{:.6f},{:.6f},{:.6f},{:.6f},{:.6f},{:d},{},{:.6f},{},{:d},{:.6f},{},{:d}"
+).format
 
 
 @dataclass
@@ -212,9 +219,9 @@ def run_scenario(
 
     repo = KnowledgeRepository(
         current_config=system.initial_config,
-        safety_case=copy.deepcopy(system.safety_case),
+        safety_case=system.safety_case,
         sample_history=deque(maxlen=history_capacity(tick)),
-        spi_windows=[copy.deepcopy(w) for w in system.spi_windows],
+        spi_windows=[replace(w, tick=tick) for w in system.spi_windows],
         active_option_id=system.initial_option_id,
         active_net=system.net_controller,
         baseline_option_id=system.baseline_option_id,
@@ -224,7 +231,8 @@ def run_scenario(
 
     state = PlantState(tank_temp=scenario.initial_tank_temp)
     guard = GuardState(enabled=scenario.guard_enabled)
-    pid_state = PidState()
+    use_pid = system.initial_config.controller_kind == "pid"
+    pid, pid_state = PidConfig.from_configuration(repo.current_config), PidState()
     tracker = GoalTracker(goal)
     prev_temp = state.tank_temp
 
@@ -262,7 +270,7 @@ def run_scenario(
         return None
 
     def apply_decision(decision: Optional[AdaptationDecision], now: float) -> None:
-        nonlocal pid_state, last_adaptation_time, monotone, last_domain
+        nonlocal pid, pid_state, last_adaptation_time, monotone, last_domain
         if decision is None:
             return
         for item in decision.evidence_items:
@@ -273,7 +281,7 @@ def run_scenario(
         report.decisions.append(decision.to_dict())
         if not decision.applied:  # refused by the planner or rolled back by the executor
             return
-        pid_state = PidState()
+        pid, pid_state = PidConfig.from_configuration(repo.current_config), PidState()
         last_adaptation_time = now
         if type_id == "TII":
             domain = current_constraints(repo.safety_case)
@@ -304,14 +312,11 @@ def run_scenario(
 
         # control
         temp_rate = (state.tank_temp - prev_temp) / tick
-        if repo.current_config.controller_kind == "pid":
+        if use_pid:
             power, pid_state = pid_compute(
-                PidConfig.from_configuration(repo.current_config),
-                pid_state, setpoint, state.outflow_temp, tick, plant.max_power,
+                pid, pid_state, setpoint, state.outflow_temp, tick, plant.max_power,
             )
         else:
-            if repo.active_net is None:
-                raise ValidationError("parametric-net configuration lacks a network spec")
             power = net_compute(
                 repo.active_net,
                 (setpoint, state.outflow_temp, inflow_temp, inflow_rate, temp_rate),
@@ -326,17 +331,14 @@ def run_scenario(
         state = hazard_update(state, plant)
 
         # SPI
-        spi_sample = EnvironmentSample(
-            t, inflow_temp, inflow_rate, setpoint, state.outflow_temp
-        )
         for window in repo.spi_windows:
-            spi_update(window, spi_sample, tick)
+            spi_update(window, state.outflow_temp)
         breached = any(spi_breached(w) for w in repo.spi_windows)
 
         # MAPE: fail-safe preempts any planned adaptation this tick
         if breached:
             fail_safe(repo, now=t)
-            pid_state = PidState()
+            pid, pid_state = PidConfig.from_configuration(repo.current_config), PidState()
             report.spi_breaches += 1
             report.decisions.append(AdaptationDecision(
                 trigger="spi-breach",
@@ -378,25 +380,13 @@ def run_scenario(
                 "revision": repo.safety_case.revision,
                 "valid": validity["valid"],
             })
-        spi_near = (
-            repo.spi_windows[0].accumulated(tick) if repo.spi_windows else 0.0
-        )
-        rows.append(",".join((
-            _fmt(t),
-            _fmt(inflow_temp),
-            _fmt(inflow_rate),
-            _fmt(setpoint),
-            _fmt(state.outflow_temp),
-            _fmt(power),
-            "1" if state.valve_open else "0",
-            repo.active_option_id,
-            _fmt(state.hazard_accum),
-            str(state.hazard_count),
-            "1" if guard.tripped else "0",
-            _fmt(spi_near),
-            str(repo.safety_case.revision),
-            "1" if validity["valid"] else "0",
-        )))
+        spi_near = repo.spi_windows[0].accumulated() if repo.spi_windows else 0.0
+        rows.append(_ROW(
+            t, inflow_temp, inflow_rate, setpoint, state.outflow_temp, power,
+            state.valve_open, repo.active_option_id, state.hazard_accum,
+            state.hazard_count, guard.tripped, spi_near, repo.safety_case.revision,
+            validity["valid"],
+        ))
 
     report.hazard_count = state.hazard_count
     report.rise_times = [dict(e) for e in tracker.events]

@@ -242,6 +242,8 @@ class AdmissionPolicy:
     confidence_z: float = 2.326  # one-sided 99%
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.window) and self.window > 0):
+            raise ValidationError(f"admission window must be finite and > 0, got {self.window}")
         if self.min_samples < 2:
             raise ValidationError("min_samples must be >= 2")
         if self.confidence_z <= 0:
@@ -536,7 +538,6 @@ def _run_assessment_scenario(
         )
         if not math.isfinite(power):
             return {"scenario": scenario.id, "ok": False, "fault": "non-finite output"}
-        power = min(max(power, 0.0), plant.max_power)
         env = EnvironmentSample(t, inflow_temp, inflow_rate, setpoint, state.tank_temp)
         prev_temp = state.tank_temp
         state = plant_step(state, plant, env, power)

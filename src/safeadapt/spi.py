@@ -1,11 +1,13 @@
 """Sliding-window safety performance indicators and breach detection."""
 from __future__ import annotations
 
+import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
-from .model import EnvironmentSample, ValidationError
+from .model import ValidationError
 from .plant import HAZARD_TEMP
 
 # Absorbs float accumulation drift at the exact threshold boundary.
@@ -20,33 +22,36 @@ class SpiWindow:
     """Windowed duration for which a state predicate held.
 
     The predicate is a temperature threshold test on the outflow
-    (inclusive, >=). The ring holds one boolean per tick; a running
-    count keeps updates O(1).
+    (inclusive, >=). The ring holds one boolean per tick, sized at
+    construction; a run binds its own copy with ``replace(w, tick=...)``.
+    A running count keeps updates O(1).
     """
 
     id: str = "near-limit"
     temp_threshold: float = NEAR_LIMIT_FRACTION * HAZARD_TEMP  # 85.5 degC
     window: float = 3600.0  # s
     threshold: float = 60.0  # s
-    ring: deque = field(default_factory=deque)
-    true_count: int = 0
-    #: Tick of the latest update; None until the first one.
-    tick: Optional[float] = None
+    tick: float = 0.1  # s
+    ring: deque = field(init=False, repr=False)
+    true_count: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
-        if self.threshold > self.window:
-            raise ValidationError(
-                f"threshold {self.threshold} exceeds window {self.window}"
-            )
+        for name in ("window", "tick"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"SPI {name} must be finite and positive, got {value}")
+        if not math.isfinite(self.temp_threshold):
+            raise ValidationError(f"SPI temp_threshold must be finite, got {self.temp_threshold}")
+        if not 0.0 <= self.threshold <= self.window:
+            raise ValidationError(f"threshold {self.threshold} outside [0, window {self.window}]")
+        ticks = self.window / self.tick
+        if not ticks < sys.maxsize:
+            raise ValidationError(f"SPI window {self.window} spans too many ticks of {self.tick}")
+        self.ring = deque(maxlen=max(1, int(round(ticks))))
 
-    def _ensure_capacity(self, tick: float) -> None:
-        capacity = max(1, int(round(self.window / tick)))
-        if self.ring.maxlen != capacity:
-            self.ring = deque(self.ring, maxlen=capacity)
-
-    def accumulated(self, tick: float) -> float:
+    def accumulated(self) -> float:
         """Duration (s) for which the predicate held within the window."""
-        return self.true_count * tick
+        return self.true_count * self.tick
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -66,23 +71,20 @@ class SpiWindow:
         )
 
 
-def spi_update(w: SpiWindow, sample: EnvironmentSample, tick: float) -> SpiWindow:
+def spi_update(w: SpiWindow, outflow_temp: float) -> SpiWindow:
     """Push one tick's predicate result, evicting entries past the window."""
-    w._ensure_capacity(tick)
-    if len(w.ring) == w.ring.maxlen:
-        w.true_count -= w.ring[0]
-    flag = sample.outflow_temp >= w.temp_threshold
-    w.ring.append(1 if flag else 0)
-    w.true_count += 1 if flag else 0
-    w.tick = tick
+    ring = w.ring
+    if len(ring) == ring.maxlen:
+        w.true_count -= ring[0]
+    flag = 1 if outflow_temp >= w.temp_threshold else 0
+    ring.append(flag)
+    w.true_count += flag
     return w
 
 
 def spi_breached(w: SpiWindow) -> bool:
     """True iff the accumulated duration strictly exceeds the threshold."""
-    if w.tick is None:
-        return False
-    return w.accumulated(w.tick) > w.threshold + _EPS
+    return w.accumulated() > w.threshold + _EPS
 
 
 def spi_reset(w: SpiWindow) -> SpiWindow:

@@ -113,16 +113,18 @@ class TestNet:
         assert net_compute(spec, (0, 0, 0, 0, 0), 10000.0) < 1e-10
 
     def test_matches_straight_line_reference(self):
+        # Two calls per spec: the second runs on the layers cached by the first.
         rng = random.Random(7)
         for _ in range(50):
             sizes = [rng.randint(1, 6) for _ in range(rng.randint(1, 2))]
             weights = tuple(rng.uniform(-2, 2) for _ in range(weight_count(sizes)))
             spec = NetControllerSpec(tuple(sizes), weights)
-            inputs = tuple(rng.uniform(-10, 100) for _ in range(5))
-            got = net_compute(spec, inputs, 10000.0)
-            want = _reference_net(spec, inputs, 10000.0)
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
-            assert 0.0 <= got <= 10000.0
+            for _ in range(2):
+                inputs = tuple(rng.uniform(-10, 100) for _ in range(5))
+                got = net_compute(spec, inputs, 10000.0)
+                want = _reference_net(spec, inputs, 10000.0)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
+                assert 0.0 <= got <= 10000.0
 
     def test_weight_count(self):
         assert weight_count([4]) == 5 * 4 + 4 + 4 * 1 + 1

@@ -7,6 +7,7 @@ import pytest
 from safeadapt import assurance, harness, taxonomy
 from safeadapt.assurance import CaseNode, SafetyCase
 from safeadapt.cli import main
+from safeadapt.controller import PidConfig
 from safeadapt.corpus import (
     CORPUS,
     type0_scenario,
@@ -157,6 +158,32 @@ class TestRunScenario:
         _, report = run_scenario(scenario, system)
         assert any(d["applied"] for d in report.decisions)
         assert len(calls) == 2
+
+    def test_pid_gains_are_rebuilt_only_when_the_configuration_changes(self, monkeypatch):
+        # Once before the first tick and once per applied adaptation.
+        calls = []
+        build = PidConfig.from_configuration
+        monkeypatch.setattr(PidConfig, "from_configuration", lambda c: calls.append(c) or build(c))
+        _, report = run_scenario(type1_scenario(), type1_system())
+        applied = sum(d["applied"] for d in report.decisions)
+        assert applied > 0
+        assert len(calls) == 1 + applied
+
+    @pytest.mark.parametrize("system_fn, scenario_fn", [
+        (type2_system, type2_scenario),
+        (type3_system, type3_scenario),
+    ], ids=["type2", "type3"])
+    def test_run_leaves_the_system_description_untouched(self, system_fn, scenario_fn):
+        # The run shares the immutable case and binds its own SPI windows.
+        scenario, system = replace(scenario_fn(), duration=1200.0), system_fn()
+        case = system.safety_case.to_dict()
+        rows, report = run_scenario(scenario, system)
+        assert report.case_validity_timeline[-1]["revision"] > 0
+        if system.spi_windows:
+            assert report.spi_breaches > 0
+        assert system.safety_case.to_dict() == case
+        assert all(len(w.ring) == 0 and w.true_count == 0 for w in system.spi_windows)
+        assert run_scenario(scenario, system)[0] == rows
 
     @pytest.mark.parametrize("system_fn, scenario_fn", [
         (type2_system, type2_scenario),
@@ -386,3 +413,30 @@ class TestCli:
         bad.write_text("{\"plant\": {}}")
         code = main(["classify", "--system", str(bad)])
         assert code == 2
+        capsys.readouterr()
+        # Each is rejected when the system is loaded, before any tick runs.
+        for corpus, corrupt, fault in [
+            ("type2", lambda s: s["admission_policy"].update(window=-1), "admission window"),
+            ("type2", lambda s: s["admission_policy"].update(window=float("nan")),
+             "admission window"),
+            ("type3", lambda s: s["spi_windows"][0].update(window=float("nan")), "SPI window"),
+            ("type3", lambda s: s["spi_windows"][0].update(window=float("inf")), "SPI window"),
+            ("type3", lambda s: s["spi_windows"][0].update(window=-5, threshold=-10),
+             "SPI window"),
+            ("type3", lambda s: s.pop("net_controller"), "lacks a net_controller"),
+        ]:
+            system = json.loads((CORPUS_DIR / f"{corpus}_system.json").read_text())
+            system["safety_case_path"] = str(CORPUS_DIR / f"{corpus}_case.json")
+            corrupt(system)
+            bad.write_text(json.dumps(system))
+            code = main([
+                "simulate",
+                "--scenario", str(CORPUS_DIR / f"{corpus}_scenario.json"),
+                "--system", str(bad),
+                "--out", str(tmp_path / "trace.csv"),
+                "--report", str(tmp_path / "report.json"),
+            ])
+            assert code == 2
+            assert not (tmp_path / "trace.csv").exists()
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and fault in err

@@ -46,6 +46,7 @@ from safeadapt.model import (
     EnvironmentSample,
     KnowledgeRepository,
     SystemConfiguration,
+    ValidationError,
 )
 from safeadapt.spi import SpiWindow, spi_breached, spi_update
 
@@ -179,6 +180,11 @@ class TestAdmission:
 
     def test_empty_window(self):
         assert admission_test([], COLD_FAST_DOMAIN, AdmissionPolicy()).status == "not-ready"
+
+    @pytest.mark.parametrize("window", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_window_must_be_finite_and_positive(self, window):
+        with pytest.raises(ValidationError, match="admission window"):
+            AdmissionPolicy.from_dict({"window": window})
 
     @pytest.mark.parametrize("n, status", [(1000, "admit"), (200, "not-ready")],
                              ids=["warm", "cold"])
@@ -354,8 +360,7 @@ class TestPlanType3:
         assert passing is not None
         assert passing.patches == [AttachEvidence("Sn-B6", passing.evidence_items[0])]
         repo = _type3_repo()
-        spi_update(repo.spi_windows[0],
-                   EnvironmentSample(0.0, 10, 0.1, 50.0, 86.0), 0.1)
+        spi_update(repo.spi_windows[0], 86.0)
         revision = repo.safety_case.revision
         execute_adaptation(passing, repo, now=7.0)
         assert repo.active_net == passing.candidate_net
@@ -448,8 +453,7 @@ class TestFailSafe:
         repo.active_net = zero_spec([2])
         repo.active_option_id = "candidate-xyz"
         for _ in range(700):
-            spi_update(repo.spi_windows[0],
-                       EnvironmentSample(0.0, 10, 0.1, 50.0, 86.0), 0.1)
+            spi_update(repo.spi_windows[0], 86.0)
         assert spi_breached(repo.spi_windows[0])
         fail_safe(repo, now=100.0)
         assert repo.active_net == baseline_net()

@@ -5,23 +5,37 @@ second rather than in a full traced benchmark run. The test installs the
 tracer itself, so it checks the rule the benchmark enforces: a binding
 counts only if its owner defines it, not if it inherits it. A binding
 must also stay on the path the program calls, as the validity predicate's
-`spi_breached` does.
+`spi_breached` does, and every per-tick layer must record its calls in a
+traced run.
 """
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
-from safeadapt import corpus, spi
+import pytest
+
+from safeadapt import corpus, harness, spi
 from safeadapt.assurance import evaluate_validity
 from safeadapt.model import KnowledgeRepository, SystemConfiguration
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
+#: Layers called once per tick by both managed narratives.
+TICK_LAYERS = (
+    "assurance.evaluate_validity", "scenario.Scenario.setpoint_at", "plant.plant_step",
+    "plant.hazard_update", "plant.guard_step", "mapek.GoalTracker.observe",
+)
 
-def test_every_traced_binding_exists():
+
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    tracer = spans.LayerTracer()
+    return spans.LayerTracer()
+
+
+def test_every_traced_binding_exists():
+    tracer = _tracer()
     try:
         missing = tracer.install()
     finally:
@@ -42,3 +56,27 @@ def test_validity_predicate_calls_spi_breached_through_its_module(monkeypatch):
     )
     assert evaluate_validity(case, 0.0, repo)["valid"]
     assert calls == [window]
+
+
+@pytest.mark.parametrize("system_fn, scenario_fn, per_tick", [
+    (corpus.type2_system, corpus.type2_scenario, {"controller.pid_compute": 1}),
+    (corpus.type3_system, corpus.type3_scenario,
+     {"controller.net_compute": 1, "spi.spi_update": 1, "spi.spi_breached": 2}),
+], ids=["type2", "type3"])
+def test_traced_run_records_every_tick_layer(system_fn, scenario_fn, per_tick):
+    # A layer whose binding drops off the call path would read 0 here.
+    scenario = replace(scenario_fn(), duration=120.0)
+    tracer = _tracer()
+    assert tracer.install() == []
+    try:
+        harness.run_scenario(scenario, system_fn())
+    finally:
+        assert tracer.restore()
+    counts = dict(zip(tracer.span_names, tracer.counts_since(0)))
+    ticks = scenario.ticks()
+    expected = {name: ticks for name in TICK_LAYERS}
+    expected["scenario.Trace.value_at"] = 2 * ticks  # inflow temperature and rate
+    expected.update((name, n * ticks) for name, n in per_tick.items())
+    if "spi.spi_breached" in per_tick:
+        expected["spi.spi_breached"] += 1  # the end-of-run verdict's predicate
+    assert {name: counts[name] for name in expected} == expected
