@@ -11,6 +11,7 @@ triggers are ignored for Type 0 and Type III.
 
 A run binds its SPI windows to the scenario's tick and shares the immutable
 safety case; PID gains are rebuilt only where the configuration changes.
+Scenario inputs are read by forward cursors, not looked up per tick.
 """
 from __future__ import annotations
 
@@ -159,10 +160,8 @@ TRACE_HEADER = (
     "case_revision,case_valid"
 )
 
-#: One trace row; bools print through ``{:d}`` as 1/0.
-_ROW = (
-    "{:.6f},{:.6f},{:.6f},{:.6f},{:.6f},{:.6f},{:d},{},{:.6f},{},{:d},{:.6f},{},{:d}"
-).format
+#: One trace row; bools print through ``%d`` as 1/0.
+_ROW = "%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%d,%s,%.6f,%s,%d,%.6f,%s,%d"
 
 
 @dataclass
@@ -215,6 +214,8 @@ def run_scenario(
     primary_model = system.models[0] if system.models else None
     type_ids = [taxonomy.classify(model.descriptor) for model in system.models]
     type_id = type_ids[0] if type_ids else None
+    if type_id == "TIII" and system.net_controller is None:
+        raise ValidationError("a Type III model needs a net_controller to perturb")
     suite = system.assessment_suite()
 
     repo = KnowledgeRepository(
@@ -235,6 +236,8 @@ def run_scenario(
     pid, pid_state = PidConfig.from_configuration(repo.current_config), PidState()
     tracker = GoalTracker(goal)
     prev_temp = state.tank_temp
+    outflow_temp = state.outflow_temp
+    spi_windows = repo.spi_windows  # reset in place by fail_safe, never rebound
 
     report = RunReport(scenario_id=scenario.id)
     rows = [TRACE_HEADER]
@@ -291,16 +294,17 @@ def run_scenario(
         if decision.candidate_net is not None:
             activated_specs.append(spec_hash(decision.candidate_net))
 
-    for k in range(scenario.ticks()):
+    n = scenario.ticks()
+    for k, setpoint, inflow_temp, inflow_rate in zip(
+        range(n), scenario.setpoints(n, tick),
+        scenario.inflow_temp_trace.values(n, tick), scenario.inflow_rate_trace.values(n, tick),
+    ):
         t = k * tick
-        setpoint = scenario.setpoint_at(t)
-        inflow_temp = scenario.inflow_temp_trace.value_at(t)
-        inflow_rate = scenario.inflow_rate_trace.value_at(t)
 
         # sense
-        sample = EnvironmentSample(t, inflow_temp, inflow_rate, setpoint, state.outflow_temp)
+        sample = EnvironmentSample(t, inflow_temp, inflow_rate, setpoint, outflow_temp)
         repo.sample_history.append(sample)
-        tracker.observe(t, setpoint, state.outflow_temp)
+        tracker.observe(t, setpoint, outflow_temp)
 
         # guard (observes the previous tick's outflow: one-tick latency)
         was_tripped = guard.tripped
@@ -314,12 +318,12 @@ def run_scenario(
         temp_rate = (state.tank_temp - prev_temp) / tick
         if use_pid:
             power, pid_state = pid_compute(
-                pid, pid_state, setpoint, state.outflow_temp, tick, plant.max_power,
+                pid, pid_state, setpoint, outflow_temp, tick, plant.max_power,
             )
         else:
             power = net_compute(
                 repo.active_net,
-                (setpoint, state.outflow_temp, inflow_temp, inflow_rate, temp_rate),
+                (setpoint, outflow_temp, inflow_temp, inflow_rate, temp_rate),
                 plant.max_power,
             )
         if overrides.power_zeroed:
@@ -329,11 +333,12 @@ def run_scenario(
         prev_temp = state.tank_temp
         state = plant_step(state, plant, sample, power)
         state = hazard_update(state, plant)
+        outflow_temp = state.outflow_temp
 
         # SPI
-        for window in repo.spi_windows:
-            spi_update(window, state.outflow_temp)
-        breached = any(spi_breached(w) for w in repo.spi_windows)
+        for window in spi_windows:
+            spi_update(window, outflow_temp)
+        breached = any(spi_breached(w) for w in spi_windows)
 
         # MAPE: fail-safe preempts any planned adaptation this tick
         if breached:
@@ -380,9 +385,9 @@ def run_scenario(
                 "revision": repo.safety_case.revision,
                 "valid": validity["valid"],
             })
-        spi_near = repo.spi_windows[0].accumulated() if repo.spi_windows else 0.0
-        rows.append(_ROW(
-            t, inflow_temp, inflow_rate, setpoint, state.outflow_temp, power,
+        spi_near = spi_windows[0].accumulated() if spi_windows else 0.0
+        rows.append(_ROW % (
+            t, inflow_temp, inflow_rate, setpoint, outflow_temp, power,
             state.valve_open, repo.active_option_id, state.hazard_accum,
             state.hazard_count, guard.tripped, spi_near, repo.safety_case.revision,
             validity["valid"],

@@ -522,14 +522,15 @@ def _run_assessment_scenario(
 ) -> dict[str, Any]:
     """One embedded simulation: candidate controller, guard disabled."""
     tick = scenario.tick
+    n = scenario.ticks()
     state = PlantState(tank_temp=scenario.initial_tank_temp)
     tracker = GoalTracker(goal)
     prev_temp = state.tank_temp
-    for k in range(scenario.ticks()):
+    for k, setpoint, inflow_temp, inflow_rate in zip(
+        range(n), scenario.setpoints(n, tick),
+        scenario.inflow_temp_trace.values(n, tick), scenario.inflow_rate_trace.values(n, tick),
+    ):
         t = k * tick
-        setpoint = scenario.setpoint_at(t)
-        inflow_temp = scenario.inflow_temp_trace.value_at(t)
-        inflow_rate = scenario.inflow_rate_trace.value_at(t)
         temp_rate = (state.tank_temp - prev_temp) / tick
         power = net_compute(
             candidate,

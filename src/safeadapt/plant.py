@@ -84,6 +84,10 @@ class GuardOverrides:
     valve_closed: bool = False
 
 
+_NO_OVERRIDES = GuardOverrides()
+_TRIPPED_OVERRIDES = GuardOverrides(power_zeroed=True, valve_closed=True)
+
+
 def plant_step(
     state: PlantState,
     params: PlantParams,
@@ -142,8 +146,8 @@ def guard_step(
     if guard.enabled and not guard.tripped and state.outflow_temp > HAZARD_TEMP:
         guard = replace(guard, tripped=True, trip_time=now)
     if guard.tripped:
-        return guard, GuardOverrides(power_zeroed=True, valve_closed=True)
-    return guard, GuardOverrides()
+        return guard, _TRIPPED_OVERRIDES
+    return guard, _NO_OVERRIDES
 
 
 def guard_reset(guard: GuardState) -> GuardState:

@@ -2,11 +2,23 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence, Union
+from typing import Any, Iterator, Mapping, Sequence, Union
 
 from .model import ValidationError
+
+
+def _check_points(points: Sequence[tuple[float, float]], what: str) -> None:
+    """One pass: every time and value finite, times non-decreasing."""
+    prev = -math.inf
+    for t, v in points:
+        if not (math.isfinite(t) and math.isfinite(v)):
+            raise ValidationError(f"{what} ({t!r}, {v!r}) is not finite")
+        if t < prev:
+            raise ValidationError(f"{what}s must be sorted by time")
+        prev = t
 
 
 @dataclass(frozen=True)
@@ -15,7 +27,8 @@ class Trace:
 
     "hold" keeps each value until the next point (default); "linear"
     interpolates between points. Before the first point the first value
-    applies, after the last point the last value applies.
+    applies, after the last point the last value applies. Every time and
+    value must be finite.
     """
 
     points: tuple[tuple[float, float], ...]
@@ -26,9 +39,7 @@ class Trace:
             raise ValidationError("trace needs at least one point")
         if self.interp not in ("hold", "linear"):
             raise ValidationError(f"unknown interpolation {self.interp!r}")
-        times = [t for t, _ in self.points]
-        if times != sorted(times):
-            raise ValidationError("trace points must be sorted by time")
+        _check_points(self.points, "trace point")
 
     def value_at(self, t: float) -> float:
         points = self.points
@@ -41,6 +52,26 @@ class Trace:
                 frac = (t - t0) / (t1 - t0)
                 return v0 + frac * (v1 - v0)
         return points[-1][1]
+
+    def values(self, n: int, tick: float) -> Iterator[float]:
+        """Yield ``value_at(k * tick)`` for ``k in range(n)``, reading forward (tick > 0)."""
+        points = self.points
+        t0, v0 = points[0]
+        k = 0
+        while k < n and k * tick <= t0:
+            yield v0
+            k += 1
+        hold = self.interp == "hold"
+        for t1, v1 in points[1:]:
+            while k < n:
+                t = k * tick
+                if t >= t1:
+                    break
+                yield v0 if hold else v0 + (t - t0) / (t1 - t0) * (v1 - v0)
+                k += 1
+            t0, v0 = t1, v1
+        for _ in range(k, n):
+            yield v0
 
     def to_dict(self) -> dict[str, Any]:
         return {"points": [list(p) for p in self.points], "interp": self.interp}
@@ -74,13 +105,17 @@ class Scenario:
     manual_triggers: tuple[tuple[float, str], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValidationError(f"duration must be >= 0, got {self.duration}")
+        if not (math.isfinite(self.duration) and self.duration >= 0):
+            raise ValidationError(f"duration must be finite and >= 0, got {self.duration}")
+        if not (math.isfinite(self.tick) and self.tick > 0):
+            raise ValidationError(f"tick must be finite and > 0, got {self.tick}")
+        if not math.isfinite(self.initial_tank_temp):
+            raise ValidationError(f"initial_tank_temp {self.initial_tank_temp} is not finite")
         if not self.setpoint_schedule:
             raise ValidationError("setpoint schedule needs at least one step")
-        times = [t for t, _ in self.setpoint_schedule]
-        if times != sorted(times):
-            raise ValidationError("setpoint schedule must be sorted by time")
+        _check_points(self.setpoint_schedule, "setpoint step")
+        if any(v < 0 for _, v in self.inflow_rate_trace.points):
+            raise ValidationError("inflow rate trace has a negative value")
 
     def setpoint_at(self, t: float) -> float:
         value = self.setpoint_schedule[0][1]
@@ -90,6 +125,18 @@ class Scenario:
             else:
                 break
         return value
+
+    def setpoints(self, n: int, tick: float) -> Iterator[float]:
+        """Yield ``setpoint_at(k * tick)`` for ``k in range(n)``, reading forward (tick > 0)."""
+        value = self.setpoint_schedule[0][1]
+        k = 0
+        for step_time, step_value in self.setpoint_schedule:
+            while k < n and k * tick < step_time:
+                yield value
+                k += 1
+            value = step_value
+        for _ in range(k, n):
+            yield value
 
     def ticks(self) -> int:
         return int(round(self.duration / self.tick))

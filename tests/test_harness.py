@@ -424,6 +424,10 @@ class TestCli:
             ("type3", lambda s: s["spi_windows"][0].update(window=-5, threshold=-10),
              "SPI window"),
             ("type3", lambda s: s.pop("net_controller"), "lacks a net_controller"),
+            # A pid start needs no network, but a Type III model perturbs one.
+            ("type3", lambda s: s.update(initial_configuration={
+                "controller_kind": "pid", "parameters": {"kp": 50.0, "ki": 0.5, "kd": 0.0},
+            }) or s.pop("net_controller"), "needs a net_controller"),
         ]:
             system = json.loads((CORPUS_DIR / f"{corpus}_system.json").read_text())
             system["safety_case_path"] = str(CORPUS_DIR / f"{corpus}_case.json")
@@ -440,3 +444,31 @@ class TestCli:
             assert not (tmp_path / "trace.csv").exists()
             err = capsys.readouterr().err
             assert err.startswith("error: ") and fault in err
+
+    @pytest.mark.parametrize("corrupt, fault", [
+        (lambda s: s.update(duration=float("nan")), "duration"),
+        (lambda s: s.update(duration=float("inf")), "duration"),
+        (lambda s: s["inflow_temp_trace"]["points"][3].__setitem__(1, float("nan")),
+         "trace point"),
+        (lambda s: s["inflow_temp_trace"]["points"][3].__setitem__(0, float("nan")),
+         "trace point"),
+        (lambda s: s["setpoint_schedule"].append([1000.0, float("nan")]), "setpoint step"),
+        (lambda s: s["inflow_rate_trace"]["points"].append([500.0, -1.0]), "inflow rate trace"),
+    ], ids=["duration-nan", "duration-inf", "inflow-nan-value", "inflow-nan-time",
+            "setpoint-nan", "inflow-rate-negative"])
+    def test_malformed_scenario_fails_at_load(self, tmp_path, capsys, corrupt, fault):
+        # Each is rejected when the scenario is loaded, before any tick runs.
+        scenario = json.loads((CORPUS_DIR / "type2_scenario.json").read_text())
+        corrupt(scenario)
+        (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+        code = main([
+            "simulate",
+            "--scenario", str(tmp_path / "scenario.json"),
+            "--system", str(CORPUS_DIR / "type2_system.json"),
+            "--out", str(tmp_path / "trace.csv"),
+            "--report", str(tmp_path / "report.json"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "trace.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fault in err

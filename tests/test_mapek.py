@@ -12,7 +12,7 @@ from safeadapt.assurance import (
     ReplaceConstraintContext,
     evaluate_validity,
 )
-from safeadapt.controller import NetControllerSpec, weight_count, zero_spec
+from safeadapt.controller import NetControllerSpec, net_compute, weight_count, zero_spec
 from safeadapt.corpus import (
     COLD_FAST_DOMAIN,
     PERMISSIVE_DOMAIN,
@@ -48,6 +48,8 @@ from safeadapt.model import (
     SystemConfiguration,
     ValidationError,
 )
+from safeadapt.plant import PlantState, hazard_update, plant_step
+from safeadapt.scenario import Scenario, Trace
 from safeadapt.spi import SpiWindow, spi_breached, spi_update
 
 OPTION_IDS = {f"opt-{k}" for k in range(1, 11)}
@@ -292,6 +294,39 @@ class TestProposeCandidate:
             assert all(1 <= s <= 16 for s in candidate.layer_sizes)
 
 
+def _reference_assessment_scenario(candidate, scenario, plant, goal):
+    """The embedded simulation as it read its inputs by time, one lookup per tick."""
+    tick = scenario.tick
+    state = PlantState(tank_temp=scenario.initial_tank_temp)
+    tracker = GoalTracker(goal)
+    prev_temp = state.tank_temp
+    for k in range(scenario.ticks()):
+        t = k * tick
+        setpoint = scenario.setpoint_at(t)
+        inflow_temp = scenario.inflow_temp_trace.value_at(t)
+        inflow_rate = scenario.inflow_rate_trace.value_at(t)
+        temp_rate = (state.tank_temp - prev_temp) / tick
+        power = net_compute(
+            candidate,
+            (setpoint, state.tank_temp, inflow_temp, inflow_rate, temp_rate),
+            plant.max_power,
+        )
+        if not math.isfinite(power):
+            return {"scenario": scenario.id, "ok": False, "fault": "non-finite output"}
+        env = EnvironmentSample(t, inflow_temp, inflow_rate, setpoint, state.tank_temp)
+        prev_temp = state.tank_temp
+        state = plant_step(state, plant, env, power)
+        state = hazard_update(state, plant)
+        tracker.observe(t + tick, setpoint, state.tank_temp)
+    ok = state.hazard_count == 0 and not tracker.any_violation
+    return {
+        "scenario": scenario.id,
+        "ok": ok,
+        "hazard_count": state.hazard_count,
+        "rise_violation": tracker.any_violation,
+    }
+
+
 class TestAssessment:
     def test_baseline_passes_shipped_suite(self):
         outcome = assess_candidate(baseline_net(), _suite())
@@ -310,6 +345,27 @@ class TestAssessment:
         assert outcome["verdict"] == "fail"
         # it overheats the worst-case scenario, a genuine hazard verdict
         assert any(r.get("hazard_count", 0) > 0 for r in outcome["results"])
+
+    def test_results_equal_the_per_time_lookup_reference(self):
+        # The shipped suite plus one scenario whose inputs change between points.
+        ramp = Scenario(
+            id="ramp", duration=90.0, setpoint_schedule=((0.0, 45.0), (12.34, 55.0)),
+            inflow_temp_trace=Trace(((-5.0, 5.0), (30.05, 20.0), (60.0, 8.0)), "linear"),
+            inflow_rate_trace=Trace(((0.0, 0.02), (40.0, 0.05))), initial_tank_temp=50.0,
+        )
+        suite = AssessmentSuite(
+            assessment_scenarios() + (ramp,), TYPE3_PLANT, AdaptationGoal()
+        )
+        verdicts = set()
+        for seed in range(30):
+            candidate = propose_candidate(baseline_net(), seed)
+            outcome = assess_candidate(candidate, suite)
+            verdicts.add(outcome["verdict"])
+            assert outcome["results"] == [
+                _reference_assessment_scenario(candidate, sc, suite.plant, suite.goal)
+                for sc in suite.scenarios
+            ]
+        assert verdicts == {"pass", "fail"}
 
     def test_spec_hash_is_stable_and_sensitive(self):
         a, b = baseline_net(), zero_spec([4])

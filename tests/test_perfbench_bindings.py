@@ -6,7 +6,8 @@ tracer itself, so it checks the rule the benchmark enforces: a binding
 counts only if its owner defines it, not if it inherits it. A binding
 must also stay on the path the program calls, as the validity predicate's
 `spi_breached` does, and every per-tick layer must record its calls in a
-traced run.
+traced run. The scenario lookups must record none: a run reads its inputs
+through forward cursors.
 """
 import importlib.util
 from dataclasses import replace
@@ -22,9 +23,11 @@ SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 #: Layers called once per tick by both managed narratives.
 TICK_LAYERS = (
-    "assurance.evaluate_validity", "scenario.Scenario.setpoint_at", "plant.plant_step",
+    "assurance.evaluate_validity", "plant.plant_step",
     "plant.hazard_update", "plant.guard_step", "mapek.GoalTracker.observe",
 )
+#: Scenario lookups the tick no longer makes: its inputs come from forward cursors.
+CURSOR_READ_LAYERS = ("scenario.Scenario.setpoint_at", "scenario.Trace.value_at")
 
 
 def _tracer():
@@ -75,7 +78,7 @@ def test_traced_run_records_every_tick_layer(system_fn, scenario_fn, per_tick):
     counts = dict(zip(tracer.span_names, tracer.counts_since(0)))
     ticks = scenario.ticks()
     expected = {name: ticks for name in TICK_LAYERS}
-    expected["scenario.Trace.value_at"] = 2 * ticks  # inflow temperature and rate
+    expected.update((name, 0) for name in CURSOR_READ_LAYERS)
     expected.update((name, n * ticks) for name, n in per_tick.items())
     if "spi.spi_breached" in per_tick:
         expected["spi.spi_breached"] += 1  # the end-of-run verdict's predicate

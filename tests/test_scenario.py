@@ -1,0 +1,142 @@
+"""Scenario inputs: the per-time lookups, the forward cursors, load-time checks.
+
+``Trace.value_at`` and ``Scenario.setpoint_at`` are the reference; the
+cursors ``Trace.values`` and ``Scenario.setpoints`` that a run reads must
+yield exactly ``reference(k * tick)`` for every tick ``k``.
+"""
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from safeadapt.model import ValidationError
+from safeadapt.scenario import Scenario, Trace
+
+POINTS = ((0.0, 1.0), (10.0, 2.0), (10.0, 3.0), (20.0, 4.0))
+SCHEDULE = ((5.0, 40.0), (10.0, 50.0), (10.0, 55.0), (20.0, 60.0))
+
+
+def _scenario(**overrides):
+    fields = dict(
+        id="s", duration=10.0, setpoint_schedule=((0.0, 40.0),),
+        inflow_temp_trace=Trace.constant(10.0), inflow_rate_trace=Trace.constant(0.1),
+    )
+    fields.update(overrides)
+    return Scenario(**fields)
+
+
+@pytest.mark.parametrize("t, expected", [
+    (-5.0, 1.0),   # before the first point
+    (0.0, 1.0),    # at the first point
+    (5.0, 1.0),    # between points: the earlier value holds
+    (10.0, 3.0),   # duplicate times: the last of them applies from that time
+    (15.0, 3.0),
+    (20.0, 4.0),   # at the last point
+    (99.0, 4.0),   # after the last point
+])
+def test_hold_value_at(t, expected):
+    assert Trace(POINTS).value_at(t) == expected
+
+
+@pytest.mark.parametrize("t, expected", [
+    (-5.0, 1.0),
+    (0.0, 1.0),
+    (2.5, 1.25),   # 1 + 0.25 * (2 - 1)
+    (10.0, 3.0),   # the zero-length segment is skipped
+    (15.0, 3.5),
+    (20.0, 4.0),
+    (99.0, 4.0),
+])
+def test_linear_value_at(t, expected):
+    assert Trace(POINTS, "linear").value_at(t) == expected
+
+
+@pytest.mark.parametrize("t, expected", [
+    (0.0, 40.0),   # before the first step: its value applies
+    (5.0, 40.0),
+    (7.0, 40.0),
+    (10.0, 55.0),  # duplicate step times: the last one wins
+    (15.0, 55.0),
+    (20.0, 60.0),
+    (99.0, 60.0),
+])
+def test_setpoint_at(t, expected):
+    assert _scenario(setpoint_schedule=SCHEDULE).setpoint_at(t) == expected
+
+
+def test_cursors_on_hand_cases():
+    tick, n = 2.5, 10
+    for trace in (Trace(POINTS), Trace(POINTS, "linear")):
+        assert list(trace.values(n, tick)) == [trace.value_at(k * tick) for k in range(n)]
+    scenario = _scenario(setpoint_schedule=SCHEDULE)
+    assert list(scenario.setpoints(n, tick)) == [scenario.setpoint_at(k * tick) for k in range(n)]
+    assert list(Trace(POINTS).values(0, tick)) == []
+
+
+TICKS = st.sampled_from([0.05, 0.1, 0.3]) | st.floats(0.01, 0.5)
+VALUES = st.floats(-100.0, 100.0, allow_nan=False)
+
+
+@st.composite
+def _points(draw, tick):
+    """1-30 sorted points: negative first times, duplicates, times on the tick grid."""
+    count = draw(st.integers(1, 30))
+    first = draw(st.floats(-20.0, 20.0) | st.integers(-50, 50).map(lambda k: k * tick))
+    gaps = draw(st.lists(
+        st.just(0.0) | st.floats(0.0, 15.0) | st.integers(1, 40).map(lambda k: k * tick),
+        min_size=count - 1, max_size=count - 1,
+    ))
+    times = [first]
+    for gap in gaps:
+        times.append(times[-1] + gap)
+    return tuple((t, draw(VALUES)) for t in times)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), tick=TICKS, interp=st.sampled_from(["hold", "linear"]),
+       n=st.integers(0, 1500))
+def test_trace_cursor_equals_value_at(data, tick, interp, n):
+    # n * tick ends before, inside or past the last point.
+    trace = Trace(data.draw(_points(tick)), interp)
+    assert list(trace.values(n, tick)) == [trace.value_at(k * tick) for k in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), tick=TICKS, n=st.integers(0, 1500))
+def test_setpoint_cursor_equals_setpoint_at(data, tick, n):
+    scenario = _scenario(setpoint_schedule=data.draw(_points(tick)))
+    assert list(scenario.setpoints(n, tick)) == [
+        scenario.setpoint_at(k * tick) for k in range(n)
+    ]
+
+
+@pytest.mark.parametrize("points", [
+    ((0.0, math.nan),), ((math.nan, 1.0),), ((0.0, 1.0), (math.nan, 2.0)),
+    ((0.0, math.inf),), ((-math.inf, 1.0),), ((5.0, 1.0), (0.0, 2.0)),
+], ids=["nan-value", "nan-time", "nan-later-time", "inf-value", "inf-time", "unsorted"])
+def test_malformed_trace_rejected(points):
+    with pytest.raises(ValidationError):
+        Trace(points)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(duration=math.nan), dict(duration=math.inf), dict(duration=-1.0),
+    dict(tick=0.0), dict(tick=-0.1), dict(tick=math.nan), dict(tick=math.inf),
+    dict(initial_tank_temp=math.nan),
+    dict(setpoint_schedule=((0.0, 40.0), (5.0, math.nan))),
+    dict(setpoint_schedule=((math.nan, 40.0),)),
+    dict(setpoint_schedule=((5.0, 40.0), (0.0, 50.0))),
+    dict(inflow_rate_trace=Trace(((0.0, 0.1), (5.0, -1.0)))),
+], ids=[
+    "duration-nan", "duration-inf", "duration-negative", "tick-zero", "tick-negative",
+    "tick-nan", "tick-inf", "initial-temp-nan", "setpoint-nan", "setpoint-time-nan",
+    "setpoint-unsorted", "negative-inflow-rate",
+])
+def test_malformed_scenario_rejected(overrides):
+    with pytest.raises(ValidationError):
+        _scenario(**overrides)
+
+
+def test_zero_inflow_rate_is_legal():
+    assert _scenario(inflow_rate_trace=Trace.constant(0.0)).ticks() == 100
