@@ -338,13 +338,40 @@ def support_map(
 
 @dataclass(frozen=True)
 class _ValidityPlan:
-    """The nodes failing at every time, and each atom whose support can
-    change with its runtime evidence (None for a context or assumption)
-    and its failure closure: itself and the ancestors it reaches through
-    goal/strategy parents."""
+    """The nodes failing at every time, and a (check, failure closure) pair
+    per term whose support can change; the closure is the node and the
+    ancestors it reaches through goal/strategy parents."""
 
     const_failing: frozenset[str]
-    terms: tuple[tuple[CaseNode, Optional[tuple[EvidenceItem, ...]], frozenset[str]], ...]
+    terms: tuple[tuple[Callable[[float, Any], bool], frozenset[str]], ...]
+
+
+def _freshness_check(runtime: Iterable[EvidenceItem]) -> Callable[[float, Any], bool]:
+    pairs = tuple((ev.produced_at, ev.freshness) for ev in runtime)
+
+    def check(now: float, knowledge: Any) -> bool:
+        for produced_at, freshness in pairs:
+            if not now - produced_at <= freshness:  # `EvidenceItem.fresh_at`
+                return False
+        return True
+    return check
+
+
+def _dynamic_node_check(node: CaseNode) -> Callable[[float, Any], bool]:
+    """`_node_supported` of a dynamic context or assumption."""
+    bounds = [(name, *b) for name, b in (node.constraint or UNBOUNDED_DOMAIN).bounds.items()]
+    predicate = PREDICATES.get(node.predicate)
+
+    def check(now: float, knowledge: Any) -> bool:
+        if knowledge is None:
+            return predicate is None
+        if knowledge.sample_history:
+            sample = knowledge.sample_history[-1]
+            for name, low, high in bounds:
+                if not low <= getattr(sample, name) <= high:
+                    return False
+        return predicate is None or predicate(knowledge, now)
+    return check
 
 
 def _compile_validity(case: SafetyCase) -> _ValidityPlan:
@@ -359,14 +386,14 @@ def _compile_validity(case: SafetyCase) -> _ValidityPlan:
             visit(child, closure if node.kind in ("goal", "strategy") else ())
         if node.kind == "solution":
             items = [case.evidence[eid] for eid in node.evidence]
-            runtime = tuple(ev for ev in items if ev.freshness is not None)
+            runtime = [ev for ev in items if ev.freshness is not None]
             if not items or any(ev.verdict != "pass" for ev in items):
                 const_failing.update(closure)
             elif runtime:
-                terms.append((node, runtime, frozenset(closure)))
+                terms.append((_freshness_check(runtime), frozenset(closure)))
         elif node.kind in ("context", "assumption") and node.lifecycle == "dynamic":
             if node.constraint is not None or node.predicate is not None:
-                terms.append((node, None, frozenset(closure)))
+                terms.append((_dynamic_node_check(node), frozenset(closure)))
 
     visit(case.root, ())
     return _ValidityPlan(frozenset(const_failing), tuple(terms))
@@ -377,15 +404,14 @@ def evaluate_validity(
 ) -> dict[str, Any]:
     """Validity verdict: the case is valid iff its root goal is supported.
 
-    Equals `support_map`'s verdict, but re-checks only the terms of the plan
+    Equals `support_map`'s verdict, but runs only the checks of the plan
     compiled on the case's first call, in `support_map`'s order."""
     plan = case._plan or _compile_validity(case)
     case._plan = plan
-    failing = set(plan.const_failing)
-    for node, runtime, closure in plan.terms:
-        if not (_node_supported(case, node, now, knowledge, {}) if runtime is None
-                else all(ev.fresh_at(now) for ev in runtime)):
-            failing.update(closure)
+    failing = plan.const_failing
+    for check, closure in plan.terms:
+        if not check(now, knowledge):
+            failing = failing | closure
     if not failing:
         return {"valid": True, "failing_nodes": []}
     return {"valid": case.root not in failing, "failing_nodes": sorted(failing)}

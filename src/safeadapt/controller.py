@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,8 +32,7 @@ class PidConfig:
         return cls(kp=p.get("kp", 0.0), ki=p.get("ki", 0.0), kd=p.get("kd", 0.0))
 
 
-@dataclass(frozen=True)
-class PidState:
+class PidState(NamedTuple):
     integral: float = 0.0  # degC s
     prev_error: float = 0.0  # degC
 

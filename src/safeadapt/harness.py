@@ -11,7 +11,9 @@ triggers are ignored for Type 0 and Type III.
 
 A run binds its SPI windows to the scenario's tick and shares the immutable
 safety case; PID gains are rebuilt only where the configuration changes.
-Scenario inputs are read by forward cursors, not looked up per tick.
+Scenario inputs are read by forward cursors, not looked up per tick. The
+values each tick creates (sample, plant, guard and PID states) are
+immutable tuples.
 """
 from __future__ import annotations
 
@@ -312,7 +314,7 @@ def run_scenario(
         if guard.tripped and not was_tripped:
             report.guard_trips += 1
         if overrides.valve_closed and state.valve_open:
-            state = replace(state, valve_open=False)
+            state = state._replace(valve_open=False)
 
         # control
         temp_rate = (state.tank_temp - prev_temp) / tick
@@ -338,7 +340,7 @@ def run_scenario(
         # SPI
         for window in spi_windows:
             spi_update(window, outflow_temp)
-        breached = any(spi_breached(w) for w in spi_windows)
+        breached = any(map(spi_breached, spi_windows))
 
         # MAPE: fail-safe preempts any planned adaptation this tick
         if breached:

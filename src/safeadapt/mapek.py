@@ -318,7 +318,7 @@ def admission_test(
     all_ok = True
     variables: dict[str, dict[str, float]] = {}
     for name, (low, high) in sorted(option_domain.normalized().bounds.items()):
-        values = [s.domain_values()[name] for s in windowed]
+        values = [getattr(s, name) for s in windowed]
         mean = statistics.fmean(values)
         stdev = statistics.stdev(values) if n > 1 else 0.0
         margin = policy.confidence_z * stdev / root_n

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Optional
 
 if TYPE_CHECKING:
     from .assurance import SafetyCase
@@ -27,6 +27,9 @@ class SimulationFault(RuntimeError):
 
 
 CONTROLLER_KINDS = ("pid", "parametric-net")
+
+#: The environment variables an operational domain may bound: fields of `EnvironmentSample`.
+DOMAIN_VARIABLES = ("inflow_temp", "inflow_rate")
 
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
@@ -48,6 +51,8 @@ class OperationalDomain:
 
     def __post_init__(self) -> None:
         for name, (low, high) in self.bounds.items():
+            if name not in DOMAIN_VARIABLES:
+                raise ValidationError(f"a domain may bound only {DOMAIN_VARIABLES}, not {name!r}")
             if low > high:
                 raise ValidationError(
                     f"domain bound for {name!r} has low {low} > high {high}"
@@ -329,21 +334,25 @@ def option_satisfies_model(option: AdaptationOption, model: AdaptationModel) -> 
     return all(c.satisfied_by(option.assignment) for c in model.constraints)
 
 
-@dataclass(frozen=True)
-class EnvironmentSample:
-    """One observation of the environment and the plant's response."""
+_SampleFields = NamedTuple("_SampleFields", [
+    ("time", float), ("inflow_temp", float), ("inflow_rate", float),
+    ("setpoint", float), ("outflow_temp", float)])
 
-    time: float
-    inflow_temp: float
-    inflow_rate: float
-    setpoint: float
-    outflow_temp: float
 
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValidationError(f"sample time must be non-negative, got {self.time}")
-        if self.inflow_rate < 0:
-            raise ValidationError(f"inflow rate must be >= 0, got {self.inflow_rate}")
+class EnvironmentSample(_SampleFields):
+    """One observation of the environment and the plant's response.
+
+    An immutable tuple. `_replace` builds through `tuple.__new__`, so it
+    skips the checks in `__new__`; only tests use it on samples."""
+
+    __slots__ = ()
+
+    def __new__(cls, time, inflow_temp, inflow_rate, setpoint, outflow_temp):
+        if time < 0:
+            raise ValidationError(f"sample time must be non-negative, got {time}")
+        if inflow_rate < 0:
+            raise ValidationError(f"inflow rate must be >= 0, got {inflow_rate}")
+        return tuple.__new__(cls, (time, inflow_temp, inflow_rate, setpoint, outflow_temp))
 
     def domain_values(self) -> dict[str, float]:
         return {"inflow_temp": self.inflow_temp, "inflow_rate": self.inflow_rate}

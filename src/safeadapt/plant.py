@@ -4,12 +4,16 @@ The plant is a well-mixed single tank advanced by explicit Euler. The
 hazard of interest is outflowing water above 90 degC for more than 2 s;
 the guard is an independent safety monitor that latches power off and
 closes the valve when it observes an over-limit outflow temperature.
+
+The tick's values (`PlantState`, `GuardState`) are immutable tuples: each
+step returns a new one, and `._replace` derives a changed copy.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 from .model import EnvironmentSample, SimulationFault, ValidationError
 
@@ -37,7 +41,7 @@ class PlantParams:
         if self.tick > 0.5:
             raise ValidationError(f"tick must be <= 0.5 s, got {self.tick}")
 
-    @property
+    @cached_property
     def heat_capacity(self) -> float:
         """Thermal mass of the tank contents, J/K."""
         return self.density * self.specific_heat * self.volume
@@ -56,8 +60,7 @@ class PlantParams:
         return cls(**{k: float(v) for k, v in data.items()})
 
 
-@dataclass(frozen=True)
-class PlantState:
+class PlantState(NamedTuple):
     tank_temp: float
     valve_open: bool = True
     hazard_accum: float = 0.0
@@ -71,8 +74,7 @@ class PlantState:
         return self.tank_temp
 
 
-@dataclass(frozen=True)
-class GuardState:
+class GuardState(NamedTuple):
     enabled: bool = True
     tripped: bool = False
     trip_time: Optional[float] = None
@@ -144,7 +146,7 @@ def guard_step(
     (power zeroed, valve closed) until guard_reset.
     """
     if guard.enabled and not guard.tripped and state.outflow_temp > HAZARD_TEMP:
-        guard = replace(guard, tripped=True, trip_time=now)
+        guard = guard._replace(tripped=True, trip_time=now)
     if guard.tripped:
         return guard, _TRIPPED_OVERRIDES
     return guard, _NO_OVERRIDES
@@ -152,4 +154,4 @@ def guard_step(
 
 def guard_reset(guard: GuardState) -> GuardState:
     """Manual reset; the only way to clear the latch."""
-    return replace(guard, tripped=False, trip_time=None)
+    return guard._replace(tripped=False, trip_time=None)

@@ -21,6 +21,33 @@ def _check_points(points: Sequence[tuple[float, float]], what: str) -> None:
         prev = t
 
 
+#: The types of a JSON number, matched by `type()` so that a bool is not one.
+_NUMBER = (int, float)
+
+
+def _number(value: Any, what: str) -> float:
+    """A JSON number as a float."""
+    if type(value) in _NUMBER:
+        try:
+            return float(value)
+        except OverflowError:  # an integer past the float range
+            pass
+    raise ValidationError(f"{what} must be a number in the float range, got {value!r:.40}")
+
+
+def _number_pairs(points: Any, what: str) -> tuple[tuple[float, float], ...]:
+    """A JSON list of [number, number] lists as float pairs."""
+    try:
+        if type(points) is list:
+            pairs = tuple([(float(t), float(v)) for t, v in points
+                           if type(t) in _NUMBER and type(v) in _NUMBER])
+            if len(pairs) == len(points):
+                return pairs
+    except (TypeError, ValueError, OverflowError):  # not a pair; an int past the float range
+        pass
+    raise ValidationError(f"{what}s must be a list of [number, number] lists in the float range")
+
+
 @dataclass(frozen=True)
 class Trace:
     """Piecewise trace of (time, value) points.
@@ -83,7 +110,7 @@ class Trace:
             interp = data.get("interp", "hold")
         else:
             points, interp = data, "hold"
-        return cls(tuple((float(t), float(v)) for t, v in points), interp)
+        return cls(_number_pairs(points, "trace point"), interp)
 
     @classmethod
     def constant(cls, value: float) -> "Trace":
@@ -116,6 +143,9 @@ class Scenario:
         _check_points(self.setpoint_schedule, "setpoint step")
         if any(v < 0 for _, v in self.inflow_rate_trace.points):
             raise ValidationError("inflow rate trace has a negative value")
+        for t, _ in self.manual_triggers:
+            if not math.isfinite(t):
+                raise ValidationError(f"manual trigger time {t!r} is not finite")
 
     def setpoint_at(self, t: float) -> float:
         value = self.setpoint_schedule[0][1]
@@ -157,20 +187,29 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":
+        if not isinstance(data, dict):
+            raise ValidationError(f"a scenario must be a JSON object, got {type(data).__name__}")
+        seed, guard_enabled = data.get("seed", 0), data.get("guard_enabled", True)
+        triggers = data.get("manual_triggers", [])
+        if type(seed) is not int:  # a bool is not a seed
+            raise ValidationError(f"scenario seed must be an integer, got {seed!r}")
+        if type(guard_enabled) is not bool:
+            raise ValidationError(f"guard_enabled must be true or false, got {guard_enabled!r}")
+        if not (isinstance(triggers, list)
+                and all(type(p) is list and len(p) == 2 for p in triggers)):
+            raise ValidationError("manual triggers must be a list of [time, option id] lists")
         return cls(
             id=data["id"],
-            tick=float(data.get("tick", 0.1)),
-            duration=float(data["duration"]),
-            setpoint_schedule=tuple(
-                (float(t), float(v)) for t, v in data["setpoint_schedule"]
-            ),
+            tick=_number(data.get("tick", 0.1), "scenario tick"),
+            duration=_number(data["duration"], "scenario duration"),
+            setpoint_schedule=_number_pairs(data["setpoint_schedule"], "setpoint step"),
             inflow_temp_trace=Trace.from_dict(data["inflow_temp_trace"]),
             inflow_rate_trace=Trace.from_dict(data["inflow_rate_trace"]),
-            seed=int(data.get("seed", 0)),
-            guard_enabled=bool(data.get("guard_enabled", True)),
-            initial_tank_temp=float(data.get("initial_tank_temp", 20.0)),
+            seed=seed,
+            guard_enabled=guard_enabled,
+            initial_tank_temp=_number(data.get("initial_tank_temp", 20.0), "initial_tank_temp"),
             manual_triggers=tuple(
-                (float(t), str(o)) for t, o in data.get("manual_triggers", ())
+                (_number(t, "manual trigger time"), str(o)) for t, o in triggers
             ),
         )
 

@@ -1,4 +1,5 @@
 import copy
+import math
 from collections import deque
 
 import pytest
@@ -319,21 +320,27 @@ def _random_cases(draw):
     nodes, evidence = {}, {}
     lifecycle = st.sampled_from(["static", "dynamic"])
 
+    def item(runtime, verdict):
+        eid = f"ev{len(evidence)}"
+        evidence[eid] = EvidenceItem(
+            id=eid,
+            kind="runtime-observation" if runtime else "design-analysis",
+            verdict=verdict,
+            produced_at=draw(st.integers(0, 400)) / 8.0,
+            freshness=draw(st.integers(8, 800)) / 8.0 if runtime else None,
+        )
+        return eid
+
     def solution():
         sid = f"Sn{len(nodes)}"
         nodes[sid] = None  # reserve the id before drawing evidence
-        ev_ids = []
-        for _ in range(draw(st.integers(0, 2))):
-            eid = f"ev{len(evidence)}"
-            runtime = draw(st.booleans())
-            evidence[eid] = EvidenceItem(
-                id=eid,
-                kind="runtime-observation" if runtime else "design-analysis",
-                verdict=draw(st.sampled_from(["pass", "pass", "fail"])),
-                produced_at=draw(st.integers(0, 400)) / 8.0,
-                freshness=draw(st.integers(8, 800)) / 8.0 if runtime else None,
-            )
-            ev_ids.append(eid)
+        if draw(st.booleans()):
+            verdicts = st.sampled_from(["pass", "pass", "fail"])
+            ev_ids = [item(draw(st.booleans()), draw(verdicts))
+                      for _ in range(draw(st.integers(0, 2)))]
+        else:
+            # All-pass runtime items, each with its own produced_at and freshness.
+            ev_ids = [item(True, "pass") for _ in range(draw(st.integers(2, 3)))]
         nodes[sid] = CaseNode(sid, "solution", lifecycle=draw(lifecycle), evidence=ev_ids)
         return sid
 
@@ -380,31 +387,42 @@ def _revision_patches(case):
             yield ReplaceConstraintContext(node.id, COLD_FAST)
 
 
+def _freshness_edges(cases):
+    """Each runtime item's last fresh time, and the next float after it."""
+    for case in cases:
+        for ev in case.evidence.values():
+            if ev.freshness is not None:
+                edge = ev.produced_at + ev.freshness
+                yield from (edge, math.nextafter(edge, math.inf))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     case=_random_cases(),
     times=st.lists(st.integers(0, 2400), min_size=1, max_size=12, unique=True),
     inflow_temps=st.lists(st.sampled_from([-20.0, 0.0, 1.0, 5.0, 30.0, 50.0]), min_size=1),
     breached=st.lists(st.booleans(), min_size=1),
-    with_repo=st.booleans(),
+    unsampled=st.integers(0, 3),
 )
-def test_compiled_validity_matches_support_map(case, times, inflow_temps, breached, with_repo):
+def test_compiled_validity_matches_support_map(case, times, inflow_temps, breached, unsampled):
     window = SpiWindow(window=10.0, threshold=1.0, tick=1.0)
     repo = KnowledgeRepository(
         current_config=SystemConfiguration("pid", {}), safety_case=case,
         sample_history=deque(maxlen=10), spi_windows=[window],
     )
-    # Eighths of a second hit each evidence item's inclusive freshness boundary.
-    nows = [k / 8.0 for k in sorted(times)]
     revised = adapt_case(case, list(_revision_patches(case)), now=60.0)
+    # Eighths of a second, plus each item's freshness edge and one ulp past it.
+    nows = sorted({k / 8.0 for k in times} | set(_freshness_edges([case, revised])))
     for step, now in enumerate(nows):
-        repo.sample_history.append(EnvironmentSample(
-            now, inflow_temps[step % len(inflow_temps)], 0.5, 40.0, 40.0))
+        # The first `unsampled` steps see an empty sample history.
+        if step >= unsampled:
+            repo.sample_history.append(EnvironmentSample(
+                now, inflow_temps[step % len(inflow_temps)], 0.5, 40.0, 40.0))
         window.true_count = 5 if breached[step % len(breached)] else 0
-        knowledge = repo if with_repo else None
         # The revision is first evaluated part way through, as a run would.
         cases = [case, revised] if step >= len(nows) // 2 else [case]
         for current in cases:
-            assert evaluate_validity(current, now, knowledge) == _reference_validity(
-                current, now, knowledge
-            )
+            for knowledge in (repo, None):
+                assert evaluate_validity(current, now, knowledge) == _reference_validity(
+                    current, now, knowledge
+                )

@@ -424,6 +424,10 @@ class TestCli:
             ("type3", lambda s: s["spi_windows"][0].update(window=-5, threshold=-10),
              "SPI window"),
             ("type3", lambda s: s.pop("net_controller"), "lacks a net_controller"),
+            # A variable the sample does not carry, bounded in every option domain.
+            ("type2", lambda s: [o["domain"].update(setpoint=[0, 100])
+                                 for o in s["adaptation_models"][0]["options"]],
+             "may bound only"),
             # A pid start needs no network, but a Type III model perturbs one.
             ("type3", lambda s: s.update(initial_configuration={
                 "controller_kind": "pid", "parameters": {"kp": 50.0, "ki": 0.5, "kd": 0.0},
@@ -454,12 +458,20 @@ class TestCli:
          "trace point"),
         (lambda s: s["setpoint_schedule"].append([1000.0, float("nan")]), "setpoint step"),
         (lambda s: s["inflow_rate_trace"]["points"].append([500.0, -1.0]), "inflow rate trace"),
+        (lambda s: s.update(manual_triggers=[[float("nan"), "opt-1"]]), "manual trigger time"),
+        (lambda s: s["inflow_temp_trace"]["points"].__setitem__(0, [0, 10, 3]), "trace point"),
+        (lambda s: s.update(tick="abc"), "scenario tick"),
+        (lambda s: s.update(tick=10 ** 400), "scenario tick"),
+        (lambda s: s["setpoint_schedule"][0].__setitem__(1, "x"), "setpoint step"),
+        (lambda s: s.update(seed="q"), "scenario seed"),
+        (lambda s: [s], "a scenario must be a JSON object"),
     ], ids=["duration-nan", "duration-inf", "inflow-nan-value", "inflow-nan-time",
-            "setpoint-nan", "inflow-rate-negative"])
+            "setpoint-nan", "inflow-rate-negative", "manual-trigger-nan", "trace-point-3-items",
+            "tick-string", "tick-int-overflow", "setpoint-string", "seed-string", "root-list"])
     def test_malformed_scenario_fails_at_load(self, tmp_path, capsys, corrupt, fault):
         # Each is rejected when the scenario is loaded, before any tick runs.
         scenario = json.loads((CORPUS_DIR / "type2_scenario.json").read_text())
-        corrupt(scenario)
+        scenario = corrupt(scenario) or scenario
         (tmp_path / "scenario.json").write_text(json.dumps(scenario))
         code = main([
             "simulate",

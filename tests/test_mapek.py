@@ -2,7 +2,6 @@ import copy
 import math
 import random
 import statistics
-from dataclasses import replace
 from collections import deque
 
 import pytest
@@ -194,7 +193,7 @@ class TestAdmission:
                              ids=["list", "deque"])
     def test_window_equals_full_scan(self, n, status, ring):
         # Uneven ticks; a warm window starts exactly on a sample.
-        samples = [replace(s, time=s.time * 0.5 + (s.time % 3) * 0.1)
+        samples = [s._replace(time=s.time * 0.5 + (s.time % 3) * 0.1)
                    for s in _cold_samples(n)]
         policy = AdmissionPolicy()
         report = admission_test(ring(samples), COLD_FAST_DOMAIN, policy)

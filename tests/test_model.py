@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from safeadapt.controller import PidState
 from safeadapt.model import (
     AdaptationModel,
     AdaptationOption,
@@ -16,6 +17,7 @@ from safeadapt.model import (
     history_capacity,
     option_satisfies_model,
 )
+from safeadapt.plant import GuardState, PlantState
 from safeadapt.taxonomy import AdaptationDescriptor
 
 COLD_FAST = OperationalDomain({"inflow_temp": (-10.0, 2.0), "inflow_rate": (0.2, 1.0)})
@@ -43,6 +45,15 @@ class TestOperationalDomain:
     def test_none_maps_to_infinity(self):
         domain = OperationalDomain.from_dict({"inflow_temp": [None, 2.0]})
         assert domain.interval("inflow_temp") == (-math.inf, 2.0)
+
+    @pytest.mark.parametrize("name", ["setpoint", "outflow_temp", "time", "inflow"])
+    def test_only_sample_inputs_may_be_bounded(self, name):
+        # A constraint on any other name would be skipped by `contains` and
+        # read off the sample by `admission_test`.
+        with pytest.raises(ValidationError, match="may bound only"):
+            OperationalDomain({name: (0.0, 100.0)})
+        with pytest.raises(ValidationError, match="may bound only"):
+            OperationalDomain.from_dict({"inflow_temp": [0, 5], name: [0, 100]})
 
     def test_explicit_infinity_is_legal(self):
         domain = OperationalDomain.from_dict({"inflow_temp": [-math.inf, math.inf]})
@@ -200,7 +211,21 @@ class TestEnvironmentSample:
 
     def test_round_trip(self):
         sample = EnvironmentSample(1.5, 10.0, 0.1, 50.0, 40.0)
-        assert EnvironmentSample.from_dict(sample.to_dict()) == sample
+        back = EnvironmentSample.from_dict(sample.to_dict())
+        assert back == sample and type(back) is EnvironmentSample
+
+
+@pytest.mark.parametrize("record", [
+    EnvironmentSample(0.0, 10.0, 0.1, 50.0, 40.0),
+    PlantState(tank_temp=20.0),
+    GuardState(),
+    PidState(),
+], ids=lambda r: type(r).__name__)
+def test_tick_records_reject_field_assignment(record):
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], 1.0)
+    with pytest.raises(AttributeError):
+        record.extra = 1.0  # no instance dict either
 
 
 def test_history_capacity_covers_an_hour():

@@ -128,14 +128,50 @@ def test_malformed_trace_rejected(points):
     dict(setpoint_schedule=((math.nan, 40.0),)),
     dict(setpoint_schedule=((5.0, 40.0), (0.0, 50.0))),
     dict(inflow_rate_trace=Trace(((0.0, 0.1), (5.0, -1.0)))),
+    dict(manual_triggers=((math.nan, "opt-1"),)),
+    dict(manual_triggers=((1.0, "opt-1"), (math.inf, "opt-2"))),
 ], ids=[
     "duration-nan", "duration-inf", "duration-negative", "tick-zero", "tick-negative",
     "tick-nan", "tick-inf", "initial-temp-nan", "setpoint-nan", "setpoint-time-nan",
-    "setpoint-unsorted", "negative-inflow-rate",
+    "setpoint-unsorted", "negative-inflow-rate", "manual-trigger-nan", "manual-trigger-inf",
 ])
 def test_malformed_scenario_rejected(overrides):
     with pytest.raises(ValidationError):
         _scenario(**overrides)
+
+
+@pytest.mark.parametrize("points", [
+    5, "ab", {"points": 7}, [[0, 1, 2]], [[0]], [["0", 1]], [[0, None]], [[True, 1]],
+    ["ab"], [{"a": 1, "b": 2}], [[10 ** 400, 1]],
+], ids=["number", "string", "points-number", "three-items", "one-item", "string-time",
+        "null-value", "bool-time", "string-point", "object-point", "int-overflow"])
+def test_malformed_trace_document_rejected(points):
+    with pytest.raises(ValidationError, match="trace points must be"):
+        Trace.from_dict(points)
+
+
+@pytest.mark.parametrize("change", [
+    lambda d: [d], lambda d: d.update(seed=True), lambda d: d.update(seed=1.5),
+    lambda d: d.update(guard_enabled="false"), lambda d: d.update(tick=True),
+    lambda d: d.update(duration="10"), lambda d: d.update(manual_triggers=5),
+    lambda d: d.update(manual_triggers=[[1.0]]), lambda d: d.update(manual_triggers=[["1", "o"]]),
+    lambda d: d.update(setpoint_schedule=[[0.0, "x"]]),
+], ids=["root-list", "seed-bool", "seed-float", "guard-string", "tick-bool", "duration-string",
+        "triggers-number", "trigger-one-item", "trigger-string-time", "setpoint-string"])
+def test_malformed_scenario_document_rejected(change):
+    document = _scenario(manual_triggers=((1.0, "opt-1"),)).to_dict()
+    document = change(document) or document
+    with pytest.raises(ValidationError):
+        Scenario.from_dict(document)
+
+
+def test_document_numbers_load_as_floats():
+    document = _scenario(manual_triggers=((1.0, "opt-1"),)).to_dict()
+    document.update(tick=1, duration=10, setpoint_schedule=[[0, 40]])
+    scenario = Scenario.from_dict(document)
+    assert Scenario.from_dict(scenario.to_dict()) == scenario
+    assert all(type(x) is float for x in (scenario.tick, scenario.duration,
+                                          *scenario.setpoint_schedule[0]))
 
 
 def test_zero_inflow_rate_is_legal():
