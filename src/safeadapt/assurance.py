@@ -19,12 +19,15 @@ walks the whole tree and stays the reference.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Union
 
 from . import spi
-from .model import OperationalDomain, UNBOUNDED_DOMAIN, ValidationError
+from .model import (
+    OperationalDomain, UNBOUNDED_DOMAIN, ValidationError, json_ids, json_number, json_value,
+)
 
 if TYPE_CHECKING:
     from .model import KnowledgeRepository
@@ -65,6 +68,8 @@ class EvidenceItem:
             raise ValidationError(f"unknown evidence kind {self.kind!r}")
         if self.verdict not in ("pass", "fail"):
             raise ValidationError(f"unknown verdict {self.verdict!r}")
+        if not (math.isfinite(self.produced_at) and math.isfinite(self.freshness or 0.0)):
+            raise ValidationError(f"evidence {self.id!r} times must be finite")
         if self.kind.startswith("runtime-") and self.freshness is None:
             raise ValidationError(
                 f"runtime evidence {self.id!r} must declare finite freshness"
@@ -89,20 +94,15 @@ class EvidenceItem:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EvidenceItem":
-        if not isinstance(data, dict):
-            raise StructuralError(f"an evidence item must be a JSON object, got {data!r}")
-        produced_at, freshness = data.get("produced_at", 0.0), data.get("freshness")
-        if not isinstance(produced_at, (int, float)):
-            raise StructuralError(f"evidence 'produced_at' must be a number: {produced_at!r}")
-        if not isinstance(freshness, (int, float, type(None))):
-            raise StructuralError(f"evidence 'freshness' must be a number: {freshness!r}")
+        data = json_value(data, dict, "an evidence item")
+        freshness = data.get("freshness")
         return cls(
-            id=data["id"],
-            kind=data["kind"],
-            verdict=data["verdict"],
-            produced_at=float(produced_at),
-            freshness=None if freshness is None else float(freshness),
-            payload_ref=data.get("payload_ref", ""),
+            id=json_value(data.get("id"), str, "evidence 'id'"),
+            kind=json_value(data.get("kind"), str, "evidence 'kind'"),
+            verdict=json_value(data.get("verdict"), str, "evidence 'verdict'"),
+            produced_at=json_number(data.get("produced_at", 0.0), "evidence 'produced_at'"),
+            freshness=None if freshness is None else json_number(freshness, "evidence 'freshness'"),
+            payload_ref=json_value(data.get("payload_ref", ""), str, "evidence 'payload_ref'"),
         )
 
 
@@ -155,27 +155,19 @@ class CaseNode:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CaseNode":
-        if not isinstance(data, dict):
-            raise StructuralError(f"a case node must be a JSON object, got {data!r}")
-        constraint = data.get("constraint")
+        data = json_value(data, dict, "a case node")
+        constraint, predicate = data.get("constraint"), data.get("predicate")
         return cls(
-            id=data["id"],
-            kind=data["kind"],
-            text=data.get("text", ""),
-            lifecycle=data.get("lifecycle", "static"),
-            children=_id_list(data, "children"),
-            discharges=set(_id_list(data, "discharges")),
+            id=json_value(data.get("id"), str, "node 'id'"),
+            kind=json_value(data.get("kind"), str, "node 'kind'"),
+            text=json_value(data.get("text", ""), str, "node 'text'"),
+            lifecycle=json_value(data.get("lifecycle", "static"), str, "node 'lifecycle'"),
+            children=json_ids(data.get("children", []), "node 'children'"),
+            discharges=set(json_ids(data.get("discharges", []), "node 'discharges'")),
             constraint=None if constraint is None else OperationalDomain.from_dict(constraint),
-            predicate=data.get("predicate"),
-            evidence=_id_list(data, "evidence"),
+            predicate=None if predicate is None else json_value(predicate, str, "node 'predicate'"),
+            evidence=json_ids(data.get("evidence", []), "node 'evidence'"),
         )
-
-
-def _id_list(node: Mapping[str, Any], key: str) -> list[str]:
-    ids = node.get(key, [])
-    if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
-        raise StructuralError(f"node {node.get('id')!r}: {key!r} must be a list of ids")
-    return list(ids)
 
 
 @dataclass
@@ -243,24 +235,16 @@ class SafetyCase:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SafetyCase":
-        if not isinstance(data, Mapping):
-            raise StructuralError("a safety case must be a JSON object")
-        nodes, evidence, root = data.get("nodes"), data.get("evidence", {}), data.get("root")
-        if not isinstance(nodes, Mapping) or not isinstance(evidence, Mapping):
-            raise StructuralError("case 'nodes' and 'evidence' must be objects keyed by id")
-        if not isinstance(root, str):
-            raise StructuralError(f"case 'root' must be a node id, got {root!r}")
-        revision, snapshots = data.get("revision", 0), data.get("snapshots", [])
-        if not isinstance(revision, int):
-            raise StructuralError(f"case 'revision' must be an integer: {revision!r}")
-        if not isinstance(snapshots, list) or not all(isinstance(s, list) for s in snapshots):
-            raise StructuralError(f"case 'snapshots' must be a list of lists: {snapshots!r}")
+        data = json_value(data, dict, "a safety case")
+        nodes = json_value(data.get("nodes"), dict, "case 'nodes'")
+        evidence = json_value(data.get("evidence", {}), dict, "case 'evidence'")
         return cls(
             nodes={nid: CaseNode.from_dict(nd) for nid, nd in nodes.items()},
-            root=root,
+            root=json_value(data.get("root"), str, "case 'root'"),
             evidence={eid: EvidenceItem.from_dict(ed) for eid, ed in evidence.items()},
-            revision=revision,
-            snapshots=[tuple(s) for s in snapshots],
+            revision=json_value(data.get("revision", 0), int, "case 'revision'"),
+            snapshots=[tuple(json_value(s, list, "case 'snapshots'"))
+                       for s in json_value(data.get("snapshots", []), list, "case 'snapshots'")],
         )
 
 

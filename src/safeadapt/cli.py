@@ -129,9 +129,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ClassificationError,
         LifecycleMismatchError,
         SimulationFault,
-        FileNotFoundError,
+        OSError,  # an input path that is missing, a directory or unreadable
         json.JSONDecodeError,
-        KeyError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

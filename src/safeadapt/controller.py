@@ -8,7 +8,7 @@ from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import SystemConfiguration, ValidationError
+from .model import SystemConfiguration, ValidationError, json_number, json_value
 
 #: Inputs consumed by the network controller, in order.
 NET_INPUTS = ("setpoint", "outflow_temp", "inflow_temp", "inflow_rate", "outflow_temp_rate")
@@ -120,10 +120,13 @@ class NetControllerSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "NetControllerSpec":
+        data = json_value(data, dict, "net_controller")
+        sizes = json_value(data.get("layer_sizes"), list, "net 'layer_sizes'")
+        weights = json_value(data.get("weights"), list, "net 'weights'")
         return cls(
-            layer_sizes=tuple(int(s) for s in data["layer_sizes"]),
-            weights=tuple(float(w) for w in data["weights"]),
-            activation=data.get("activation", "tanh"),
+            layer_sizes=tuple([json_value(s, int, "net layer size") for s in sizes]),
+            weights=tuple([json_number(w, "net weight") for w in weights]),
+            activation=json_value(data.get("activation", "tanh"), str, "net 'activation'"),
         )
 
 

@@ -53,6 +53,7 @@ from .model import (
     ValidationError,
     domain_subset,
     history_capacity,
+    json_value,
 )
 from .model import AdaptationModel
 from .plant import GuardState, PlantParams, PlantState, guard_step, hazard_update, plant_step
@@ -84,6 +85,9 @@ class SystemDescription:
     def __post_init__(self) -> None:
         if self.initial_config.controller_kind == "parametric-net" and self.net_controller is None:
             raise ValidationError("parametric-net initial configuration lacks a net_controller")
+        # The plant refuses a suite tick it cannot step.
+        for tick in {s.tick for s in self.assessment_scenarios} - {self.plant.tick}:
+            replace(self.plant, tick=tick)
 
     def assessment_suite(self) -> Optional[AssessmentSuite]:
         if not self.assessment_scenarios:
@@ -114,33 +118,35 @@ class SystemDescription:
     def from_dict(
         cls, data: Mapping[str, Any], base_dir: Optional[Path] = None
     ) -> "SystemDescription":
+        data = json_value(data, dict, "a system description")
         if "safety_case" in data:
             case = SafetyCase.from_dict(data["safety_case"])
         elif "safety_case_path" in data:
-            path = Path(data["safety_case_path"])
+            path = Path(json_value(data["safety_case_path"], str, "safety_case_path"))
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
             case = load_case(path)
         else:
             raise ValidationError("system description lacks a safety case")
         net = data.get("net_controller")
+        baseline = json_value(data.get("baseline_option_id", ""), str, "baseline_option_id")
+        initial = json_value(data.get("initial_option_id", baseline), str, "initial_option_id")
         return cls(
-            plant=PlantParams.from_dict(data.get("plant", {})) if data.get("plant")
-            else PlantParams(),
-            initial_config=SystemConfiguration.from_dict(data["initial_configuration"]),
-            models=[AdaptationModel.from_dict(m) for m in data["adaptation_models"]],
+            plant=PlantParams.from_dict(data.get("plant", {})),
+            initial_config=SystemConfiguration.from_dict(data.get("initial_configuration")),
+            models=[AdaptationModel.from_dict(m) for m in
+                    json_value(data.get("adaptation_models"), list, "adaptation_models")],
             safety_case=case,
-            goal=AdaptationGoal.from_dict(data["goal"]) if "goal" in data
-            else AdaptationGoal(),
-            admission_policy=AdmissionPolicy.from_dict(data["admission_policy"])
-            if "admission_policy" in data else AdmissionPolicy(),
-            spi_windows=[SpiWindow.from_dict(w) for w in data.get("spi_windows", ())],
-            baseline_option_id=data.get("baseline_option_id", ""),
-            initial_option_id=data.get("initial_option_id", data.get("baseline_option_id", "")),
+            goal=AdaptationGoal.from_dict(data.get("goal", {})),
+            admission_policy=AdmissionPolicy.from_dict(data.get("admission_policy", {})),
+            spi_windows=[SpiWindow.from_dict(w) for w in
+                         json_value(data.get("spi_windows", []), list, "spi_windows")],
+            baseline_option_id=baseline,
+            initial_option_id=initial,
             net_controller=None if net is None else NetControllerSpec.from_dict(net),
-            assessment_scenarios=tuple(
-                Scenario.from_dict(s) for s in data.get("assessment_scenarios", ())
-            ),
+            assessment_scenarios=tuple(Scenario.from_dict(s) for s in json_value(
+                data.get("assessment_scenarios", []), list, "assessment_scenarios"
+            )),
         )
 
 
@@ -310,10 +316,11 @@ def run_scenario(
 
         # guard (observes the previous tick's outflow: one-tick latency)
         was_tripped = guard.tripped
-        guard, overrides = guard_step(guard, state, now=t)
-        if guard.tripped and not was_tripped:
+        guard = guard_step(guard, state, now=t)
+        tripped = guard.tripped  # a tripped guard closes the valve and zeroes the power
+        if tripped and not was_tripped:
             report.guard_trips += 1
-        if overrides.valve_closed and state.valve_open:
+        if tripped and state.valve_open:
             state = state._replace(valve_open=False)
 
         # control
@@ -328,7 +335,7 @@ def run_scenario(
                 (setpoint, outflow_temp, inflow_temp, inflow_rate, temp_rate),
                 plant.max_power,
             )
-        if overrides.power_zeroed:
+        if tripped:
             power = 0.0
 
         # plant + hazard

@@ -16,7 +16,7 @@ import json
 import math
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import takewhile
 from typing import Any, Mapping, Optional, Sequence
 
@@ -41,6 +41,8 @@ from .model import (
     UNBOUNDED_DOMAIN,
     ValidationError,
     domain_subset,
+    json_number,
+    json_value,
 )
 from .plant import PlantParams, PlantState, hazard_update, plant_step
 from .scenario import Scenario
@@ -53,15 +55,17 @@ class AdaptationGoal:
     settle_band: float = 1.0  # degC
 
     def __post_init__(self) -> None:
-        if self.rise_time_limit <= 0 or self.settle_band <= 0:
-            raise ValidationError("goal limits must be positive")
+        if not (0 < self.rise_time_limit < math.inf and 0 < self.settle_band < math.inf):
+            raise ValidationError("goal limits must be finite and positive")
 
     def to_dict(self) -> dict[str, float]:
         return {"rise_time_limit": self.rise_time_limit, "settle_band": self.settle_band}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "AdaptationGoal":
-        return cls(**{k: float(v) for k, v in data.items()})
+        data = json_value(data, dict, "goal")
+        return cls(**{k: json_number(data[k], k) for k in ("rise_time_limit", "settle_band")
+                      if k in data})
 
 
 class GoalTracker:
@@ -246,8 +250,8 @@ class AdmissionPolicy:
             raise ValidationError(f"admission window must be finite and > 0, got {self.window}")
         if self.min_samples < 2:
             raise ValidationError("min_samples must be >= 2")
-        if self.confidence_z <= 0:
-            raise ValidationError("confidence_z must be positive")
+        if not 0 < self.confidence_z < math.inf:
+            raise ValidationError("confidence_z must be finite and positive")
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -258,10 +262,11 @@ class AdmissionPolicy:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "AdmissionPolicy":
+        data = json_value(data, dict, "admission_policy")
         return cls(
-            window=float(data.get("window", 300.0)),
-            min_samples=int(data.get("min_samples", 300)),
-            confidence_z=float(data.get("confidence_z", 2.326)),
+            window=json_number(data.get("window", 300.0), "admission 'window'"),
+            min_samples=json_value(data.get("min_samples", 300), int, "'min_samples'"),
+            confidence_z=json_number(data.get("confidence_z", 2.326), "'confidence_z'"),
         )
 
 
@@ -522,6 +527,7 @@ def _run_assessment_scenario(
 ) -> dict[str, Any]:
     """One embedded simulation: candidate controller, guard disabled."""
     tick = scenario.tick
+    plant = replace(plant, tick=tick)  # the physics steps at the scenario's tick
     n = scenario.ticks()
     state = PlantState(tank_temp=scenario.initial_tank_temp)
     tracker = GoalTracker(goal)

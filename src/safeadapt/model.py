@@ -40,6 +40,46 @@ def _check_finite(name: str, value: float) -> None:
         raise ValidationError(f"{name} must be finite, got {value!r}")
 
 
+# JSON readers: every `from_dict` reads raw JSON through them, so a value of the wrong
+# type, or a missing key (read as None), is a ValidationError at load.
+
+_KINDS = {str: "a string", bool: "true or false", int: "an integer", list: "a list",
+          dict: "a JSON object"}
+
+
+def json_value(value: Any, kind: type, what: str) -> Any:
+    """``value`` if its type is exactly ``kind`` (str, bool, int, list, dict); a bool is no int."""
+    if type(value) is kind:
+        return value
+    raise ValidationError(f"{what} must be {_KINDS[kind]}, got {value!r:.40}")
+
+
+def json_number(value: Any, what: str) -> float:
+    """A JSON number (not a bool) in the float range, as a float."""
+    try:
+        if type(value) is float or type(value) is int:
+            return float(value)
+    except OverflowError:  # an integer past the float range
+        pass
+    raise ValidationError(f"{what} must be a number in the float range, got {value!r:.40}")
+
+
+def json_ids(value: Any, what: str) -> list[str]:
+    """A JSON list of strings, copied."""
+    if type(value) is list:
+        for item in value:
+            if type(item) is not str:
+                break
+        else:
+            return list(value)
+    raise ValidationError(f"{what} must be a list of ids, got {value!r:.40}")
+
+
+def json_numbers(value: Any, what: str) -> dict[str, float]:
+    """A JSON object of numbers, each as a float; a bad value's message names its key."""
+    return {name: json_number(v, name) for name, v in json_value(value, dict, what).items()}
+
+
 @dataclass(frozen=True)
 class OperationalDomain:
     """Axis-aligned interval box over named environment variables.
@@ -53,9 +93,9 @@ class OperationalDomain:
         for name, (low, high) in self.bounds.items():
             if name not in DOMAIN_VARIABLES:
                 raise ValidationError(f"a domain may bound only {DOMAIN_VARIABLES}, not {name!r}")
-            if low > high:
+            if not low <= high:  # NaN fails too
                 raise ValidationError(
-                    f"domain bound for {name!r} has low {low} > high {high}"
+                    f"domain bound {name!r} must be [low, high], low <= high, got [{low}, {high}]"
                 )
 
     def interval(self, name: str) -> tuple[float, float]:
@@ -88,17 +128,16 @@ class OperationalDomain:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "OperationalDomain":
-        if not isinstance(data, Mapping):
-            raise ValidationError(f"an operational domain must be an object, got {data!r}")
         bounds = {}
-        for name, pair in data.items():
-            if not (isinstance(pair, list) and len(pair) == 2) or any(
-                v is not None and (type(v) not in (int, float) or math.isnan(v)) for v in pair
-            ):
-                raise ValidationError(f"domain bound {name!r} must be [low, high], number or null")
-            low = _NEG_INF if pair[0] is None else float(pair[0])
-            high = _POS_INF if pair[1] is None else float(pair[1])
-            bounds[name] = (low, high)
+        for name, pair in json_value(data, dict, "an operational domain").items():
+            try:
+                low, high = json_value(pair, list, name)
+                bounds[name] = (_NEG_INF if low is None else json_number(low, name),
+                                _POS_INF if high is None else json_number(high, name))
+            except ValueError:  # a reader's ValidationError, or not two items
+                raise ValidationError(
+                    f"domain bound {name!r} must be [low, high], number or null"
+                ) from None
         return cls(bounds)
 
 
@@ -147,9 +186,10 @@ class SystemConfiguration:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SystemConfiguration":
+        data = json_value(data, dict, "initial_configuration")
         return cls(
-            controller_kind=data["controller_kind"],
-            parameters={k: float(v) for k, v in data["parameters"].items()},
+            controller_kind=json_value(data.get("controller_kind"), str, "controller_kind"),
+            parameters=json_numbers(data.get("parameters"), "parameters"),
         )
 
 
@@ -174,6 +214,9 @@ class ParameterConstraint:
             raise ValidationError(
                 f"conditional constraint on {self.target!r} lacks a condition"
             )
+        for bound in (self.low, self.high, self.condition[1] if self.condition else None):
+            if bound is not None and not math.isfinite(bound):
+                raise ValidationError(f"constraint on {self.target!r} has a non-finite bound")
         if self.low is not None and self.high is not None and self.low > self.high:
             raise ValidationError(
                 f"constraint on {self.target!r} has low {self.low} > high {self.high}"
@@ -204,13 +247,20 @@ class ParameterConstraint:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ParameterConstraint":
-        condition = data.get("condition")
+        data = json_value(data, dict, "a parameter constraint")
+        low, high, condition = data.get("low"), data.get("high"), data.get("condition")
+        if condition is not None:
+            try:
+                guard, threshold = json_value(condition, list, "condition")
+                condition = (json_value(guard, str, "guard"), json_number(threshold, "threshold"))
+            except ValueError:  # a reader's ValidationError, or not two items
+                raise ValidationError("constraint 'condition' must be [name, threshold]") from None
         return cls(
-            kind=data["kind"],
-            target=data["target"],
-            low=data.get("low"),
-            high=data.get("high"),
-            condition=None if condition is None else (condition[0], float(condition[1])),
+            kind=json_value(data.get("kind"), str, "constraint 'kind'"),
+            target=json_value(data.get("target"), str, "constraint 'target'"),
+            low=None if low is None else json_number(low, "constraint 'low'"),
+            high=None if high is None else json_number(high, "constraint 'high'"),
+            condition=condition,
         )
 
 
@@ -230,6 +280,8 @@ class AdaptationOption:
     def __post_init__(self) -> None:
         for name, value in self.assignment.items():
             _check_finite(f"assignment {name!r}", value)
+        if self.design_rise_time is not None:
+            _check_finite("design_rise_time", self.design_rise_time)
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -246,14 +298,17 @@ class AdaptationOption:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "AdaptationOption":
-        domain = data.get("domain")
+        data = json_value(data, dict, "an adaptation option")
+        domain, rise = data.get("domain"), data.get("design_rise_time")
         return cls(
-            id=data["id"],
-            model_id=data["model_id"],
-            assignment={k: float(v) for k, v in data["assignment"].items()},
+            id=json_value(data.get("id"), str, "option 'id'"),
+            model_id=json_value(data.get("model_id"), str, "option 'model_id'"),
+            assignment=json_numbers(data.get("assignment"), "option 'assignment'"),
             domain=None if domain is None else OperationalDomain.from_dict(domain),
-            design_time_evidence=tuple(data.get("design_time_evidence", ())),
-            design_rise_time=data.get("design_rise_time"),
+            design_time_evidence=tuple(
+                json_ids(data.get("design_time_evidence", []), "design_time_evidence")
+            ),
+            design_rise_time=None if rise is None else json_number(rise, "design_rise_time"),
         )
 
 
@@ -301,17 +356,17 @@ class AdaptationModel:
     def from_dict(cls, data: Mapping[str, Any]) -> "AdaptationModel":
         from .taxonomy import AdaptationDescriptor
 
+        data = json_value(data, dict, "an adaptation model")
         options = data.get("options")
         return cls(
-            id=data["id"],
-            parameters=tuple(data["parameters"]),
-            constraints=tuple(
-                ParameterConstraint.from_dict(c) for c in data.get("constraints", ())
+            id=json_value(data.get("id"), str, "model 'id'"),
+            parameters=tuple(json_ids(data.get("parameters"), "model 'parameters'")),
+            constraints=tuple(ParameterConstraint.from_dict(c) for c in
+                              json_value(data.get("constraints", []), list, "'constraints'")),
+            descriptor=AdaptationDescriptor.from_dict(data.get("descriptor")),
+            options=None if options is None else tuple(
+                AdaptationOption.from_dict(o) for o in json_value(options, list, "'options'")
             ),
-            descriptor=AdaptationDescriptor.from_dict(data["descriptor"]),
-            options=None
-            if options is None
-            else tuple(AdaptationOption.from_dict(o) for o in options),
         )
 
 
@@ -368,8 +423,8 @@ class EnvironmentSample(_SampleFields):
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EnvironmentSample":
-        return cls(**{k: float(data[k]) for k in (
-            "time", "inflow_temp", "inflow_rate", "setpoint", "outflow_temp")})
+        data = json_value(data, dict, "a sample")
+        return cls(*[json_number(data.get(k), k) for k in cls._fields])
 
 
 @dataclass

@@ -15,13 +15,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .model import EnvironmentSample, SimulationFault, ValidationError
+from .model import EnvironmentSample, SimulationFault, ValidationError, json_number, json_value
 
 HAZARD_TEMP = 90.0  # degC, strict
 HAZARD_DURATION = 2.0  # s, strict
 
 # Guards float accumulation drift at the exact duration boundary.
 _EPS = 1e-6
+
+_PARAMS = ("volume", "density", "specific_heat", "max_power", "tick")
 
 
 @dataclass(frozen=True)
@@ -33,7 +35,7 @@ class PlantParams:
     tick: float = 0.1  # s
 
     def __post_init__(self) -> None:
-        for name in ("volume", "density", "specific_heat", "max_power", "tick"):
+        for name in _PARAMS:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValidationError(f"plant {name} must be positive, got {value!r}")
@@ -57,7 +59,8 @@ class PlantParams:
 
     @classmethod
     def from_dict(cls, data) -> "PlantParams":
-        return cls(**{k: float(v) for k, v in data.items()})
+        data = json_value(data, dict, "plant")
+        return cls(**{k: json_number(data[k], k) for k in _PARAMS if k in data})
 
 
 class PlantState(NamedTuple):
@@ -78,16 +81,6 @@ class GuardState(NamedTuple):
     enabled: bool = True
     tripped: bool = False
     trip_time: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class GuardOverrides:
-    power_zeroed: bool = False
-    valve_closed: bool = False
-
-
-_NO_OVERRIDES = GuardOverrides()
-_TRIPPED_OVERRIDES = GuardOverrides(power_zeroed=True, valve_closed=True)
 
 
 def plant_step(
@@ -136,20 +129,16 @@ def hazard_update(state: PlantState, params: PlantParams) -> PlantState:
     return PlantState(state.tank_temp, state.valve_open, 0.0, state.hazard_count, False)
 
 
-def guard_step(
-    guard: GuardState, state: PlantState, now: float = 0.0
-) -> tuple[GuardState, GuardOverrides]:
+def guard_step(guard: GuardState, state: PlantState, now: float = 0.0) -> GuardState:
     """Evaluate the independent safety monitor for one tick.
 
     The guard observes the previous tick's outflow temperature, so the
-    trip latency is exactly one tick. Once tripped it stays latched
-    (power zeroed, valve closed) until guard_reset.
+    trip latency is exactly one tick. Once tripped it stays latched until
+    guard_reset, and the caller zeroes the power and closes the valve.
     """
     if guard.enabled and not guard.tripped and state.outflow_temp > HAZARD_TEMP:
         guard = guard._replace(tripped=True, trip_time=now)
-    if guard.tripped:
-        return guard, _TRIPPED_OVERRIDES
-    return guard, _NO_OVERRIDES
+    return guard
 
 
 def guard_reset(guard: GuardState) -> GuardState:

@@ -5,9 +5,9 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence, Union
+from typing import Any, Callable, Iterator, Mapping, Sequence, Union
 
-from .model import ValidationError
+from .model import ValidationError, json_number, json_value
 
 
 def _check_points(points: Sequence[tuple[float, float]], what: str) -> None:
@@ -21,31 +21,13 @@ def _check_points(points: Sequence[tuple[float, float]], what: str) -> None:
         prev = t
 
 
-#: The types of a JSON number, matched by `type()` so that a bool is not one.
-_NUMBER = (int, float)
-
-
-def _number(value: Any, what: str) -> float:
-    """A JSON number as a float."""
-    if type(value) in _NUMBER:
-        try:
-            return float(value)
-        except OverflowError:  # an integer past the float range
-            pass
-    raise ValidationError(f"{what} must be a number in the float range, got {value!r:.40}")
-
-
-def _number_pairs(points: Any, what: str) -> tuple[tuple[float, float], ...]:
-    """A JSON list of [number, number] lists as float pairs."""
-    try:
-        if type(points) is list:
-            pairs = tuple([(float(t), float(v)) for t, v in points
-                           if type(t) in _NUMBER and type(v) in _NUMBER])
-            if len(pairs) == len(points):
-                return pairs
-    except (TypeError, ValueError, OverflowError):  # not a pair; an int past the float range
-        pass
-    raise ValidationError(f"{what}s must be a list of [number, number] lists in the float range")
+def _pairs(points: Any, what: str, second: Callable[[Any, str], Any] = json_number) -> tuple:
+    """A JSON list of [time, value] lists: a number, then a value read by ``second``."""
+    try:  # a JSON string or object that unpacks to two items holds no number
+        return tuple([(json_number(t, what), second(v, what))
+                      for t, v in json_value(points, list, what)])
+    except (TypeError, ValueError):  # a reader's ValidationError, or not two items
+        raise ValidationError(f"{what}s must be [time, value] lists in the float range") from None
 
 
 @dataclass(frozen=True)
@@ -55,7 +37,9 @@ class Trace:
     "hold" keeps each value until the next point (default); "linear"
     interpolates between points. Before the first point the first value
     applies, after the last point the last value applies. Every time and
-    value must be finite.
+    value must be finite. Times may repeat: from a repeated time on, the
+    last point at that time applies, except at the first point's own time,
+    where the first value still applies.
     """
 
     points: tuple[tuple[float, float], ...]
@@ -104,13 +88,13 @@ class Trace:
         return {"points": [list(p) for p in self.points], "interp": self.interp}
 
     @classmethod
-    def from_dict(cls, data: Union[Mapping[str, Any], Sequence[Any]]) -> "Trace":
-        if isinstance(data, Mapping):
-            points = data["points"]
-            interp = data.get("interp", "hold")
+    def from_dict(cls, data: Any, what: str = "trace point") -> "Trace":
+        if isinstance(data, Mapping):  # an object, or the bare list of points
+            points = data.get("points")
+            interp = json_value(data.get("interp", "hold"), str, "trace 'interp'")
         else:
             points, interp = data, "hold"
-        return cls(_number_pairs(points, "trace point"), interp)
+        return cls(_pairs(points, what), interp)
 
     @classmethod
     def constant(cls, value: float) -> "Trace":
@@ -119,6 +103,11 @@ class Trace:
 
 @dataclass(frozen=True)
 class Scenario:
+    """One run's inputs: setpoint steps, inflow traces, tick and run options.
+
+    Setpoint step times may repeat; the last step at a time wins.
+    """
+
     id: str
     duration: float
     setpoint_schedule: tuple[tuple[float, float], ...]
@@ -187,30 +176,23 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":
-        if not isinstance(data, dict):
-            raise ValidationError(f"a scenario must be a JSON object, got {type(data).__name__}")
-        seed, guard_enabled = data.get("seed", 0), data.get("guard_enabled", True)
-        triggers = data.get("manual_triggers", [])
-        if type(seed) is not int:  # a bool is not a seed
-            raise ValidationError(f"scenario seed must be an integer, got {seed!r}")
-        if type(guard_enabled) is not bool:
-            raise ValidationError(f"guard_enabled must be true or false, got {guard_enabled!r}")
-        if not (isinstance(triggers, list)
-                and all(type(p) is list and len(p) == 2 for p in triggers)):
-            raise ValidationError("manual triggers must be a list of [time, option id] lists")
+        data = json_value(data, dict, "a scenario")
         return cls(
-            id=data["id"],
-            tick=_number(data.get("tick", 0.1), "scenario tick"),
-            duration=_number(data["duration"], "scenario duration"),
-            setpoint_schedule=_number_pairs(data["setpoint_schedule"], "setpoint step"),
-            inflow_temp_trace=Trace.from_dict(data["inflow_temp_trace"]),
-            inflow_rate_trace=Trace.from_dict(data["inflow_rate_trace"]),
-            seed=seed,
-            guard_enabled=guard_enabled,
-            initial_tank_temp=_number(data.get("initial_tank_temp", 20.0), "initial_tank_temp"),
-            manual_triggers=tuple(
-                (_number(t, "manual trigger time"), str(o)) for t, o in triggers
+            id=json_value(data.get("id"), str, "scenario 'id'"),
+            tick=json_number(data.get("tick", 0.1), "scenario tick"),
+            duration=json_number(data.get("duration"), "scenario duration"),
+            setpoint_schedule=_pairs(data.get("setpoint_schedule"), "setpoint step"),
+            inflow_temp_trace=Trace.from_dict(data.get("inflow_temp_trace"),
+                                              "inflow_temp_trace point"),
+            inflow_rate_trace=Trace.from_dict(data.get("inflow_rate_trace"),
+                                              "inflow_rate_trace point"),
+            seed=json_value(data.get("seed", 0), int, "scenario seed"),
+            guard_enabled=json_value(data.get("guard_enabled", True), bool, "guard_enabled"),
+            initial_tank_temp=json_number(
+                data.get("initial_tank_temp", 20.0), "initial_tank_temp"
             ),
+            manual_triggers=_pairs(data.get("manual_triggers", []), "manual trigger",
+                                   lambda o, what: json_value(o, str, what)),
         )
 
 

@@ -7,7 +7,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .model import ValidationError
+from .model import ValidationError, json_number, json_value
 from .plant import HAZARD_TEMP
 
 # Absorbs float accumulation drift at the exact threshold boundary.
@@ -63,12 +63,10 @@ class SpiWindow:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SpiWindow":
-        return cls(
-            id=data.get("id", "near-limit"),
-            temp_threshold=float(data.get("temp_threshold", NEAR_LIMIT_FRACTION * HAZARD_TEMP)),
-            window=float(data.get("window", 3600.0)),
-            threshold=float(data.get("threshold", 60.0)),
-        )
+        data = json_value(data, dict, "an SPI window")
+        numbers = ("temp_threshold", "window", "threshold")
+        return cls(json_value(data.get("id", cls.id), str, "SPI 'id'"),
+                   **{k: json_number(data[k], k) for k in numbers if k in data})
 
 
 def spi_update(w: SpiWindow, outflow_temp: float) -> SpiWindow:

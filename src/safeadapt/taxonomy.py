@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping
 
-from .model import ValidationError
+from .model import ValidationError, json_value
 
 if TYPE_CHECKING:
     from .assurance import SafetyCase
@@ -60,6 +60,11 @@ class LifecycleMismatchError(ValueError):
         )
 
 
+#: The descriptor's optional flags, all false by default.
+_FLAGS = ("independence_argued", "options_enumerated_at_design_time",
+          "domain_constraints_declared", "runtime_assessment_declared", "case_in_knowledge_repo")
+
+
 @dataclass(frozen=True)
 class AdaptationDescriptor:
     """Structural facts about one adaptation model used for classification."""
@@ -95,15 +100,11 @@ class AdaptationDescriptor:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "AdaptationDescriptor":
-        return cls(**{k: data[k] for k in (
-            "affects_safety_critical",
-            "independence_argued",
-            "options_enumerated_at_design_time",
-            "design_time_safety",
-            "domain_constraints_declared",
-            "runtime_assessment_declared",
-            "case_in_knowledge_repo",
-        ) if k in data})
+        data = json_value(data, dict, "descriptor")
+        critical = json_value(data.get("affects_safety_critical"), bool, "affects_safety_critical")
+        safety = json_value(data.get("design_time_safety", "none"), str, "design_time_safety")
+        return cls(affects_safety_critical=critical, design_time_safety=safety,
+                   **{k: json_value(data.get(k, False), bool, k) for k in _FLAGS})
 
 
 @dataclass

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from safeadapt import assurance, harness, taxonomy
+from safeadapt import assurance, cli, harness, taxonomy
 from safeadapt.assurance import CaseNode, SafetyCase
 from safeadapt.cli import main
 from safeadapt.controller import PidConfig
@@ -303,11 +303,15 @@ class TestCli:
         ("type2", lambda case: _domain(case, [None, "x"]), "must be [low, high]"),
         ("type2", lambda case: _domain(case, [1.0]), "must be [low, high]"),
         ("type2", lambda case: _domain(case, [float("nan"), 1.0]), "must be [low, high]"),
+        ("type1", lambda case: _with(case, "evidence", "ev-b1", "produced_at", True),
+         "'produced_at'"),
+        ("type1", lambda case: {**case, "revision": True}, "'revision'"),
     ], ids=[
         "node-key", "evidence-key", "nodes-list", "root-list", "list-document",
         "node-number", "children-number", "children-string", "revision-string",
         "produced-at-string", "snapshot-number",
         "domain-number", "bound-number", "bound-string", "bound-single", "bound-nan",
+        "produced-at-bool", "revision-bool",
     ])
     def test_check_case_rejects_malformed_case(
         self, tmp_path, capsys, corpus, corrupt, fault
@@ -348,6 +352,21 @@ class TestCli:
         ])
         assert code == 3
         assert json.loads(capsys.readouterr().out)["verdict"] == "fail"
+
+    def test_key_error_inside_a_run_is_not_caught(self, tmp_path, monkeypatch):
+        # Only input errors exit 2; a bug in a run keeps its traceback.
+        def broken_run(scenario, system):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(cli, "run_scenario", broken_run)
+        with pytest.raises(KeyError, match="bug"):
+            main([
+                "simulate",
+                "--scenario", str(CORPUS_DIR / "type0_scenario.json"),
+                "--system", str(CORPUS_DIR / "type0_system.json"),
+                "--out", str(tmp_path / "trace.csv"),
+                "--report", str(tmp_path / "report.json"),
+            ])
 
     def test_missing_file_is_a_validation_error(self, tmp_path, capsys):
         code = main([
@@ -432,6 +451,33 @@ class TestCli:
             ("type3", lambda s: s.update(initial_configuration={
                 "controller_kind": "pid", "parameters": {"kp": 50.0, "ki": 0.5, "kd": 0.0},
             }) or s.pop("net_controller"), "needs a net_controller"),
+            # Exact JSON types: a bool is not a number, a float not an integer.
+            ("type0", lambda s: s["plant"].update(volume="abc"), "volume"),
+            ("type0", lambda s: s["plant"].update(volume=True), "volume"),
+            ("type0", lambda s: s.update(plant=[1]), "plant"),
+            ("type0", lambda s: s["initial_configuration"]["parameters"].update(kp="x"), "kp"),
+            ("type0", lambda s: s["initial_configuration"].update(parameters=[1]), "parameters"),
+            ("type0", lambda s: s.update(adaptation_models=3), "adaptation_models"),
+            ("type1", lambda s: s.update(baseline_option_id=5), "baseline_option_id"),
+            ("type1", lambda s: s["goal"].update(rise_time_limit="a"), "rise_time_limit"),
+            ("type1", lambda s: s["goal"].update(rise_time_limit=float("nan")), "goal limits"),
+            ("type2", lambda s: s["admission_policy"].update(min_samples=2.5), "'min_samples'"),
+            ("type2", lambda s: s["admission_policy"].update(confidence_z="a"), "'confidence_z'"),
+            ("type3", lambda s: s["spi_windows"][0].update(window="a"), "window must be"),
+            ("type3", lambda s: s.update(spi_windows={"a": 1}), "spi_windows"),
+            ("type3", lambda s: s["net_controller"].update(weights="ab"), "'weights'"),
+            ("type3", lambda s: s["net_controller"].pop("weights"), "'weights'"),
+            ("type3", lambda s: s["net_controller"].update(layer_sizes=[4.5]), "layer size"),
+            ("type0", lambda s: s["adaptation_models"][0]["descriptor"].update(
+                affects_safety_critical="no"), "affects_safety_critical"),
+            ("type0", lambda s: s["adaptation_models"][0].update(descriptor="x"), "descriptor"),
+            ("type1", lambda s: s["adaptation_models"][0]["options"][0].update(
+                design_rise_time="fast"), "design_rise_time"),
+            ("type0", lambda s: s.pop("initial_configuration"), "initial_configuration"),
+            # A suite scenario whose tick the plant cannot step.
+            ("type3", lambda s: s["assessment_scenarios"][0].update(tick=0.6), "tick"),
+            # A case path that names a directory.
+            ("type1", lambda s: s.update(safety_case_path=""), "Is a directory"),
         ]:
             system = json.loads((CORPUS_DIR / f"{corpus}_system.json").read_text())
             system["safety_case_path"] = str(CORPUS_DIR / f"{corpus}_case.json")
@@ -465,9 +511,11 @@ class TestCli:
         (lambda s: s["setpoint_schedule"][0].__setitem__(1, "x"), "setpoint step"),
         (lambda s: s.update(seed="q"), "scenario seed"),
         (lambda s: [s], "a scenario must be a JSON object"),
+        (lambda s: s.__delitem__("duration"), "duration"),
     ], ids=["duration-nan", "duration-inf", "inflow-nan-value", "inflow-nan-time",
             "setpoint-nan", "inflow-rate-negative", "manual-trigger-nan", "trace-point-3-items",
-            "tick-string", "tick-int-overflow", "setpoint-string", "seed-string", "root-list"])
+            "tick-string", "tick-int-overflow", "setpoint-string", "seed-string", "root-list",
+            "duration-missing"])
     def test_malformed_scenario_fails_at_load(self, tmp_path, capsys, corrupt, fault):
         # Each is rejected when the scenario is loaded, before any tick runs.
         scenario = json.loads((CORPUS_DIR / "type2_scenario.json").read_text())

@@ -3,6 +3,7 @@ import math
 import random
 import statistics
 from collections import deque
+from dataclasses import replace
 
 import pytest
 
@@ -296,6 +297,7 @@ class TestProposeCandidate:
 def _reference_assessment_scenario(candidate, scenario, plant, goal):
     """The embedded simulation as it read its inputs by time, one lookup per tick."""
     tick = scenario.tick
+    plant = replace(plant, tick=tick)
     state = PlantState(tank_temp=scenario.initial_tank_temp)
     tracker = GoalTracker(goal)
     prev_temp = state.tank_temp
@@ -365,6 +367,19 @@ class TestAssessment:
                 for sc in suite.scenarios
             ]
         assert verdicts == {"pass", "fail"}
+
+    def test_plant_steps_at_the_scenario_tick(self):
+        step = Scenario(
+            id="coarse", duration=120.0, setpoint_schedule=((0.0, 40.0), (5.0, 60.0)),
+            inflow_temp_trace=Trace.constant(10.0), inflow_rate_trace=Trace.constant(0.02),
+            tick=0.2, guard_enabled=False, initial_tank_temp=40.0,
+        )
+        outcomes = [
+            assess_candidate(baseline_net(), AssessmentSuite((step,), plant, AdaptationGoal()))
+            for plant in (TYPE3_PLANT, replace(TYPE3_PLANT, tick=0.2))
+        ]
+        assert outcomes[0]["results"] == outcomes[1]["results"]
+        assert outcomes[0]["verdict"] == "pass"
 
     def test_spec_hash_is_stable_and_sensitive(self):
         a, b = baseline_net(), zero_spec([4])

@@ -136,31 +136,30 @@ class TestGuard:
         guard = GuardState(enabled=True)
         below = PlantState(tank_temp=89.0)
         above = PlantState(tank_temp=90.5)
-        guard, overrides = guard_step(guard, below, now=0.0)
-        assert not guard.tripped and not overrides.power_zeroed
-        guard, overrides = guard_step(guard, above, now=0.1)
+        guard = guard_step(guard, below, now=0.0)
+        assert not guard.tripped
+        guard = guard_step(guard, above, now=0.1)
         assert guard.tripped and guard.trip_time == 0.1
-        assert overrides.power_zeroed and overrides.valve_closed
 
     def test_never_trips_at_or_below_limit(self):
         guard = GuardState(enabled=True)
         for temp in (50.0, 89.9, 90.0):
-            guard, overrides = guard_step(guard, PlantState(tank_temp=temp))
+            guard = guard_step(guard, PlantState(tank_temp=temp))
             assert not guard.tripped
 
     def test_latched_after_cooldown_until_reset(self):
         guard = GuardState(enabled=True, tripped=True, trip_time=5.0)
-        guard, overrides = guard_step(guard, PlantState(tank_temp=50.0), now=100.0)
-        assert guard.tripped and overrides.valve_closed
+        guard = guard_step(guard, PlantState(tank_temp=50.0), now=100.0)
+        assert guard.tripped and guard.trip_time == 5.0
         guard = guard_reset(guard)
         assert not guard.tripped and guard.trip_time is None
-        guard, overrides = guard_step(guard, PlantState(tank_temp=50.0), now=100.1)
-        assert not overrides.power_zeroed
+        guard = guard_step(guard, PlantState(tank_temp=50.0), now=100.1)
+        assert not guard.tripped
 
     def test_disabled_guard_never_trips(self):
         guard = GuardState(enabled=False)
-        guard, overrides = guard_step(guard, PlantState(tank_temp=120.0))
-        assert not guard.tripped and not overrides.power_zeroed
+        guard = guard_step(guard, PlantState(tank_temp=120.0))
+        assert not guard.tripped
 
     def test_guard_caps_hazard_duration(self):
         # Once the valve closes, the over-limit-with-outflow condition
@@ -169,14 +168,14 @@ class TestGuard:
         guard = GuardState(enabled=True)
         state = PlantState(tank_temp=89.9)
         for k in range(100):
-            guard, overrides = guard_step(guard, state, now=k * 0.1)
-            if overrides.valve_closed and state.valve_open:
+            guard = guard_step(guard, state, now=k * 0.1)
+            if guard.tripped and state.valve_open:
                 state = PlantState(
                     tank_temp=state.tank_temp, valve_open=False,
                     hazard_accum=state.hazard_accum, hazard_count=state.hazard_count,
                     episode_counted=state.episode_counted,
                 )
-            power = 0.0 if overrides.power_zeroed else params.max_power
+            power = 0.0 if guard.tripped else params.max_power
             state = plant_step(state, params, _env(rate=0.001, t=k * 0.1), power)
             state = hazard_update(state, params)
         assert state.hazard_count == 0

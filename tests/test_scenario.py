@@ -74,6 +74,13 @@ def test_cursors_on_hand_cases():
     assert list(Trace(POINTS).values(0, tick)) == []
 
 
+def test_repeated_first_time():
+    # A trace keeps its first value at its first time; a setpoint step's last one wins.
+    trace = Trace(((0.0, 1.0), (0.0, 2.0)))
+    assert [trace.value_at(t) for t in (0.0, 0.1)] == list(trace.values(2, 0.1)) == [1.0, 2.0]
+    assert _scenario(setpoint_schedule=((0.0, 40.0), (0.0, 45.0))).setpoint_at(0.0) == 45.0
+
+
 TICKS = st.sampled_from([0.05, 0.1, 0.3]) | st.floats(0.01, 0.5)
 VALUES = st.floats(-100.0, 100.0, allow_nan=False)
 
