@@ -18,7 +18,6 @@ walks the whole tree and stays the reference.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -27,6 +26,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Un
 from . import spi
 from .model import (
     OperationalDomain, UNBOUNDED_DOMAIN, ValidationError, json_ids, json_number, json_value,
+    read_json, write_json,
 )
 
 if TYPE_CHECKING:
@@ -243,20 +243,25 @@ class SafetyCase:
             root=json_value(data.get("root"), str, "case 'root'"),
             evidence={eid: EvidenceItem.from_dict(ed) for eid, ed in evidence.items()},
             revision=json_value(data.get("revision", 0), int, "case 'revision'"),
-            snapshots=[tuple(json_value(s, list, "case 'snapshots'"))
-                       for s in json_value(data.get("snapshots", []), list, "case 'snapshots'")],
+            snapshots=[_snapshot(s) for s in
+                       json_value(data.get("snapshots", []), list, "case 'snapshots'")],
         )
 
 
+def _snapshot(entry: Any) -> tuple[int, float, str]:
+    """A case 'snapshots' entry, ``[revision, time, cause]`` as ``adapt_case`` writes it."""
+    if type(entry) is list and len(entry) == 3 and math.isfinite(json_number(entry[1], "time")):
+        return (json_value(entry[0], int, "a revision"), float(entry[1]),
+                json_value(entry[2], str, "a cause"))
+    raise ValidationError(f"case 'snapshots' holds [revision, time, cause], got {entry!r:.40}")
+
+
 def load_case(path: Union[str, Path]) -> SafetyCase:
-    with open(path, encoding="utf-8") as fh:
-        return SafetyCase.from_dict(json.load(fh))
+    return SafetyCase.from_dict(read_json(path))
 
 
 def save_case(case: SafetyCase, path: Union[str, Path]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(case.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, case.to_dict())
 
 
 # --- run-time predicates ----------------------------------------------------

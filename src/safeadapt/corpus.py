@@ -7,7 +7,6 @@ assessment with SPI-triggered fail-safe.
 """
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Optional, Union
 
@@ -20,6 +19,7 @@ from .model import (
     OperationalDomain,
     ParameterConstraint,
     SystemConfiguration,
+    write_json,
 )
 from .plant import PlantParams
 from .scenario import Scenario, Trace, save_scenario
@@ -522,9 +522,7 @@ def write_corpus(directory: Union[str, Path]) -> list[Path]:
         payload = system.to_dict()
         del payload["safety_case"]
         payload["safety_case_path"] = case_path.name
-        with open(system_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(system_path, payload)
         scenario_path = directory / f"{name}_scenario.json"
         save_scenario(scenario_fn(), scenario_path)
         written.extend((system_path, case_path, scenario_path))

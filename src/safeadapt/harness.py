@@ -17,11 +17,10 @@ immutable tuples.
 """
 from __future__ import annotations
 
-import json
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Callable, Mapping, Optional, Union
 
 from . import taxonomy
 from .assurance import SafetyCase, current_constraints, evaluate_validity, load_case
@@ -47,6 +46,7 @@ from .mapek import (
     spec_hash,
 )
 from .model import (
+    AdaptationModel,
     EnvironmentSample,
     KnowledgeRepository,
     SystemConfiguration,
@@ -54,8 +54,9 @@ from .model import (
     domain_subset,
     history_capacity,
     json_value,
+    read_json,
+    write_json,
 )
-from .model import AdaptationModel
 from .plant import GuardState, PlantParams, PlantState, guard_step, hazard_update, plant_step
 from .scenario import Scenario
 from .spi import SpiWindow, spi_breached, spi_update
@@ -152,14 +153,11 @@ class SystemDescription:
 
 def load_system(path: Union[str, Path]) -> SystemDescription:
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        return SystemDescription.from_dict(json.load(fh), base_dir=path.parent)
+    return SystemDescription.from_dict(read_json(path), base_dir=path.parent)
 
 
 def save_system(system: SystemDescription, path: Union[str, Path]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(system.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, system.to_dict())
 
 
 TRACE_HEADER = (
@@ -168,8 +166,22 @@ TRACE_HEADER = (
     "case_revision,case_valid"
 )
 
-#: One trace row; bools print through ``%d`` as 1/0.
-_ROW = "%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%d,%s,%.6f,%s,%d,%.6f,%s,%d"
+#: One trace row: ``t`` to ``power`` change every tick, the tail seldom. Bools print as 1/0.
+_ROW_HEAD, _ROW_TAIL = "%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,", "%d,%s,%.6f,%s,%d,%.6f,%s,%d"
+
+
+def _row_formatter() -> Callable[[tuple, tuple], str]:
+    """A run's ``row(head, tail) == _ROW_HEAD % head + _ROW_TAIL % tail``, formatting the tail
+    only when it changes by ``==``, which holds -0.0 equal to 0.0. The tail's floats are never
+    -0.0: ``hazard_accum`` and the SPI duration are 0.0 literals or sums of positive ticks."""
+    memo: list = [None, ""]
+
+    def row(head: tuple, tail: tuple) -> str:
+        if tail != memo[0]:
+            memo[:] = tail, _ROW_TAIL % tail
+        return _ROW_HEAD % head + memo[1]
+
+    return row
 
 
 @dataclass
@@ -185,17 +197,7 @@ class RunReport:
     runtime_criteria: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "scenario_id": self.scenario_id,
-            "hazard_count": self.hazard_count,
-            "guard_trips": self.guard_trips,
-            "decisions": list(self.decisions),
-            "rise_times": list(self.rise_times),
-            "spi_breaches": self.spi_breaches,
-            "taxonomy_verdicts": list(self.taxonomy_verdicts),
-            "case_validity_timeline": list(self.case_validity_timeline),
-            "runtime_criteria": dict(self.runtime_criteria),
-        }
+        return asdict(self)
 
     def clean(self) -> bool:
         """No hazards and every obligation discharged (CI gate)."""
@@ -248,7 +250,7 @@ def run_scenario(
     spi_windows = repo.spi_windows  # reset in place by fail_safe, never rebound
 
     report = RunReport(scenario_id=scenario.id)
-    rows = [TRACE_HEADER]
+    rows, row = [TRACE_HEADER], _row_formatter()
     pending_manual = sorted(scenario.manual_triggers)
     manual_index = 0
     last_adaptation_time = -1e18
@@ -395,12 +397,9 @@ def run_scenario(
                 "valid": validity["valid"],
             })
         spi_near = spi_windows[0].accumulated() if spi_windows else 0.0
-        rows.append(_ROW % (
-            t, inflow_temp, inflow_rate, setpoint, outflow_temp, power,
-            state.valve_open, repo.active_option_id, state.hazard_accum,
-            state.hazard_count, guard.tripped, spi_near, repo.safety_case.revision,
-            validity["valid"],
-        ))
+        rows.append(row((t, inflow_temp, inflow_rate, setpoint, outflow_temp, power), (
+            state.valve_open, repo.active_option_id, state.hazard_accum, state.hazard_count,
+            guard.tripped, spi_near, repo.safety_case.revision, validity["valid"])))
 
     report.hazard_count = state.hazard_count
     report.rise_times = [dict(e) for e in tracker.events]
@@ -426,6 +425,4 @@ def emit_trace(rows: list[str], path: Union[str, Path]) -> None:
 
 
 def save_report(report: RunReport, path: Union[str, Path]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, report.to_dict())

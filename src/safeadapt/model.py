@@ -6,10 +6,12 @@ that the managing system reads and writes.
 """
 from __future__ import annotations
 
+import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Optional
+from pathlib import Path
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Optional, Union
 
 if TYPE_CHECKING:
     from .assurance import SafetyCase
@@ -78,6 +80,22 @@ def json_ids(value: Any, what: str) -> list[str]:
 def json_numbers(value: Any, what: str) -> dict[str, float]:
     """A JSON object of numbers, each as a float; a bad value's message names its key."""
     return {name: json_number(v, name) for name, v in json_value(value, dict, what).items()}
+
+
+def read_json(path: Union[str, Path]) -> Any:
+    """The JSON document in a file; bytes that are not UTF-8 JSON are a ValidationError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValidationError(f"{path}: {exc}") from None
+
+
+def write_json(path: Union[str, Path], data: Any) -> None:
+    """Write ``data`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,12 @@
 """Scenario definitions: environment schedules driving one simulation run."""
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence, Union
 
-from .model import ValidationError, json_number, json_value
+from .model import ValidationError, json_number, json_value, read_json, write_json
 
 
 def _check_points(points: Sequence[tuple[float, float]], what: str) -> None:
@@ -197,11 +196,8 @@ class Scenario:
 
 
 def load_scenario(path: Union[str, Path]) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
-        return Scenario.from_dict(json.load(fh))
+    return Scenario.from_dict(read_json(path))
 
 
 def save_scenario(scenario: Scenario, path: Union[str, Path]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, scenario.to_dict())

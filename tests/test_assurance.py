@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 from collections import deque
 
@@ -298,6 +299,15 @@ class TestSerialization:
         path = tmp_path / "case.json"
         save_case(case, path)
         assert load_case(path).to_dict() == case.to_dict()
+
+    def test_adapted_case_round_trips(self):
+        case = _dynamic_case()
+        for now, cause in ((5.0, "first"), (7, "second")):
+            case = adapt_case(case, [AttachEvidence("Sn1", _fresh_pass(f"ev-{cause}"))],
+                              now=now, cause=cause)
+        loaded = SafetyCase.from_dict(json.loads(json.dumps(case.to_dict())))
+        assert loaded == case
+        assert loaded.snapshots == [(1, 5.0, "first"), (2, 7.0, "second")]
 
     def test_render_text_shows_tree(self):
         text = render_text(_dynamic_case())

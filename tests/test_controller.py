@@ -1,8 +1,9 @@
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from safeadapt.controller import (
     NET_INPUT_COUNT,
@@ -14,6 +15,7 @@ from safeadapt.controller import (
     weight_count,
     zero_spec,
 )
+from safeadapt.mapek import MAX_LAYER_COUNT, MAX_LAYER_SIZE, WEIGHT_NOISE_SCALE, propose_candidate
 from safeadapt.model import SystemConfiguration, ValidationError
 
 
@@ -99,6 +101,60 @@ def _reference_net(spec, inputs, max_power):
         x = [math.tanh(v) for v in out]
     z = activations[-1][0]
     return (0.5 * (1.0 + math.tanh(0.5 * z))) * max_power
+
+
+def _matmul_net(spec, inputs, max_power):
+    """The forward pass through ``@`` and array-valued biases: the bit-exact oracle.
+
+    Unflattens the weights as ``NetControllerSpec.layers`` does, as views of one
+    float array, so that each matrix has the same layout in memory.
+    """
+    dims = (NET_INPUT_COUNT, *spec.layer_sizes, 1)
+    flat = np.array(spec.weights, dtype=float)
+    layers, pos = [], 0
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        matrix = flat[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out)
+        pos += fan_in * fan_out
+        layers.append((matrix, flat[pos:pos + fan_out]))
+        pos += fan_out
+    x = np.asarray(inputs, dtype=float)
+    for matrix, bias in layers[:-1]:
+        x = np.tanh(x @ matrix + bias)
+    matrix, bias = layers[-1]
+    z = float((x @ matrix + bias)[0])
+    level = 0.5 * (1.0 + math.tanh(0.5 * z))
+    return level * max_power
+
+
+@st.composite
+def _net_specs(draw):
+    """Every topology a Type III run can reach, with zero weights (``zero_spec``), weights
+    that ``propose_candidate`` has perturbed a number of times, or wider Gaussian weights."""
+    sizes = draw(st.lists(st.integers(1, MAX_LAYER_SIZE), min_size=1, max_size=MAX_LAYER_COUNT))
+    spec = zero_spec(sizes)
+    kind = draw(st.sampled_from(["zero", "proposed", "gaussian"]))
+    if kind == "proposed":
+        for seed in draw(st.lists(st.integers(0, 2 ** 32), min_size=1, max_size=40)):
+            candidate = propose_candidate(spec, seed)
+            if candidate.layer_sizes == spec.layer_sizes:  # the weight branch
+                spec = candidate
+    elif kind == "gaussian":
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        scale = draw(st.sampled_from([WEIGHT_NOISE_SCALE, 1.0, 4.0]))
+        spec = NetControllerSpec(spec.layer_sizes, tuple(
+            rng.gauss(0.0, scale) for _ in spec.weights))
+    return spec
+
+
+_net_inputs = st.tuples(*[st.floats(-300.0, 300.0)] * NET_INPUT_COUNT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_net_specs(), first=_net_inputs, second=_net_inputs)
+def test_forward_pass_is_bit_identical_to_the_matmul_oracle(spec, first, second):
+    # The first call builds the spec's cached layers, the second reads them.
+    for inputs in (first, second):
+        assert net_compute(spec, inputs, 10000.0) == _matmul_net(spec, inputs, 10000.0)
 
 
 class TestNet:

@@ -3,6 +3,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from safeadapt import assurance, cli, harness, taxonomy
 from safeadapt.assurance import CaseNode, SafetyCase
@@ -225,6 +226,29 @@ class TestRunScenario:
         assert all(len(r.split(",")) == arity for r in rows)
 
 
+#: A trace row as one format string: the reference for the head/tail formatter.
+_ROW = "%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%d,%s,%.6f,%s,%d,%.6f,%s,%d"
+
+_row_head = st.tuples(*[st.floats()] * 6)
+# hazard_accum and the SPI duration are never -0.0 in a run (see harness._row_formatter).
+_non_negative = st.floats(0.0, 1e6).map(abs)
+_row_tail = st.tuples(
+    st.booleans(), st.sampled_from(["", "opt-a", "baseline"]), _non_negative,
+    st.integers(0, 3), st.booleans(), _non_negative, st.integers(0, 5), st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tails=st.lists(_row_tail, min_size=1, max_size=4),
+       rows=st.lists(st.tuples(_row_head, st.integers(0, 3)), max_size=40))
+def test_row_formatter_matches_the_one_string_row(tails, rows):
+    # Rows draw from a few tails, so a tail repeats (as an equal copy) and changes.
+    row = harness._row_formatter()
+    for head, pick in rows:
+        tail = tuple(list(tails[pick % len(tails)]))
+        assert row(head, tail) == _ROW % (*head, *tail)
+
+
 class TestSystemFiles:
     def test_save_load_round_trip(self, tmp_path):
         system = type3_system()
@@ -297,6 +321,11 @@ class TestCli:
         ("type1", lambda case: _with(case, "evidence", "ev-b1", "produced_at", "x"),
          "'produced_at'"),
         ("type1", lambda case: {**case, "snapshots": [5]}, "'snapshots'"),
+        ("type1", lambda case: {**case, "snapshots": [[float("nan"), True]]}, "'snapshots'"),
+        ("type1", lambda case: {**case, "snapshots": [[1, float("nan"), "x"]]}, "'snapshots'"),
+        ("type1", lambda case: {**case, "snapshots": [[1, "5", "x"]]}, "time"),
+        ("type1", lambda case: {**case, "snapshots": [[1.0, 5.0, "x"]]}, "a revision"),
+        ("type1", lambda case: {**case, "snapshots": [[1, 5.0, None]]}, "a cause"),
         ("type2", lambda case: _with(case, "nodes", "C-DOM", "constraint", 5),
          "operational domain"),
         ("type2", lambda case: _domain(case, 5), "must be [low, high]"),
@@ -309,7 +338,8 @@ class TestCli:
     ], ids=[
         "node-key", "evidence-key", "nodes-list", "root-list", "list-document",
         "node-number", "children-number", "children-string", "revision-string",
-        "produced-at-string", "snapshot-number",
+        "produced-at-string", "snapshot-number", "snapshot-pair", "snapshot-nan-time",
+        "snapshot-string-time", "snapshot-float-revision", "snapshot-null-cause",
         "domain-number", "bound-number", "bound-string", "bound-single", "bound-nan",
         "produced-at-bool", "revision-bool",
     ])

@@ -127,6 +127,23 @@ def test_round_trip(name, part):
     assert type(loaded).from_dict(json.loads(json.dumps(loaded.to_dict()))) == loaded
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"{\"a\": "], ids=["not-utf8", "not-json"])
+@pytest.mark.parametrize("part", ["system", "case", "scenario", "candidate"])
+def test_unreadable_file_exits_2_and_names_it(tmp_path, capsys, part, content):
+    path = tmp_path / f"{part}.json"
+    path.write_bytes(content)
+    system = str(CORPUS_DIR / "type3_system.json")
+    argv = {
+        "system": ["classify", "--system", str(path)],
+        "case": ["check-case", "--system", system, "--case", str(path)],
+        "scenario": ["simulate", "--scenario", str(path), "--system", system,
+                     "--out", str(tmp_path / "t.csv"), "--report", str(tmp_path / "r.json")],
+        "candidate": ["assess", "--system", system, "--candidate", str(path)],
+    }[part]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
 @pytest.mark.parametrize("value, kind", [
     (True, int), (1, bool), (1.0, int), ("1", int), (None, str), ([], dict), ({}, list),
 ])
