@@ -25,8 +25,8 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Un
 
 from . import spi
 from .model import (
-    OperationalDomain, UNBOUNDED_DOMAIN, ValidationError, json_ids, json_number, json_value,
-    read_json, write_json,
+    EnvironmentSample, OperationalDomain, UNBOUNDED_DOMAIN, ValidationError, json_ids, json_number,
+    json_value, read_json, write_json,
 )
 
 if TYPE_CHECKING:
@@ -348,7 +348,8 @@ def _freshness_check(runtime: Iterable[EvidenceItem]) -> Callable[[float, Any], 
 
 def _dynamic_node_check(node: CaseNode) -> Callable[[float, Any], bool]:
     """`_node_supported` of a dynamic context or assumption."""
-    bounds = [(name, *b) for name, b in (node.constraint or UNBOUNDED_DOMAIN).bounds.items()]
+    domain = node.constraint or UNBOUNDED_DOMAIN
+    bounds = [(EnvironmentSample._fields.index(name), *b) for name, b in domain.bounds.items()]
     predicate = PREDICATES.get(node.predicate)
 
     def check(now: float, knowledge: Any) -> bool:
@@ -356,8 +357,8 @@ def _dynamic_node_check(node: CaseNode) -> Callable[[float, Any], bool]:
             return predicate is None
         if knowledge.sample_history:
             sample = knowledge.sample_history[-1]
-            for name, low, high in bounds:
-                if not low <= getattr(sample, name) <= high:
+            for index, low, high in bounds:
+                if not low <= sample[index] <= high:
                     return False
         return predicate is None or predicate(knowledge, now)
     return check

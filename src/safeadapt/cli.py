@@ -17,7 +17,7 @@ from .harness import emit_trace, load_system, run_scenario, save_report
 from .mapek import assess_candidate
 from .model import SimulationFault, ValidationError, read_json
 from .scenario import load_scenario
-from .taxonomy import ClassificationError, LifecycleMismatchError, verdict_for
+from .taxonomy import ClassificationError, LifecycleMismatchError, all_discharged, verdict_for
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -46,12 +46,7 @@ def _emit_verdicts(system, case) -> int:
     ]
     json.dump(verdicts, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
-    discharged = all(
-        status == "discharged"
-        for verdict in verdicts
-        for status in verdict["discharge"].values()
-    )
-    return EXIT_OK if discharged else EXIT_UNSAFE
+    return EXIT_OK if all_discharged(verdicts) else EXIT_UNSAFE
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:

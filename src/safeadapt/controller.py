@@ -52,16 +52,17 @@ def pid_compute(
     """
     if tick <= 0:
         raise ValidationError(f"tick must be positive, got {tick}")
+    integral, prev_error = st
     error = setpoint - measured
-    derivative = (error - st.prev_error) / tick
-    tentative_integral = st.integral + error * tick
+    derivative = (error - prev_error) / tick
+    tentative_integral = integral + error * tick
     raw = cfg.kp * error + cfg.ki * tentative_integral + cfg.kd * derivative
     if 0.0 <= raw <= max_power:
-        return raw, PidState(integral=tentative_integral, prev_error=error)
+        return raw, tuple.__new__(PidState, (tentative_integral, error))
     # Saturated: freeze the integral and clamp the output.
-    raw = cfg.kp * error + cfg.ki * st.integral + cfg.kd * derivative
-    power = min(max(raw, 0.0), max_power)
-    return power, PidState(integral=st.integral, prev_error=error)
+    raw = cfg.kp * error + cfg.ki * integral + cfg.kd * derivative
+    power = 0.0 if raw < 0.0 else raw  # min(max(raw, 0.0), max_power), without the two calls
+    return (max_power if power > max_power else power), tuple.__new__(PidState, (integral, error))
 
 
 @dataclass(frozen=True)

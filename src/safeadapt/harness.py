@@ -17,6 +17,7 @@ immutable tuples.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -201,12 +202,7 @@ class RunReport:
 
     def clean(self) -> bool:
         """No hazards and every obligation discharged (CI gate)."""
-        if self.hazard_count > 0:
-            return False
-        for verdict in self.taxonomy_verdicts:
-            if any(v != "discharged" for v in verdict["discharge"].values()):
-                return False
-        return True
+        return self.hazard_count == 0 and taxonomy.all_discharged(self.taxonomy_verdicts)
 
 
 def run_scenario(
@@ -245,14 +241,16 @@ def run_scenario(
     use_pid = system.initial_config.controller_kind == "pid"
     pid, pid_state = PidConfig.from_configuration(repo.current_config), PidState()
     tracker = GoalTracker(goal)
-    prev_temp = state.tank_temp
-    outflow_temp = state.outflow_temp
+    # The post-hazard state, unpacked once per tick; the outflow is the tank temperature.
+    prev_temp = outflow_temp = state.outflow_temp
+    valve_open, tripped = state.valve_open, guard.tripped
     spi_windows = repo.spi_windows  # reset in place by fail_safe, never rebound
 
     report = RunReport(scenario_id=scenario.id)
     rows, row = [TRACE_HEADER], _row_formatter()
-    pending_manual = sorted(scenario.manual_triggers)
-    manual_index = 0
+    # The sentinel never fires: load-time checks make every trigger time finite.
+    manual_triggers = iter([*sorted(scenario.manual_triggers), (math.inf, "")])
+    next_manual, manual_option = next(manual_triggers)
     last_adaptation_time = -1e18
     last_assessment_time = -1e18
     next_type2_plan = 0.0
@@ -261,7 +259,7 @@ def run_scenario(
     activated_specs: list[str] = []
     last_domain = current_constraints(repo.safety_case) if type_id == "TII" else None
     monotone = True
-    last_timeline_key: Optional[tuple[int, bool]] = None
+    last_revision = last_valid = None
 
     def plan(trigger: AdaptationTrigger, t: float) -> Optional[AdaptationDecision]:
         """The one map from the primary model's type to its planner."""
@@ -304,6 +302,10 @@ def run_scenario(
         if decision.candidate_net is not None:
             activated_specs.append(spec_hash(decision.candidate_net))
 
+    # Bound once per run; each traced layer is still called through its module binding.
+    append_sample, append_row, max_power = repo.sample_history.append, rows.append, plant.max_power
+    observe, take_violation = tracker.observe, tracker.take_violation
+
     n = scenario.ticks()
     for k, setpoint, inflow_temp, inflow_rate in zip(
         range(n), scenario.setpoints(n, tick),
@@ -313,38 +315,38 @@ def run_scenario(
 
         # sense
         sample = EnvironmentSample(t, inflow_temp, inflow_rate, setpoint, outflow_temp)
-        repo.sample_history.append(sample)
-        tracker.observe(t, setpoint, outflow_temp)
+        append_sample(sample)
+        observe(t, setpoint, outflow_temp)
 
         # guard (observes the previous tick's outflow: one-tick latency)
-        was_tripped = guard.tripped
-        guard = guard_step(guard, state, now=t)
+        was_tripped = tripped
+        guard = guard_step(guard, state, t)
         tripped = guard.tripped  # a tripped guard closes the valve and zeroes the power
         if tripped and not was_tripped:
             report.guard_trips += 1
-        if tripped and state.valve_open:
+        if tripped and valve_open:
             state = state._replace(valve_open=False)
 
         # control
-        temp_rate = (state.tank_temp - prev_temp) / tick
+        temp_rate = (outflow_temp - prev_temp) / tick
         if use_pid:
             power, pid_state = pid_compute(
-                pid, pid_state, setpoint, outflow_temp, tick, plant.max_power,
+                pid, pid_state, setpoint, outflow_temp, tick, max_power,
             )
         else:
             power = net_compute(
                 repo.active_net,
                 (setpoint, outflow_temp, inflow_temp, inflow_rate, temp_rate),
-                plant.max_power,
+                max_power,
             )
         if tripped:
             power = 0.0
 
         # plant + hazard
-        prev_temp = state.tank_temp
+        prev_temp = outflow_temp
         state = plant_step(state, plant, sample, power)
         state = hazard_update(state, plant)
-        outflow_temp = state.outflow_temp
+        outflow_temp, valve_open, hazard_accum, hazard_count, _ = state
 
         # SPI
         for window in spi_windows:
@@ -365,12 +367,11 @@ def run_scenario(
                 model_id=primary_model.id if primary_model else "",
             ).to_dict())
         else:
-            while manual_index < len(pending_manual) and pending_manual[manual_index][0] <= t:
-                _, option_id = pending_manual[manual_index]
-                manual_index += 1
-                apply_decision(plan(AdaptationTrigger("manual", option_id), t), t)
+            while t >= next_manual:
+                apply_decision(plan(AdaptationTrigger("manual", manual_option), t), t)
+                next_manual, manual_option = next(manual_triggers)
 
-            violated = tracker.take_violation()
+            violated = take_violation()
             if type_id == "TI" and violated and t - last_adaptation_time >= ADAPTATION_COOLDOWN:
                 apply_decision(plan(_GOAL_VIOLATION, t), t)
             elif type_id == "TII" and t >= next_type2_plan:
@@ -387,19 +388,15 @@ def run_scenario(
                 apply_decision(plan(_GOAL_VIOLATION, t), t)
 
         # trace
-        validity = evaluate_validity(repo.safety_case, t, repo)
-        timeline_key = (repo.safety_case.revision, validity["valid"])
-        if timeline_key != last_timeline_key:
-            last_timeline_key = timeline_key
-            report.case_validity_timeline.append({
-                "time": t,
-                "revision": repo.safety_case.revision,
-                "valid": validity["valid"],
-            })
+        valid = evaluate_validity(repo.safety_case, t, repo)["valid"]
+        revision = repo.safety_case.revision
+        if valid != last_valid or revision != last_revision:
+            last_valid, last_revision = valid, revision
+            report.case_validity_timeline.append({"time": t, "revision": revision, "valid": valid})
         spi_near = spi_windows[0].accumulated() if spi_windows else 0.0
-        rows.append(row((t, inflow_temp, inflow_rate, setpoint, outflow_temp, power), (
-            state.valve_open, repo.active_option_id, state.hazard_accum, state.hazard_count,
-            guard.tripped, spi_near, repo.safety_case.revision, validity["valid"])))
+        append_row(row((t, inflow_temp, inflow_rate, setpoint, outflow_temp, power), (
+            valve_open, repo.active_option_id, hazard_accum, hazard_count,
+            tripped, spi_near, revision, valid)))
 
     report.hazard_count = state.hazard_count
     report.rise_times = [dict(e) for e in tracker.events]

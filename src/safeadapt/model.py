@@ -33,6 +33,9 @@ CONTROLLER_KINDS = ("pid", "parametric-net")
 #: The environment variables an operational domain may bound: fields of `EnvironmentSample`.
 DOMAIN_VARIABLES = ("inflow_temp", "inflow_rate")
 
+#: Seconds of samples a run's history ring keeps.
+HISTORY_HORIZON = 3600.0
+
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
 
@@ -431,13 +434,7 @@ class EnvironmentSample(_SampleFields):
         return {"inflow_temp": self.inflow_temp, "inflow_rate": self.inflow_rate}
 
     def to_dict(self) -> dict[str, float]:
-        return {
-            "time": self.time,
-            "inflow_temp": self.inflow_temp,
-            "inflow_rate": self.inflow_rate,
-            "setpoint": self.setpoint,
-            "outflow_temp": self.outflow_temp,
-        }
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EnvironmentSample":
@@ -471,6 +468,6 @@ class KnowledgeRepository:
         return self.sample_history[-1] if self.sample_history else None
 
 
-def history_capacity(tick: float, horizon: float = 3600.0) -> int:
+def history_capacity(tick: float, horizon: float = HISTORY_HORIZON) -> int:
     """Ring capacity covering at least ``horizon`` seconds at ``tick`` rate."""
     return max(1, int(round(horizon / tick)))

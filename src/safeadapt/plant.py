@@ -5,8 +5,10 @@ hazard of interest is outflowing water above 90 degC for more than 2 s;
 the guard is an independent safety monitor that latches power off and
 closes the valve when it observes an over-limit outflow temperature.
 
-The tick's values (`PlantState`, `GuardState`) are immutable tuples: each
-step returns a new one, and `._replace` derives a changed copy.
+The tick's values (`PlantState`, `GuardState`) are immutable tuples. A step unpacks its
+record once (CPython 3.11 does not specialise a `NamedTuple` field read) and builds the next
+with `tuple.__new__(PlantState, (...))`, every field in order, skipping the Python frame of
+the generated constructor.
 """
 from __future__ import annotations
 
@@ -49,13 +51,7 @@ class PlantParams:
         return self.density * self.specific_heat * self.volume
 
     def to_dict(self) -> dict:
-        return {
-            "volume": self.volume,
-            "density": self.density,
-            "specific_heat": self.specific_heat,
-            "max_power": self.max_power,
-            "tick": self.tick,
-        }
+        return {name: getattr(self, name) for name in _PARAMS}
 
     @classmethod
     def from_dict(cls, data) -> "PlantParams":
@@ -94,21 +90,22 @@ def plant_step(
     dT/dt = (q/V) (T_in - T) + P/(rho c V), with q = 0 while the valve
     is closed. ``power_in`` must already be clamped to [0, max_power].
     """
-    if not (math.isfinite(power_in) and math.isfinite(state.tank_temp)
-            and math.isfinite(env.inflow_temp) and math.isfinite(env.inflow_rate)):
+    tank_temp, valve_open, accum, count, counted = state
+    _, inflow_temp, inflow_rate, _, _ = env
+    if not (math.isfinite(power_in) and math.isfinite(tank_temp)
+            and math.isfinite(inflow_temp) and math.isfinite(inflow_rate)):
         raise SimulationFault("non-finite input to plant step")
     if not 0.0 <= power_in <= params.max_power:
         raise ValidationError(
             f"power {power_in} outside [0, {params.max_power}]"
         )
-    flow = env.inflow_rate if state.valve_open else 0.0
-    rate = (flow / params.volume) * (env.inflow_temp - state.tank_temp)
+    flow = inflow_rate if valve_open else 0.0
+    rate = (flow / params.volume) * (inflow_temp - tank_temp)
     rate += power_in / params.heat_capacity
-    new_temp = state.tank_temp + params.tick * rate
+    new_temp = tank_temp + params.tick * rate
     if not math.isfinite(new_temp):
         raise SimulationFault("non-finite tank temperature")
-    return PlantState(new_temp, state.valve_open, state.hazard_accum,
-                      state.hazard_count, state.episode_counted)
+    return tuple.__new__(PlantState, (new_temp, valve_open, accum, count, counted))
 
 
 def hazard_update(state: PlantState, params: PlantParams) -> PlantState:
@@ -118,15 +115,14 @@ def hazard_update(state: PlantState, params: PlantParams) -> PlantState:
     open; an episode is counted once, when its duration first exceeds
     2 s.
     """
-    if state.outflow_temp > HAZARD_TEMP and state.valve_open:
-        accum = state.hazard_accum + params.tick
-        count = state.hazard_count
-        counted = state.episode_counted
+    tank_temp, valve_open, accum, count, counted = state
+    if tank_temp > HAZARD_TEMP and valve_open:  # well mixed: the outflow is at tank temperature
+        accum += params.tick
         if not counted and accum > HAZARD_DURATION + _EPS:
             count += 1
             counted = True
-        return PlantState(state.tank_temp, state.valve_open, accum, count, counted)
-    return PlantState(state.tank_temp, state.valve_open, 0.0, state.hazard_count, False)
+        return tuple.__new__(PlantState, (tank_temp, valve_open, accum, count, counted))
+    return tuple.__new__(PlantState, (tank_temp, valve_open, 0.0, count, False))
 
 
 def guard_step(guard: GuardState, state: PlantState, now: float = 0.0) -> GuardState:
@@ -136,8 +132,9 @@ def guard_step(guard: GuardState, state: PlantState, now: float = 0.0) -> GuardS
     trip latency is exactly one tick. Once tripped it stays latched until
     guard_reset, and the caller zeroes the power and closes the valve.
     """
-    if guard.enabled and not guard.tripped and state.outflow_temp > HAZARD_TEMP:
-        guard = guard._replace(tripped=True, trip_time=now)
+    enabled, tripped, _ = guard
+    if enabled and not tripped and state.tank_temp > HAZARD_TEMP:  # the outflow, well mixed
+        return tuple.__new__(GuardState, (True, True, now))
     return guard
 
 

@@ -8,7 +8,7 @@ case actually discharges those obligations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from .model import ValidationError, json_value
 
@@ -117,9 +117,6 @@ class TaxonomyVerdict:
     required_obligations: list[str]
     discharge: dict[str, str]
 
-    def all_discharged(self) -> bool:
-        return all(v == "discharged" for v in self.discharge.values())
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "model_id": self.model_id,
@@ -128,6 +125,11 @@ class TaxonomyVerdict:
             "required_obligations": list(self.required_obligations),
             "discharge": dict(self.discharge),
         }
+
+
+def all_discharged(verdicts: Iterable[Mapping[str, Any]]) -> bool:
+    """True iff every obligation of every verdict (as `TaxonomyVerdict.to_dict`) is discharged."""
+    return all(status == "discharged" for v in verdicts for status in v["discharge"].values())
 
 
 def _criteria(descriptor: AdaptationDescriptor) -> dict[str, list[tuple[str, bool]]]:

@@ -406,7 +406,7 @@ def _freshness_edges(cases):
                 yield from (edge, math.nextafter(edge, math.inf))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     case=_random_cases(),
     times=st.lists(st.integers(0, 2400), min_size=1, max_size=12, unique=True),

@@ -149,7 +149,7 @@ def _net_specs(draw):
 _net_inputs = st.tuples(*[st.floats(-300.0, 300.0)] * NET_INPUT_COUNT)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(spec=_net_specs(), first=_net_inputs, second=_net_inputs)
 def test_forward_pass_is_bit_identical_to_the_matmul_oracle(spec, first, second):
     # The first call builds the spec's cached layers, the second reads them.

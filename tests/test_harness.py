@@ -20,6 +20,7 @@ from safeadapt.corpus import (
     type2_system,
     type3_scenario,
     type3_system,
+    write_corpus,
 )
 from safeadapt.harness import (
     TRACE_HEADER,
@@ -238,7 +239,7 @@ _row_tail = st.tuples(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(tails=st.lists(_row_tail, min_size=1, max_size=4),
        rows=st.lists(st.tuples(_row_head, st.integers(0, 3)), max_size=40))
 def test_row_formatter_matches_the_one_string_row(tails, rows):
@@ -255,6 +256,12 @@ class TestSystemFiles:
         path = tmp_path / "system.json"
         save_system(system, path)
         assert load_system(path).to_dict() == system.to_dict()
+
+    def test_write_corpus_reproduces_corpus_byte_for_byte(self, tmp_path):
+        written = write_corpus(tmp_path)
+        assert sorted(p.name for p in written) == sorted(p.name for p in CORPUS_DIR.iterdir())
+        for path in written:
+            assert path.read_bytes() == (CORPUS_DIR / path.name).read_bytes(), path.name
 
     def test_corpus_files_match_builders(self):
         for name, (system_fn, scenario_fn) in CORPUS.items():
@@ -542,10 +549,12 @@ class TestCli:
         (lambda s: s.update(seed="q"), "scenario seed"),
         (lambda s: [s], "a scenario must be a JSON object"),
         (lambda s: s.__delitem__("duration"), "duration"),
+        (lambda s: s.update(tick=1e-300), "passes the cap"),
+        (lambda s: s.update(duration=1e300), "passes the cap"),
     ], ids=["duration-nan", "duration-inf", "inflow-nan-value", "inflow-nan-time",
             "setpoint-nan", "inflow-rate-negative", "manual-trigger-nan", "trace-point-3-items",
             "tick-string", "tick-int-overflow", "setpoint-string", "seed-string", "root-list",
-            "duration-missing"])
+            "duration-missing", "tick-tiny", "duration-huge"])
     def test_malformed_scenario_fails_at_load(self, tmp_path, capsys, corrupt, fault):
         # Each is rejected when the scenario is loaded, before any tick runs.
         scenario = json.loads((CORPUS_DIR / "type2_scenario.json").read_text())

@@ -100,7 +100,7 @@ LOADERS = {"system": SystemDescription.from_dict, "case": SafetyCase.from_dict,
            "scenario": Scenario.from_dict}
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
 @given(mutated=mutated_documents())
 def test_one_mutation_loads_or_is_refused(tmp_path_factory, mutated):
     name, part, document, retyped = mutated

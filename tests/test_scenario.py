@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from safeadapt.model import ValidationError
-from safeadapt.scenario import Scenario, Trace
+from safeadapt.model import HISTORY_HORIZON, ValidationError
+from safeadapt.scenario import MAX_RUN_TICKS, Scenario, Trace
 
 POINTS = ((0.0, 1.0), (10.0, 2.0), (10.0, 3.0), (20.0, 4.0))
 SCHEDULE = ((5.0, 40.0), (10.0, 50.0), (10.0, 55.0), (20.0, 60.0))
@@ -100,7 +100,7 @@ def _points(draw, tick):
     return tuple((t, draw(VALUES)) for t in times)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(data=st.data(), tick=TICKS, interp=st.sampled_from(["hold", "linear"]),
        n=st.integers(0, 1500))
 def test_trace_cursor_equals_value_at(data, tick, interp, n):
@@ -109,7 +109,7 @@ def test_trace_cursor_equals_value_at(data, tick, interp, n):
     assert list(trace.values(n, tick)) == [trace.value_at(k * tick) for k in range(n)]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(data=st.data(), tick=TICKS, n=st.integers(0, 1500))
 def test_setpoint_cursor_equals_setpoint_at(data, tick, n):
     scenario = _scenario(setpoint_schedule=data.draw(_points(tick)))
@@ -137,14 +137,22 @@ def test_malformed_trace_rejected(points):
     dict(inflow_rate_trace=Trace(((0.0, 0.1), (5.0, -1.0)))),
     dict(manual_triggers=((math.nan, "opt-1"),)),
     dict(manual_triggers=((1.0, "opt-1"), (math.inf, "opt-2"))),
+    dict(duration=1e300), dict(duration=100_000.2), dict(tick=1e-300), dict(tick=5e-324),
+    dict(tick=0.003),
 ], ids=[
     "duration-nan", "duration-inf", "duration-negative", "tick-zero", "tick-negative",
     "tick-nan", "tick-inf", "initial-temp-nan", "setpoint-nan", "setpoint-time-nan",
     "setpoint-unsorted", "negative-inflow-rate", "manual-trigger-nan", "manual-trigger-inf",
+    "duration-huge", "ticks-past-cap", "tick-tiny", "tick-subnormal", "history-past-cap",
 ])
 def test_malformed_scenario_rejected(overrides):
     with pytest.raises(ValidationError):
         _scenario(**overrides)
+
+
+def test_run_at_the_tick_cap_loads():
+    assert _scenario(duration=MAX_RUN_TICKS * 0.1).ticks() == MAX_RUN_TICKS
+    assert _scenario(tick=HISTORY_HORIZON / MAX_RUN_TICKS).ticks() == 2778
 
 
 @pytest.mark.parametrize("points", [

@@ -10,6 +10,7 @@ from safeadapt.taxonomy import (
     DYNAMIC_OBLIGATIONS,
     LifecycleMismatchError,
     OBLIGATIONS,
+    all_discharged,
     check_obligations,
     classify,
     matched_criteria,
@@ -212,6 +213,15 @@ class TestCheckObligations:
                 assert after[obligation] == "discharged"
 
 
+@pytest.mark.parametrize("discharges, expected", [
+    ([], True),
+    ([{"a": "discharged"}, {}], True),
+    ([{"a": "discharged"}, {"b": "discharged", "c": "missing"}], False),
+])
+def test_all_discharged_needs_every_obligation_of_every_verdict(discharges, expected):
+    assert all_discharged([{"discharge": d} for d in discharges]) is expected
+
+
 def test_verdict_for_bundles_everything():
     class FakeModel:
         id = "m"
@@ -220,5 +230,5 @@ def test_verdict_for_bundles_everything():
     verdict = verdict_for(FakeModel(), _tii_case(), now=10.0)
     assert verdict.type == "TII"
     assert verdict.required_obligations == obligations_for("TII")
-    assert verdict.all_discharged()
+    assert all_discharged([verdict.to_dict()])
     assert verdict.to_dict()["model_id"] == "m"
