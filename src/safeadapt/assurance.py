@@ -13,8 +13,7 @@ A malformed case or an unknown predicate name raises StructuralError
 there (the CLI exits 2), never part way through a run.
 
 Validity is compiled once per case revision (see `evaluate_validity`), so
-a `SafetyCase` must not be mutated after construction. `support_map`
-walks the whole tree and stays the reference.
+a `SafetyCase` must not be mutated after construction.
 """
 from __future__ import annotations
 
@@ -78,9 +77,6 @@ class EvidenceItem:
             raise ValidationError(
                 f"design evidence {self.id!r} must have unlimited freshness"
             )
-
-    def fresh_at(self, now: float) -> bool:
-        return self.freshness is None or now - self.produced_at <= self.freshness
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -281,50 +277,6 @@ PREDICATES: dict[str, PredicateFn] = {
 
 # --- validity ---------------------------------------------------------------
 
-def _node_supported(
-    case: SafetyCase,
-    node: CaseNode,
-    now: float,
-    knowledge: Optional["KnowledgeRepository"],
-    support: dict[str, bool],
-) -> bool:
-    if node.kind == "solution":
-        if not node.evidence:
-            return False
-        items = [case.evidence[eid] for eid in node.evidence]
-        return all(ev.verdict == "pass" and ev.fresh_at(now) for ev in items)
-    if node.kind in ("context", "assumption"):
-        if node.lifecycle == "static":
-            return True
-        if node.constraint is not None and knowledge is not None:
-            sample = knowledge.latest_sample()
-            if sample is not None and not node.constraint.contains(sample.domain_values()):
-                return False
-        if node.predicate is not None:
-            if knowledge is None or not PREDICATES[node.predicate](knowledge, now):
-                return False
-        return True
-    # goal / strategy: conjunction over children (including attached
-    # contexts and assumptions).
-    return all(support[child] for child in node.children)
-
-
-def support_map(
-    case: SafetyCase, now: float, knowledge: Optional["KnowledgeRepository"] = None
-) -> dict[str, bool]:
-    """Per-node support, computed bottom-up over the tree."""
-    support: dict[str, bool] = {}
-
-    def visit(node_id: str) -> None:
-        node = case.node(node_id)
-        for child in node.children:
-            visit(child)
-        support[node_id] = _node_supported(case, node, now, knowledge, support)
-
-    visit(case.root)
-    return support
-
-
 @dataclass(frozen=True)
 class _ValidityPlan:
     """The nodes failing at every time, and a (check, failure closure) pair
@@ -340,14 +292,16 @@ def _freshness_check(runtime: Iterable[EvidenceItem]) -> Callable[[float, Any], 
 
     def check(now: float, knowledge: Any) -> bool:
         for produced_at, freshness in pairs:
-            if not now - produced_at <= freshness:  # `EvidenceItem.fresh_at`
+            if not now - produced_at <= freshness:  # fresh until produced_at + freshness, inclusive
                 return False
         return True
     return check
 
 
 def _dynamic_node_check(node: CaseNode) -> Callable[[float, Any], bool]:
-    """`_node_supported` of a dynamic context or assumption."""
+    """The support of a dynamic context or assumption: the latest sample lies in
+    its constraint (unchecked without knowledge or samples) and its predicate
+    holds (false without knowledge)."""
     domain = node.constraint or UNBOUNDED_DOMAIN
     bounds = [(EnvironmentSample._fields.index(name), *b) for name, b in domain.bounds.items()]
     predicate = PREDICATES.get(node.predicate)
@@ -391,20 +345,21 @@ def _compile_validity(case: SafetyCase) -> _ValidityPlan:
 
 def evaluate_validity(
     case: SafetyCase, now: float, knowledge: Optional["KnowledgeRepository"] = None
-) -> dict[str, Any]:
-    """Validity verdict: the case is valid iff its root goal is supported.
+) -> frozenset[str]:
+    """The ids of the nodes unsupported at ``now``; the case is valid iff its root is not one.
 
-    Equals `support_map`'s verdict, but runs only the checks of the plan
-    compiled on the case's first call, in `support_map`'s order."""
-    plan = case._plan or _compile_validity(case)
-    case._plan = plan
+    A solution is supported iff it has evidence and every item passes and is
+    fresh; a static context or assumption always is, a dynamic one as
+    `_dynamic_node_check` says; a goal or strategy iff all its children are.
+    The plan is compiled on the case's first call and stored on the case."""
+    plan = case._plan
+    if plan is None:
+        plan = case._plan = _compile_validity(case)
     failing = plan.const_failing
     for check, closure in plan.terms:
         if not check(now, knowledge):
             failing = failing | closure
-    if not failing:
-        return {"valid": True, "failing_nodes": []}
-    return {"valid": case.root not in failing, "failing_nodes": sorted(failing)}
+    return failing
 
 
 # --- adaptation patches -----------------------------------------------------
@@ -477,24 +432,3 @@ def current_constraints(case: SafetyCase) -> OperationalDomain:
 def nodes_discharging(case: SafetyCase, obligation: str) -> list[CaseNode]:
     return [n for n in case.nodes.values() if obligation in n.discharges]
 
-
-def render_text(case: SafetyCase) -> str:
-    """Indented plain-text tree for human review."""
-    lines: list[str] = [f"safety case (revision {case.revision})"]
-
-    def visit(node_id: str, depth: int) -> None:
-        node = case.node(node_id)
-        tags = ""
-        if node.discharges:
-            tags = " [" + ", ".join(sorted(node.discharges)) + "]"
-        lines.append(
-            f"{'  ' * depth}{node.kind}:{node.id} ({node.lifecycle}){tags} {node.text}"
-        )
-        for ev_id in node.evidence:
-            ev = case.evidence[ev_id]
-            lines.append(f"{'  ' * (depth + 1)}evidence:{ev.id} {ev.kind} {ev.verdict}")
-        for child in node.children:
-            visit(child, depth + 1)
-
-    visit(case.root, 0)
-    return "\n".join(lines) + "\n"

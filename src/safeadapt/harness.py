@@ -157,10 +157,6 @@ def load_system(path: Union[str, Path]) -> SystemDescription:
     return SystemDescription.from_dict(read_json(path), base_dir=path.parent)
 
 
-def save_system(system: SystemDescription, path: Union[str, Path]) -> None:
-    write_json(path, system.to_dict())
-
-
 TRACE_HEADER = (
     "t,inflow_temp,inflow_rate,setpoint,outflow_temp,power,valve_open,"
     "active_option,hazard_accum,hazard_count,guard_tripped,spi_near_limit,"
@@ -388,8 +384,9 @@ def run_scenario(
                 apply_decision(plan(_GOAL_VIOLATION, t), t)
 
         # trace
-        valid = evaluate_validity(repo.safety_case, t, repo)["valid"]
-        revision = repo.safety_case.revision
+        case = repo.safety_case
+        valid = case.root not in evaluate_validity(case, t, repo)
+        revision = case.revision
         if valid != last_valid or revision != last_revision:
             last_valid, last_revision = valid, revision
             report.case_validity_timeline.append({"time": t, "revision": revision, "valid": valid})

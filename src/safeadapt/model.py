@@ -131,13 +131,6 @@ class OperationalDomain:
         }
         return OperationalDomain(kept)
 
-    def contains(self, values: Mapping[str, float]) -> bool:
-        """True iff every bounded variable present in ``values`` is in range."""
-        for name, (low, high) in self.bounds.items():
-            if name in values and not (low <= values[name] <= high):
-                return False
-        return True
-
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {}
         for name, (low, high) in self.bounds.items():
@@ -430,9 +423,6 @@ class EnvironmentSample(_SampleFields):
             raise ValidationError(f"inflow rate must be >= 0, got {inflow_rate}")
         return tuple.__new__(cls, (time, inflow_temp, inflow_rate, setpoint, outflow_temp))
 
-    def domain_values(self) -> dict[str, float]:
-        return {"inflow_temp": self.inflow_temp, "inflow_rate": self.inflow_rate}
-
     def to_dict(self) -> dict[str, float]:
         return self._asdict()
 
@@ -463,9 +453,6 @@ class KnowledgeRepository:
     def __post_init__(self) -> None:
         if self.sample_history.maxlen is None or self.sample_history.maxlen < 1:
             raise ValidationError("sample history must be a bounded ring")
-
-    def latest_sample(self) -> Optional[EnvironmentSample]:
-        return self.sample_history[-1] if self.sample_history else None
 
 
 def history_capacity(tick: float, horizon: float = HISTORY_HORIZON) -> int:

@@ -129,15 +129,10 @@ def guard_step(guard: GuardState, state: PlantState, now: float = 0.0) -> GuardS
     """Evaluate the independent safety monitor for one tick.
 
     The guard observes the previous tick's outflow temperature, so the
-    trip latency is exactly one tick. Once tripped it stays latched until
-    guard_reset, and the caller zeroes the power and closes the valve.
+    trip latency is exactly one tick. Once tripped it stays latched for the
+    rest of the run, and the caller zeroes the power and closes the valve.
     """
     enabled, tripped, _ = guard
     if enabled and not tripped and state.tank_temp > HAZARD_TEMP:  # the outflow, well mixed
         return tuple.__new__(GuardState, (True, True, now))
     return guard
-
-
-def guard_reset(guard: GuardState) -> GuardState:
-    """Manual reset; the only way to clear the latch."""
-    return guard._replace(tripped=False, trip_time=None)

@@ -207,9 +207,9 @@ def check_obligations(
     the correct lifecycle carries it, ``missing`` when no node carries
     it, and ``unsupported-node`` when only unsupported nodes carry it.
     """
-    from .assurance import nodes_discharging, support_map
+    from .assurance import evaluate_validity, nodes_discharging
 
-    support = support_map(case, now, knowledge)
+    failing = evaluate_validity(case, now, knowledge)
     result: dict[str, str] = {}
     for obligation in obligations_for(verdict_type):
         required = "dynamic" if obligation in DYNAMIC_OBLIGATIONS else "static"
@@ -219,7 +219,7 @@ def check_obligations(
                 raise LifecycleMismatchError(obligation, node.id, node.lifecycle)
         if not carriers:
             result[obligation] = "missing"
-        elif any(support[n.id] for n in carriers):
+        elif any(n.id not in failing for n in carriers):
             result[obligation] = "discharged"
         else:
             result[obligation] = "unsupported-node"

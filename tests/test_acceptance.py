@@ -17,7 +17,7 @@ from safeadapt.assurance import (
     SafetyCase,
     StaticNodeError,
     adapt_case,
-    support_map,
+    evaluate_validity,
 )
 from safeadapt.corpus import CORPUS, type0_case, type0_model, type1_model
 from safeadapt.harness import run_scenario
@@ -360,14 +360,10 @@ def test_criterion_8_validity_semantics():
         # un-supports a node that was supported.
         if dynamics:
             counter += 1
-            before_support = support_map(case, now)
             grown = adapt_case(
                 case, [AttachEvidence(rng.choice(dynamics).id, fresh_item)], now=now
             )
-            after_support = support_map(grown, now)
-            for nid, supported in before_support.items():
-                if supported:
-                    ok = ok and after_support[nid]
+            ok = ok and evaluate_validity(grown, now) <= evaluate_validity(case, now)
             ok = ok and grown.revision == case.revision + 1
 
         # Freshness boundary: inclusive at exactly produced_at+freshness.
@@ -379,10 +375,15 @@ def test_criterion_8_validity_semantics():
             produced_at=rng.randint(0, 800) / 8.0,
             freshness=rng.randint(8, 800) / 8.0,
         )
+        argued = SafetyCase(
+            nodes={"G": CaseNode("G", "goal", children=["Sn"]),
+                   "Sn": CaseNode("Sn", "solution", evidence=["e"])},
+            root="G", evidence={"e": item},
+        )
         boundary = item.produced_at + item.freshness
-        ok = ok and item.fresh_at(boundary)
-        ok = ok and not item.fresh_at(boundary + 1e-3)
-        ok = ok and item.fresh_at(item.produced_at)
+        ok = ok and evaluate_validity(argued, boundary) == frozenset()
+        ok = ok and evaluate_validity(argued, boundary + 1e-3) == {"G", "Sn"}
+        ok = ok and evaluate_validity(argued, item.produced_at) == frozenset()
 
     ok = ok and counter >= 10_000
     _verdict(8, "validity semantics", ok)

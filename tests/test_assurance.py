@@ -19,9 +19,7 @@ from safeadapt.assurance import (
     current_constraints,
     evaluate_validity,
     load_case,
-    render_text,
     save_case,
-    support_map,
 )
 from safeadapt.corpus import type3_case
 from safeadapt.model import (
@@ -33,6 +31,8 @@ from safeadapt.model import (
     ValidationError,
 )
 from safeadapt.spi import SpiWindow
+from safeadapt.taxonomy import DYNAMIC_OBLIGATIONS, check_obligations, obligations_for
+from validity_oracle import support_map, unsupported
 
 COLD_FAST = OperationalDomain({"inflow_temp": (-10.0, 2.0), "inflow_rate": (0.2, 1.0)})
 PERMISSIVE = OperationalDomain({"inflow_temp": (-10.0, 40.0), "inflow_rate": (0.01, 1.0)})
@@ -73,9 +73,9 @@ class TestEvidence:
             EvidenceItem(id="e", kind="design-analysis", verdict="pass", freshness=10.0)
 
     def test_freshness_boundary_is_inclusive(self):
-        item = _fresh_pass(produced=0.0, freshness=100.0)
-        assert item.fresh_at(100.0)
-        assert not item.fresh_at(100.0001)
+        case = _single_goal_case(_fresh_pass(produced=0.0, freshness=100.0))
+        assert evaluate_validity(case, 100.0) == frozenset()
+        assert evaluate_validity(case, 100.0001) == {"G1", "Sn1"}
 
     def test_bad_kind_and_verdict(self):
         with pytest.raises(ValidationError):
@@ -87,19 +87,16 @@ class TestEvidence:
 class TestValidity:
     def test_fresh_pass_evidence_supports_root(self):
         case = _single_goal_case(_fresh_pass())
-        verdict = evaluate_validity(case, now=50.0)
-        assert verdict == {"valid": True, "failing_nodes": []}
+        assert evaluate_validity(case, now=50.0) == frozenset()
 
     def test_stale_evidence_fails_at_the_solution(self):
         case = _single_goal_case(_fresh_pass())
-        verdict = evaluate_validity(case, now=101.0)
-        assert not verdict["valid"]
-        assert "Sn1" in verdict["failing_nodes"]
+        assert evaluate_validity(case, now=101.0) == {"G1", "Sn1"}
 
     def test_fail_verdict_evidence_fails(self):
         item = EvidenceItem(id="ev1", kind="runtime-observation", verdict="fail",
                             produced_at=0.0, freshness=100.0)
-        assert not evaluate_validity(_single_goal_case(item), now=1.0)["valid"]
+        assert "G1" in evaluate_validity(_single_goal_case(item), now=1.0)
 
     def test_solution_without_evidence_is_unsupported(self):
         nodes = {
@@ -107,7 +104,7 @@ class TestValidity:
             "Sn1": CaseNode("Sn1", "solution"),
         }
         case = SafetyCase(nodes=nodes, root="G1")
-        assert not evaluate_validity(case, now=0.0)["valid"]
+        assert "G1" in evaluate_validity(case, now=0.0)
 
     def test_violated_constraint_context_invalidates(self):
         nodes = {
@@ -119,10 +116,9 @@ class TestValidity:
         case = SafetyCase(nodes=nodes, root="G1", evidence={"ev1": item})
 
         ok = evaluate_validity(case, 0.0, _repo_with_sample(case, inflow_temp=1.0))
-        assert ok["valid"]
+        assert ok == frozenset()
         bad = evaluate_validity(case, 0.0, _repo_with_sample(case, inflow_temp=5.0))
-        assert not bad["valid"]
-        assert "C1" in bad["failing_nodes"]
+        assert bad == {"G1", "C1"}
 
     def test_static_context_is_always_supported(self):
         nodes = {
@@ -130,7 +126,7 @@ class TestValidity:
             "C1": CaseNode("C1", "context", constraint=COLD_FAST),
         }
         case = SafetyCase(nodes=nodes, root="G1")
-        assert evaluate_validity(case, 0.0, _repo_with_sample(case, 30.0))["valid"]
+        assert evaluate_validity(case, 0.0, _repo_with_sample(case, 30.0)) == frozenset()
 
     def test_unknown_predicate_is_structural(self):
         nodes = {
@@ -142,7 +138,7 @@ class TestValidity:
 
     def test_goal_with_no_children_is_vacuously_supported(self):
         case = SafetyCase(nodes={"G1": CaseNode("G1", "goal")}, root="G1")
-        assert evaluate_validity(case, 0.0)["valid"]
+        assert evaluate_validity(case, 0.0) == frozenset()
 
 
 class TestStructure:
@@ -254,22 +250,20 @@ class TestAdaptCase:
     def test_pass_fresh_evidence_never_invalidates(self):
         case = _dynamic_case()
         repo = _repo_with_sample(case, inflow_temp=10.0)
-        assert evaluate_validity(case, 1.0, repo)["valid"]
+        assert evaluate_validity(case, 1.0, repo) == frozenset()
         new = adapt_case(case, [AttachEvidence("Sn1", _fresh_pass("extra", produced=1.0))])
         repo.safety_case = new
-        assert evaluate_validity(new, 1.0, repo)["valid"]
+        assert evaluate_validity(new, 1.0, repo) == frozenset()
 
     def test_evidence_monotone_in_verdicts(self):
         failing = EvidenceItem(id="ev1", kind="runtime-observation", verdict="fail",
                                produced_at=0.0, freshness=1e9)
         case = _dynamic_case()
-        case.evidence["ev1"] = failing
-        before = support_map(case, 1.0)
-        case.evidence["ev1"] = _fresh_pass("ev1", freshness=1e9)
-        after = support_map(case, 1.0)
-        for node_id, supported in before.items():
-            if supported:
-                assert after[node_id]
+        failed = SafetyCase(nodes=case.nodes, root=case.root,
+                            evidence={**case.evidence, "ev1": failing})
+        before = evaluate_validity(failed, 1.0)
+        assert before == {"G1", "G2", "Sn1"}
+        assert evaluate_validity(case, 1.0) <= before
 
 
 class TestConstraints:
@@ -309,26 +303,44 @@ class TestSerialization:
         assert loaded == case
         assert loaded.snapshots == [(1, 5.0, "first"), (2, 7.0, "second")]
 
-    def test_render_text_shows_tree(self):
-        text = render_text(_dynamic_case())
-        assert "goal:G1" in text
-        assert "evidence:ev1" in text
-
 
 # --- compiled validity against the support_map reference ---------------------
 
-def _reference_validity(case, now, repo):
-    support = support_map(case, now, repo)
-    failing = sorted(nid for nid, ok in support.items() if not ok)
-    return {"valid": support[case.root], "failing_nodes": failing}
+#: The obligations the random cases carry, split by the lifecycle that may carry them.
+_OBLIGATIONS = obligations_for("TII")
+_TAGS = {
+    "dynamic": [o for o in _OBLIGATIONS if o in DYNAMIC_OBLIGATIONS],
+    "static": [o for o in _OBLIGATIONS if o not in DYNAMIC_OBLIGATIONS],
+}
+
+
+def _reference_obligations(case, now, knowledge):
+    """`check_obligations("TII", ...)` with the oracle's support."""
+    support = support_map(case, now, knowledge)
+    result = {}
+    for obligation in _OBLIGATIONS:
+        carriers = [nid for nid, node in case.nodes.items() if obligation in node.discharges]
+        if not carriers:
+            result[obligation] = "missing"
+        elif any(support[nid] for nid in carriers):
+            result[obligation] = "discharged"
+        else:
+            result[obligation] = "unsupported-node"
+    return result
 
 
 @st.composite
 def _random_cases(draw):
     """Goals and strategies nested up to three levels, with solutions,
-    static and dynamic contexts and assumptions, and contexts with children."""
+    static and dynamic contexts and assumptions, and contexts with children.
+    Every node may discharge obligations of its lifecycle."""
     nodes, evidence = {}, {}
-    lifecycle = st.sampled_from(["static", "dynamic"])
+    lifecycles = st.sampled_from(["static", "dynamic"])
+
+    def node(node_id, kind, life=None, **fields):
+        life = life or draw(lifecycles)
+        tags = draw(st.sets(st.sampled_from(_TAGS[life]), max_size=2))
+        return CaseNode(node_id, kind, lifecycle=life, discharges=tags, **fields)
 
     def item(runtime, verdict):
         eid = f"ev{len(evidence)}"
@@ -351,14 +363,14 @@ def _random_cases(draw):
         else:
             # All-pass runtime items, each with its own produced_at and freshness.
             ev_ids = [item(True, "pass") for _ in range(draw(st.integers(2, 3)))]
-        nodes[sid] = CaseNode(sid, "solution", lifecycle=draw(lifecycle), evidence=ev_ids)
+        nodes[sid] = node(sid, "solution", evidence=ev_ids)
         return sid
 
     def context(depth):
         cid = f"C{len(nodes)}"
         nodes[cid] = None
         kind = draw(st.sampled_from(["context", "assumption"]))
-        life = draw(lifecycle)
+        life = draw(lifecycles)
         constraint = (
             draw(st.sampled_from([None, COLD_FAST, PERMISSIVE])) if kind == "context" else None
         )
@@ -366,8 +378,8 @@ def _random_cases(draw):
             draw(st.sampled_from([None, "spi-under-threshold"])) if life == "dynamic" else None
         )
         children = [goal(depth + 1)] if depth < 3 and draw(st.booleans()) else []
-        nodes[cid] = CaseNode(cid, kind, lifecycle=life, children=children,
-                              constraint=constraint, predicate=predicate)
+        nodes[cid] = node(cid, kind, life, children=children,
+                          constraint=constraint, predicate=predicate)
         return cid
 
     def goal(depth):
@@ -378,7 +390,7 @@ def _random_cases(draw):
             makers.append(lambda: goal(depth + 1))
         children = [draw(st.sampled_from(makers))() for _ in range(draw(st.integers(0, 3)))]
         kind = draw(st.sampled_from(["goal", "strategy"]))
-        nodes[gid] = CaseNode(gid, kind, lifecycle=draw(lifecycle), children=children)
+        nodes[gid] = node(gid, kind, children=children)
         return gid
 
     root = goal(1)
@@ -433,6 +445,9 @@ def test_compiled_validity_matches_support_map(case, times, inflow_temps, breach
         cases = [case, revised] if step >= len(nows) // 2 else [case]
         for current in cases:
             for knowledge in (repo, None):
-                assert evaluate_validity(current, now, knowledge) == _reference_validity(
+                assert evaluate_validity(current, now, knowledge) == unsupported(
                     current, now, knowledge
+                )
+                assert check_obligations("TII", current, now, knowledge) == (
+                    _reference_obligations(current, now, knowledge)
                 )

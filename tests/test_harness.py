@@ -27,12 +27,12 @@ from safeadapt.harness import (
     SystemDescription,
     load_system,
     run_scenario,
-    save_system,
 )
-from safeadapt.model import SystemConfiguration
+from safeadapt.model import SystemConfiguration, write_json
 from safeadapt.plant import PlantParams
 from safeadapt.scenario import Scenario, Trace, save_scenario
 from safeadapt.taxonomy import AdaptationDescriptor
+from validity_oracle import unsupported
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -197,29 +197,35 @@ class TestRunScenario:
         revisions = set()
 
         def checked(case, now, repo):
-            verdict = assurance.evaluate_validity(case, now, repo)
-            support = assurance.support_map(case, now, repo)
-            assert verdict == {
-                "valid": support[case.root],
-                "failing_nodes": sorted(n for n, ok in support.items() if not ok),
-            }
+            failing = assurance.evaluate_validity(case, now, repo)
+            assert failing == unsupported(case, now, repo)
             revisions.add(case.revision)
-            return verdict
+            return failing
 
         monkeypatch.setattr(harness, "evaluate_validity", checked)
         run_scenario(replace(scenario_fn(), duration=1200.0), system_fn())
         assert len(revisions) > 1  # a revision's plan was compiled part way through
 
-    def test_support_map_runs_only_for_end_of_run_verdicts(self, monkeypatch):
-        scenario, system = replace(type3_scenario(), duration=1200.0), type3_system()
-        calls = []
-        support_map = assurance.support_map
+    @pytest.mark.parametrize("system_fn, scenario_fn", [
+        (type2_system, type2_scenario),
+        (type3_system, type3_scenario),
+    ], ids=["type2", "type3"])
+    def test_validity_compiles_once_per_case_revision(
+        self, monkeypatch, system_fn, scenario_fn
+    ):
+        # The tick and the end-of-run verdicts share each revision's stored plan.
+        compiled, revisions = [], set()
+        compile_validity, evaluate = assurance._compile_validity, harness.evaluate_validity
         monkeypatch.setattr(
-            assurance, "support_map", lambda *a: calls.append(a) or support_map(*a)
+            assurance, "_compile_validity", lambda c: compiled.append(c) or compile_validity(c)
         )
-        _, report = run_scenario(scenario, system)
-        assert report.spi_breaches > 0
-        assert len(calls) == len(system.models)
+        monkeypatch.setattr(
+            harness, "evaluate_validity",
+            lambda case, *a: revisions.add(case.revision) or evaluate(case, *a),
+        )
+        run_scenario(replace(scenario_fn(), duration=1200.0), system_fn())
+        assert len(revisions) > 1
+        assert len(compiled) == len(revisions)
 
     def test_all_rows_have_header_arity(self, type1_run):
         rows, _ = type1_run
@@ -254,7 +260,7 @@ class TestSystemFiles:
     def test_save_load_round_trip(self, tmp_path):
         system = type3_system()
         path = tmp_path / "system.json"
-        save_system(system, path)
+        write_json(path, system.to_dict())
         assert load_system(path).to_dict() == system.to_dict()
 
     def test_write_corpus_reproduces_corpus_byte_for_byte(self, tmp_path):
@@ -423,7 +429,7 @@ class TestCli:
         )
         system = type1_system()
         system.models.append(rogue)
-        save_system(system, tmp_path / "system.json")
+        write_json(tmp_path / "system.json", system.to_dict())
         save_scenario(_flat_scenario(5.0), tmp_path / "scenario.json")
         code = main([
             "simulate",

@@ -205,7 +205,7 @@ class TestAdmission:
         assert (report.n, report.window_start, report.window_end) == (
             len(window), window[0].time, window[-1].time)
         for name, stats in report.variables.items():
-            values = [s.domain_values()[name] for s in window]
+            values = [getattr(s, name) for s in window]
             assert (stats["mean"], stats["stdev"], stats["min"], stats["max"]) == (
                 statistics.fmean(values), statistics.stdev(values), min(values), max(values))
 
@@ -543,4 +543,4 @@ class TestFailSafe:
         fail_safe(repo, now=1.0)
         fail_safe(repo, now=2.0)
         assert repo.active_option_id == "net-baseline"
-        assert evaluate_validity(repo.safety_case, 2.0, repo)["valid"]
+        assert evaluate_validity(repo.safety_case, 2.0, repo) == frozenset()

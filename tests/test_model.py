@@ -32,11 +32,6 @@ class TestOperationalDomain:
     def test_missing_variable_unbounded(self):
         assert UNBOUNDED_DOMAIN.interval("inflow_temp") == (-math.inf, math.inf)
 
-    def test_contains_checks_only_bounded_variables(self):
-        assert COLD_FAST.contains({"inflow_temp": 1.0, "inflow_rate": 0.5})
-        assert not COLD_FAST.contains({"inflow_temp": 5.0, "inflow_rate": 0.5})
-        assert COLD_FAST.contains({"setpoint": 1000.0})
-
     def test_round_trip(self):
         half_open = OperationalDomain({"inflow_temp": (-math.inf, 2.0)})
         for domain in (COLD_FAST, PERMISSIVE, UNBOUNDED_DOMAIN, half_open):
@@ -48,8 +43,8 @@ class TestOperationalDomain:
 
     @pytest.mark.parametrize("name", ["setpoint", "outflow_temp", "time", "inflow"])
     def test_only_sample_inputs_may_be_bounded(self, name):
-        # A constraint on any other name would be skipped by `contains` and
-        # read off the sample by `admission_test`.
+        # Validity and `admission_test` read each bound's variable off the
+        # sample, so a bound may name only an environment input.
         with pytest.raises(ValidationError, match="may bound only"):
             OperationalDomain({name: (0.0, 100.0)})
         with pytest.raises(ValidationError, match="may bound only"):

@@ -9,7 +9,6 @@ from safeadapt.plant import (
     HAZARD_TEMP,
     PlantParams,
     PlantState,
-    guard_reset,
     guard_step,
     hazard_update,
     plant_step,
@@ -148,13 +147,11 @@ class TestGuard:
             assert not guard.tripped
 
     def test_latched_after_cooldown_until_reset(self):
+        # Nothing resets the latch: a tripped guard stays tripped for the rest of the run.
         guard = GuardState(enabled=True, tripped=True, trip_time=5.0)
-        guard = guard_step(guard, PlantState(tank_temp=50.0), now=100.0)
-        assert guard.tripped and guard.trip_time == 5.0
-        guard = guard_reset(guard)
-        assert not guard.tripped and guard.trip_time is None
-        guard = guard_step(guard, PlantState(tank_temp=50.0), now=100.1)
-        assert not guard.tripped
+        for now in (100.0, 100.1):
+            guard = guard_step(guard, PlantState(tank_temp=50.0), now=now)
+            assert guard.tripped and guard.trip_time == 5.0
 
     def test_disabled_guard_never_trips(self):
         guard = GuardState(enabled=False)
