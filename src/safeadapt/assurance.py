@@ -279,48 +279,20 @@ PREDICATES: dict[str, PredicateFn] = {
 
 @dataclass(frozen=True)
 class _ValidityPlan:
-    """The nodes failing at every time, and a (check, failure closure) pair
-    per term whose support can change; the closure is the node and the
-    ancestors it reaches through goal/strategy parents."""
+    """The nodes failing at every time, and a term per runtime item, dynamic constraint bound
+    and dynamic predicate, with its closure: the node and its goal/strategy ancestors."""
 
     const_failing: frozenset[str]
-    terms: tuple[tuple[Callable[[float, Any], bool], frozenset[str]], ...]
-
-
-def _freshness_check(runtime: Iterable[EvidenceItem]) -> Callable[[float, Any], bool]:
-    pairs = tuple((ev.produced_at, ev.freshness) for ev in runtime)
-
-    def check(now: float, knowledge: Any) -> bool:
-        for produced_at, freshness in pairs:
-            if not now - produced_at <= freshness:  # fresh until produced_at + freshness, inclusive
-                return False
-        return True
-    return check
-
-
-def _dynamic_node_check(node: CaseNode) -> Callable[[float, Any], bool]:
-    """The support of a dynamic context or assumption: the latest sample lies in
-    its constraint (unchecked without knowledge or samples) and its predicate
-    holds (false without knowledge)."""
-    domain = node.constraint or UNBOUNDED_DOMAIN
-    bounds = [(EnvironmentSample._fields.index(name), *b) for name, b in domain.bounds.items()]
-    predicate = PREDICATES.get(node.predicate)
-
-    def check(now: float, knowledge: Any) -> bool:
-        if knowledge is None:
-            return predicate is None
-        if knowledge.sample_history:
-            sample = knowledge.sample_history[-1]
-            for index, low, high in bounds:
-                if not low <= sample[index] <= high:
-                    return False
-        return predicate is None or predicate(knowledge, now)
-    return check
+    freshness: tuple[tuple[float, float, frozenset[str]], ...]
+    bounds: tuple[tuple[int, float, float, frozenset[str]], ...]
+    predicates: tuple[tuple[PredicateFn, frozenset[str]], ...]
 
 
 def _compile_validity(case: SafetyCase) -> _ValidityPlan:
     const_failing: set[str] = set()
-    terms: list[tuple] = []
+    freshness: list[tuple] = []
+    bounds: list[tuple] = []
+    predicates: list[tuple] = []
 
     def visit(node_id: str, above: tuple[str, ...]) -> None:
         node = case.nodes[node_id]
@@ -330,17 +302,20 @@ def _compile_validity(case: SafetyCase) -> _ValidityPlan:
             visit(child, closure if node.kind in ("goal", "strategy") else ())
         if node.kind == "solution":
             items = [case.evidence[eid] for eid in node.evidence]
-            runtime = [ev for ev in items if ev.freshness is not None]
             if not items or any(ev.verdict != "pass" for ev in items):
                 const_failing.update(closure)
-            elif runtime:
-                terms.append((_freshness_check(runtime), frozenset(closure)))
+            else:
+                freshness.extend((ev.produced_at, ev.freshness, frozenset(closure))
+                                 for ev in items if ev.freshness is not None)
         elif node.kind in ("context", "assumption") and node.lifecycle == "dynamic":
-            if node.constraint is not None or node.predicate is not None:
-                terms.append((_dynamic_node_check(node), frozenset(closure)))
+            if node.constraint is not None:
+                bounds.extend((EnvironmentSample._fields.index(name), low, high, frozenset(closure))
+                              for name, (low, high) in node.constraint.bounds.items())
+            if node.predicate is not None:
+                predicates.append((PREDICATES[node.predicate], frozenset(closure)))
 
     visit(case.root, ())
-    return _ValidityPlan(frozenset(const_failing), tuple(terms))
+    return _ValidityPlan(frozenset(const_failing), *map(tuple, (freshness, bounds, predicates)))
 
 
 def evaluate_validity(
@@ -348,16 +323,27 @@ def evaluate_validity(
 ) -> frozenset[str]:
     """The ids of the nodes unsupported at ``now``; the case is valid iff its root is not one.
 
-    A solution is supported iff it has evidence and every item passes and is
-    fresh; a static context or assumption always is, a dynamic one as
-    `_dynamic_node_check` says; a goal or strategy iff all its children are.
-    The plan is compiled on the case's first call and stored on the case."""
+    A solution is supported iff it has evidence and every item passes and is fresh; a
+    static context or assumption always is; a dynamic one iff the newest sample lies in its
+    constraint (unchecked without knowledge or samples) and its predicate holds (false
+    without knowledge); a goal or strategy iff all its children are. The plan is compiled
+    on the case's first call and stored on the case."""
     plan = case._plan
     if plan is None:
         plan = case._plan = _compile_validity(case)
     failing = plan.const_failing
-    for check, closure in plan.terms:
-        if not check(now, knowledge):
+    for produced_at, freshness, closure in plan.freshness:
+        if not now - produced_at <= freshness:  # fresh until produced_at + freshness, inclusive
+            failing = failing | closure
+    if knowledge is None:  # every predicate fails unasked
+        return failing.union(*(closure for _, closure in plan.predicates))
+    if knowledge.sample_history:
+        sample = knowledge.sample_history[-1]
+        for index, low, high, closure in plan.bounds:
+            if not low <= sample[index] <= high:
+                failing = failing | closure
+    for predicate, closure in plan.predicates:
+        if not predicate(knowledge, now):
             failing = failing | closure
     return failing
 

@@ -23,6 +23,8 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Union
 
+import numpy as np
+
 from . import taxonomy
 from .assurance import SafetyCase, current_constraints, evaluate_validity, load_case
 from .controller import (
@@ -60,6 +62,7 @@ from .model import (
 )
 from .plant import GuardState, PlantParams, PlantState, guard_step, hazard_update, plant_step
 from .scenario import Scenario
+# Unused here (`spi_update` returns the breach); perfbench's tracer needs every binding it wraps.
 from .spi import SpiWindow, spi_breached, spi_update
 
 #: Planner cadence and damping, s.
@@ -68,6 +71,7 @@ ADAPTATION_COOLDOWN = 60.0
 TYPE3_ASSESS_COOLDOWN = 120.0
 
 _GOAL_VIOLATION = AdaptationTrigger("goal-violation")
+_TRACE_CHUNK = 1024  # rows joined per write: a run's trace is never held as one string
 
 
 @dataclass
@@ -201,6 +205,8 @@ class RunReport:
         return self.hazard_count == 0 and taxonomy.all_discharged(self.taxonomy_verdicts)
 
 
+# A net that overflows meets the tick's own finiteness checks; entered per run, not per net call.
+@np.errstate(over="ignore", invalid="ignore")
 def run_scenario(
     scenario: Scenario, system: SystemDescription
 ) -> tuple[list[str], RunReport]:
@@ -300,7 +306,7 @@ def run_scenario(
 
     # Bound once per run; each traced layer is still called through its module binding.
     append_sample, append_row, max_power = repo.sample_history.append, rows.append, plant.max_power
-    observe, take_violation = tracker.observe, tracker.take_violation
+    observe, take_violation, new_tuple = tracker.observe, tracker.take_violation, tuple.__new__
 
     n = scenario.ticks()
     for k, setpoint, inflow_temp, inflow_rate in zip(
@@ -309,8 +315,8 @@ def run_scenario(
     ):
         t = k * tick
 
-        # sense
-        sample = EnvironmentSample(t, inflow_temp, inflow_rate, setpoint, outflow_temp)
+        # sense, unchecked: load-time checks and Trace's interpolation keep t, inflow_rate >= 0
+        sample = new_tuple(EnvironmentSample, (t, inflow_temp, inflow_rate, setpoint, outflow_temp))
         append_sample(sample)
         observe(t, setpoint, outflow_temp)
 
@@ -344,10 +350,10 @@ def run_scenario(
         state = hazard_update(state, plant)
         outflow_temp, valve_open, hazard_accum, hazard_count, _ = state
 
-        # SPI
+        # SPI: every window takes the tick before a breach is acted on
+        breached = False
         for window in spi_windows:
-            spi_update(window, outflow_temp)
-        breached = any(map(spi_breached, spi_windows))
+            breached = spi_update(window, outflow_temp) or breached
 
         # MAPE: fail-safe preempts any planned adaptation this tick
         if breached:
@@ -367,8 +373,9 @@ def run_scenario(
                 apply_decision(plan(AdaptationTrigger("manual", manual_option), t), t)
                 next_manual, manual_option = next(manual_triggers)
 
-            violated = take_violation()
-            if type_id == "TI" and violated and t - last_adaptation_time >= ADAPTATION_COOLDOWN:
+            # Only Type I and Type III take the violation edge, each on every such tick.
+            if (type_id == "TI" and take_violation()
+                    and t - last_adaptation_time >= ADAPTATION_COOLDOWN):
                 apply_decision(plan(_GOAL_VIOLATION, t), t)
             elif type_id == "TII" and t >= next_type2_plan:
                 next_type2_plan = t + TYPE2_PLAN_INTERVAL
@@ -377,7 +384,7 @@ def run_scenario(
                     if decision.applied:
                         apply_decision(decision, t)
             elif (
-                type_id == "TIII" and violated and suite is not None
+                type_id == "TIII" and take_violation() and suite is not None
                 and t - last_assessment_time >= TYPE3_ASSESS_COOLDOWN
             ):
                 last_assessment_time = t
@@ -412,10 +419,11 @@ def run_scenario(
 
 
 def emit_trace(rows: list[str], path: Union[str, Path]) -> None:
-    """Write trace rows as CSV, byte-stable for identical inputs."""
+    """Write the bytes of ``"\\n".join(rows) + "\\n"`` (a lone newline for no rows) as CSV."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows))
-        fh.write("\n")
+        for start in range(0, max(len(rows), 1), _TRACE_CHUNK):
+            fh.write("\n".join(rows[start:start + _TRACE_CHUNK]))
+            fh.write("\n")
 
 
 def save_report(report: RunReport, path: Union[str, Path]) -> None:

@@ -16,9 +16,12 @@ import json
 import math
 import random
 import statistics
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from itertools import takewhile
+from itertools import islice
 from typing import Any, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .assurance import (
     AttachEvidence,
@@ -302,23 +305,23 @@ def admission_test(
     For each bounded variable the one-sided confidence bound
     (mean +/- z s / sqrt(n)) and the sample extremum must both respect
     the bound. Insufficient data yields not-ready, never a reject.
-    ``samples`` must be in time order: the window is read back from the newest.
+    ``samples`` must be in time order: the window's first sample is found by bisection.
     """
     if not samples:
         return AdmissionReport(status="not-ready")
     latest = samples[-1].time
-    start = latest - policy.window
-    windowed = list(takewhile(lambda s: s.time >= start, reversed(samples)))[::-1]
+    first = bisect_left(samples, latest - policy.window, key=lambda s: s.time)
+    n = len(samples) - first
     span = samples[-1].time - samples[0].time
-    if len(windowed) < policy.min_samples or span < policy.window:
+    if n < policy.min_samples or span < policy.window:
         return AdmissionReport(
             status="not-ready",
-            n=len(windowed),
-            window_start=windowed[0].time,
+            n=n,
+            window_start=samples[first].time,
             window_end=latest,
         )
 
-    n = len(windowed)
+    windowed = list(islice(samples, first, None))
     root_n = math.sqrt(n)
     all_ok = True
     variables: dict[str, dict[str, float]] = {}
@@ -559,6 +562,8 @@ def _run_assessment_scenario(
     }
 
 
+# A net that overflows meets the assessment's own non-finite check; entered once per assessment.
+@np.errstate(over="ignore", invalid="ignore")
 def assess_candidate(
     candidate: NetControllerSpec,
     suite: AssessmentSuite,

@@ -69,19 +69,20 @@ class SpiWindow:
                    **{k: json_number(data[k], k) for k in numbers if k in data})
 
 
-def spi_update(w: SpiWindow, outflow_temp: float) -> SpiWindow:
-    """Push one tick's predicate result, evicting entries past the window."""
+def spi_update(w: SpiWindow, outflow_temp: float) -> bool:
+    """Push one tick's predicate result, evicting past the window; return ``spi_breached(w)``."""
     ring = w.ring
     if len(ring) == ring.maxlen:
         w.true_count -= ring[0]
     flag = 1 if outflow_temp >= w.temp_threshold else 0
     ring.append(flag)
-    w.true_count += flag
-    return w
+    w.true_count = true_count = w.true_count + flag
+    return true_count * w.tick > w.threshold + _EPS
 
 
 def spi_breached(w: SpiWindow) -> bool:
-    """True iff the accumulated duration strictly exceeds the threshold."""
+    """True iff the accumulated duration strictly exceeds the threshold; ``spi_update``
+    returns the same test inline, so a change to one must be made to the other."""
     return w.accumulated() > w.threshold + _EPS
 
 

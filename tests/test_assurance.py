@@ -30,6 +30,7 @@ from safeadapt.model import (
     UNBOUNDED_DOMAIN,
     ValidationError,
 )
+from safeadapt import spi as spi_module
 from safeadapt.spi import SpiWindow
 from safeadapt.taxonomy import DYNAMIC_OBLIGATIONS, check_obligations, obligations_for
 from validity_oracle import support_map, unsupported
@@ -119,6 +120,30 @@ class TestValidity:
         assert ok == frozenset()
         bad = evaluate_validity(case, 0.0, _repo_with_sample(case, inflow_temp=5.0))
         assert bad == {"G1", "C1"}
+
+    @pytest.mark.parametrize("inflow_temp", [1.0, 5.0])  # inside, outside the bound
+    @pytest.mark.parametrize("true_count", [0, 5])  # SPI under, over its threshold
+    def test_predicate_is_asked_when_a_bound_of_its_node_fails(
+        self, monkeypatch, inflow_temp, true_count
+    ):
+        nodes = {
+            "G1": CaseNode("G1", "goal", children=["C1"]),
+            "C1": CaseNode("C1", "context", lifecycle="dynamic", constraint=COLD_FAST,
+                           predicate="spi-under-threshold"),
+        }
+        case = SafetyCase(nodes=nodes, root="G1")
+        repo = _repo_with_sample(case, inflow_temp)
+        window = SpiWindow(window=10.0, threshold=1.0, tick=1.0)
+        window.true_count = true_count
+        repo.spi_windows = [window]
+        expected = unsupported(case, 0.0, repo)
+        asked = []
+        breached = spi_module.spi_breached
+        monkeypatch.setattr(spi_module, "spi_breached", lambda w: asked.append(w) or breached(w))
+        failing = evaluate_validity(case, 0.0, repo)
+        assert failing == expected
+        assert failing == (frozenset() if (inflow_temp, true_count) == (1.0, 0) else {"G1", "C1"})
+        assert asked == [window]  # one predicate call, whatever the bound gave
 
     def test_static_context_is_always_supported(self):
         nodes = {

@@ -256,6 +256,14 @@ def test_row_formatter_matches_the_one_string_row(tails, rows):
         assert row(head, tail) == _ROW % (*head, *tail)
 
 
+@pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 9])  # around a chunk of 4 rows
+def test_chunked_trace_write_matches_the_one_string_write(tmp_path, monkeypatch, count):
+    monkeypatch.setattr(harness, "_TRACE_CHUNK", 4)
+    rows = [f"{k},row" for k in range(count)]
+    harness.emit_trace(rows, tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
+
+
 class TestSystemFiles:
     def test_save_load_round_trip(self, tmp_path):
         system = type3_system()
@@ -395,6 +403,37 @@ class TestCli:
         ])
         assert code == 3
         assert json.loads(capsys.readouterr().out)["verdict"] == "fail"
+
+    # A forward pass that overflows is left to the program's own non-finite checks:
+    # numpy's RuntimeWarning would fail these tests, and nothing reaches stderr.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("setpoint", [1e308, -1e308])
+    def test_overflowing_net_input_writes_no_warning(self, tmp_path, capfd, setpoint):
+        scenario = replace(type3_scenario(), duration=30.0, setpoint_schedule=((0.0, setpoint),))
+        save_scenario(scenario, tmp_path / "scenario.json")
+        code = main([
+            "simulate",
+            "--scenario", str(tmp_path / "scenario.json"),
+            "--system", str(CORPUS_DIR / "type3_system.json"),
+            "--out", str(tmp_path / "trace.csv"),
+            "--report", str(tmp_path / "report.json"),
+        ])
+        assert (code, capfd.readouterr().err) == (0, "")
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_candidate_writes_no_warning(self, tmp_path, capfd):
+        net = load_system(CORPUS_DIR / "type3_system.json").net_controller
+        candidate_path = tmp_path / "candidate.json"
+        candidate_path.write_text(json.dumps(replace(net, weights=(1e308,) * len(net.weights))
+                                             .to_dict()))
+        code = main([
+            "assess",
+            "--system", str(CORPUS_DIR / "type3_system.json"),
+            "--candidate", str(candidate_path),
+        ])
+        captured = capfd.readouterr()
+        assert (code, captured.err) == (3, "")
+        assert json.loads(captured.out)["verdict"] == "fail"
 
     def test_key_error_inside_a_run_is_not_caught(self, tmp_path, monkeypatch):
         # Only input errors exit 2; a bug in a run keeps its traceback.

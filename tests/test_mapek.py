@@ -4,8 +4,10 @@ import random
 import statistics
 from collections import deque
 from dataclasses import replace
+from itertools import accumulate, takewhile
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from safeadapt.assurance import (
     AttachEvidence,
@@ -208,6 +210,31 @@ class TestAdmission:
             values = [getattr(s, name) for s in window]
             assert (stats["mean"], stats["stdev"], stats["min"], stats["max"]) == (
                 statistics.fmean(values), statistics.stdev(values), min(values), max(values))
+
+    @given(
+        st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.5]), min_size=1, max_size=60),
+        st.floats(0.1, 20.0), st.integers(2, 30), st.one_of(st.none(), st.integers(1, 60)),
+    )
+    @example([0.0, 1.0, 1.0, 0.0, 1.0], 1.0, 2, None)  # the window starts on a repeated time
+    @example([0.0, 1.0, 0.0, 0.0, 1.0], 1.0, 2, 3)  # the same in a ring that has evicted
+    def test_window_matches_the_takewhile_scan(self, steps, window, min_samples, maxlen):
+        # Time-ordered samples, times repeating where a step is 0.0; None keeps a list.
+        samples = [EnvironmentSample(t, 1.0 + (k % 5) * 0.1, 0.5, 40.0, 40.0)
+                   for k, t in enumerate(accumulate(steps))]
+        ring = samples if maxlen is None else deque(samples, maxlen=maxlen)
+        policy = AdmissionPolicy(window=window, min_samples=min_samples)
+        report = admission_test(ring, COLD_FAST_DOMAIN, policy)
+        start = ring[-1].time - window
+        expected = list(takewhile(lambda s: s.time >= start, reversed(ring)))[::-1]
+        assert (report.n, report.window_start, report.window_end) == (
+            len(expected), expected[0].time, ring[-1].time)
+        ready = len(expected) >= min_samples and ring[-1].time - ring[0].time >= window
+        assert (report.status != "not-ready") == ready
+        if ready:
+            values = [s.inflow_temp for s in expected]
+            stats = report.variables["inflow_temp"]
+            assert (stats["mean"], stats["min"], stats["max"]) == (
+                statistics.fmean(values), min(values), max(values))
 
 
 class TestPlanType2:

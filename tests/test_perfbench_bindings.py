@@ -64,7 +64,8 @@ def test_validity_predicate_calls_spi_breached_through_its_module(monkeypatch):
 @pytest.mark.parametrize("system_fn, scenario_fn, per_tick", [
     (corpus.type2_system, corpus.type2_scenario, {"controller.pid_compute": 1}),
     (corpus.type3_system, corpus.type3_scenario,
-     {"controller.net_compute": 1, "spi.spi_update": 1, "spi.spi_breached": 2}),
+     # `spi_update` returns the breach, so only the validity predicate calls `spi_breached`.
+     {"controller.net_compute": 1, "spi.spi_update": 1, "spi.spi_breached": 1}),
 ], ids=["type2", "type3"])
 def test_traced_run_records_every_tick_layer(system_fn, scenario_fn, per_tick):
     # A layer whose binding drops off the call path would read 0 here.

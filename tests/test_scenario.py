@@ -107,6 +107,9 @@ def test_trace_cursor_equals_value_at(data, tick, interp, n):
     # n * tick ends before, inside or past the last point.
     trace = Trace(data.draw(_points(tick)), interp)
     assert list(trace.values(n, tick)) == [trace.value_at(k * tick) for k in range(n)]
+    # A run builds its samples unchecked: a trace of non-negative rates yields none below 0.
+    rates = Trace(tuple((t, abs(v)) for t, v in trace.points), interp)
+    assert min(rates.values(n, tick), default=0.0) >= 0.0
 
 
 @settings(max_examples=300)

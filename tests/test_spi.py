@@ -2,6 +2,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from safeadapt.model import ValidationError
 from safeadapt.spi import SpiWindow, spi_breached, spi_reset, spi_update
@@ -107,3 +108,25 @@ def test_running_count_matches_brute_force_recount():
         capacity = int(round(w.window / tick))
         expected = sum(raw[-capacity:]) * tick
         assert w.accumulated() == pytest.approx(expected)
+
+
+# A step per tick: a temperature pushed (around the 85.5 degC threshold) or a reset.
+_RESET = None
+_steps = st.lists(st.one_of(
+    st.sampled_from([50.0, 85.4, 85.5, 86.0, 91.0]), st.floats(80.0, 90.0), st.just(_RESET),
+), max_size=300)
+
+
+@given(
+    st.sampled_from([0.1, 0.25, 0.5]), st.floats(0.5, 6.0), st.floats(0.0, 1.0), _steps,
+)
+@example(0.1, 1.0, 0.5, [86.0] * 12 + [50.0] * 12)  # crosses the threshold both ways
+@example(0.1, 1.0, 0.5, [86.0] * 8 + [_RESET] + [86.0] * 8)  # a reset, then a new breach
+@example(0.25, 0.5, 0.0, [86.0, 50.0, 50.0, 86.0])  # a 2-tick window evicts every push
+def test_update_returns_the_breach_after_its_push(tick, window, share, steps):
+    w = SpiWindow(window=window, threshold=share * window, tick=tick)
+    for temp in steps:
+        if temp is _RESET:
+            spi_reset(w)
+        else:
+            assert spi_update(w, temp) is spi_breached(w)

@@ -120,6 +120,8 @@ _ENV = EnvironmentSample(0.0, 10.0, 0.1, 50.0, 0.0)
 @example(PlantState(20.0), PlantParams(), _ENV, -1.0, False)  # power below 0
 @example(PlantState(20.0), PlantParams(), _ENV, 1e4 + 1.0, False)  # power above max_power
 @example(PlantState(20.0), PlantParams(specific_heat=5e-324), _ENV, 1e4, False)  # overflows
+# Finite inputs whose sum overflows: no fault, as each input is finite.
+@example(PlantState(1.7e308), PlantParams(), _ENV._replace(inflow_temp=1.7e308), 0.0, False)
 def test_plant_step_matches_reference(state, params, env, power, non_finite_temp):
     if non_finite_temp:
         state = state._replace(tank_temp=math.inf)
