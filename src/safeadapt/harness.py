@@ -94,6 +94,9 @@ class SystemDescription:
         # The plant refuses a suite tick it cannot step.
         for tick in {s.tick for s in self.assessment_scenarios} - {self.plant.tick}:
             replace(self.plant, tick=tick)
+        # A wrong-lifecycle carrier of a model's obligation fails here, not after the last tick.
+        taxonomy.check_lifecycles(self.safety_case, [taxonomy.classify(m.descriptor)
+                                                     for m in self.models])
 
     def assessment_suite(self) -> Optional[AssessmentSuite]:
         if not self.assessment_scenarios:
@@ -308,14 +311,10 @@ def run_scenario(
     append_sample, append_row, max_power = repo.sample_history.append, rows.append, plant.max_power
     observe, take_violation, new_tuple = tracker.observe, tracker.take_violation, tuple.__new__
 
-    n = scenario.ticks()
-    for k, setpoint, inflow_temp, inflow_rate in zip(
-        range(n), scenario.setpoints(n, tick),
-        scenario.inflow_temp_trace.values(n, tick), scenario.inflow_rate_trace.values(n, tick),
-    ):
+    for k, setpoint, inflow_temp, inflow_rate in scenario.inputs():
         t = k * tick
 
-        # sense, unchecked: load-time checks and Trace's interpolation keep t, inflow_rate >= 0
+        # sense: load checks and Trace keep t, inflow_rate >= 0 (test_scenario's rate property)
         sample = new_tuple(EnvironmentSample, (t, inflow_temp, inflow_rate, setpoint, outflow_temp))
         append_sample(sample)
         observe(t, setpoint, outflow_temp)

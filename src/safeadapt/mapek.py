@@ -106,11 +106,8 @@ class GoalTracker:
         elapsed = t - event["event_time"]
         if abs(outflow - event["setpoint"]) <= self.goal.settle_band:
             event["rise_time"] = elapsed
-            if elapsed > self.goal.rise_time_limit and not event["violation"]:
-                event["violation"] = True
-                self._violations_seen += 1
             self._open = None
-        elif elapsed > self.goal.rise_time_limit and not event["violation"]:
+        if elapsed > self.goal.rise_time_limit and not event["violation"]:
             event["violation"] = True
             self._violations_seen += 1
 
@@ -531,28 +528,24 @@ def _run_assessment_scenario(
     """One embedded simulation: candidate controller, guard disabled."""
     tick = scenario.tick
     plant = replace(plant, tick=tick)  # the physics steps at the scenario's tick
-    n = scenario.ticks()
+    max_power, new_tuple = plant.max_power, tuple.__new__
     state = PlantState(tank_temp=scenario.initial_tank_temp)
     tracker = GoalTracker(goal)
-    prev_temp = state.tank_temp
-    for k, setpoint, inflow_temp, inflow_rate in zip(
-        range(n), scenario.setpoints(n, tick),
-        scenario.inflow_temp_trace.values(n, tick), scenario.inflow_rate_trace.values(n, tick),
-    ):
+    prev_temp = tank_temp = state.tank_temp  # the post-hazard state, read once per tick
+    for k, setpoint, inflow_temp, inflow_rate in scenario.inputs():
         t = k * tick
-        temp_rate = (state.tank_temp - prev_temp) / tick
+        temp_rate = (tank_temp - prev_temp) / tick
         power = net_compute(
-            candidate,
-            (setpoint, state.tank_temp, inflow_temp, inflow_rate, temp_rate),
-            plant.max_power,
+            candidate, (setpoint, tank_temp, inflow_temp, inflow_rate, temp_rate), max_power,
         )
         if not math.isfinite(power):
             return {"scenario": scenario.id, "ok": False, "fault": "non-finite output"}
-        env = EnvironmentSample(t, inflow_temp, inflow_rate, setpoint, state.tank_temp)
-        prev_temp = state.tank_temp
-        state = plant_step(state, plant, env, power)
-        state = hazard_update(state, plant)
-        tracker.observe(t + tick, setpoint, state.tank_temp)
+        # load checks and Trace keep t, inflow_rate >= 0 (test_scenario's rate property)
+        sample = new_tuple(EnvironmentSample, (t, inflow_temp, inflow_rate, setpoint, tank_temp))
+        prev_temp = tank_temp
+        state = hazard_update(plant_step(state, plant, sample, power), plant)
+        tank_temp = state.tank_temp
+        tracker.observe(t + tick, setpoint, tank_temp)
     ok = state.hazard_count == 0 and not tracker.any_violation
     return {
         "scenario": scenario.id,
@@ -634,7 +627,7 @@ def execute_adaptation(
     decision: AdaptationDecision,
     repo: KnowledgeRepository,
     now: float = 0.0,
-) -> KnowledgeRepository:
+) -> None:
     """Apply a planned adaptation atomically between ticks.
 
     Case patches are attempted first; if any patch is rejected (static
@@ -642,7 +635,7 @@ def execute_adaptation(
     case untouched and marking the decision unapplied.
     """
     if not decision.applied:
-        return repo
+        return
     if decision.patches:
         try:
             new_case = adapt_case(
@@ -652,7 +645,7 @@ def execute_adaptation(
         except StaticNodeError as exc:
             decision.applied = False
             decision.reason += f"; rolled back: {exc}"
-            return repo
+            return
         repo.safety_case = new_case
 
     if decision.option is None:
@@ -663,10 +656,9 @@ def execute_adaptation(
     else:
         repo.current_config = repo.current_config.with_assignment(decision.option.assignment)
         repo.active_option_id = decision.option.id
-    return repo
 
 
-def fail_safe(repo: KnowledgeRepository, now: float = 0.0) -> KnowledgeRepository:
+def fail_safe(repo: KnowledgeRepository, now: float = 0.0) -> None:
     """Revert to the designated baseline configuration after an SPI breach."""
     if repo.baseline_config is not None:
         repo.current_config = repo.baseline_config
@@ -688,4 +680,3 @@ def fail_safe(repo: KnowledgeRepository, now: float = 0.0) -> KnowledgeRepositor
             repo.safety_case, [AttachEvidence(target.id, item)],
             now=now, cause="fail-safe",
         )
-    return repo

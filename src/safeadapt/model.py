@@ -403,33 +403,14 @@ def option_satisfies_model(option: AdaptationOption, model: AdaptationModel) -> 
     return all(c.satisfied_by(option.assignment) for c in model.constraints)
 
 
-_SampleFields = NamedTuple("_SampleFields", [
-    ("time", float), ("inflow_temp", float), ("inflow_rate", float),
-    ("setpoint", float), ("outflow_temp", float)])
+class EnvironmentSample(NamedTuple):
+    """One observation of the environment and the plant's response; a plain record."""
 
-
-class EnvironmentSample(_SampleFields):
-    """One observation of the environment and the plant's response.
-
-    An immutable tuple. `_replace` builds through `tuple.__new__`, so it
-    skips the checks in `__new__`; only tests use it on samples."""
-
-    __slots__ = ()
-
-    def __new__(cls, time, inflow_temp, inflow_rate, setpoint, outflow_temp):
-        if time < 0:
-            raise ValidationError(f"sample time must be non-negative, got {time}")
-        if inflow_rate < 0:
-            raise ValidationError(f"inflow rate must be >= 0, got {inflow_rate}")
-        return tuple.__new__(cls, (time, inflow_temp, inflow_rate, setpoint, outflow_temp))
-
-    def to_dict(self) -> dict[str, float]:
-        return self._asdict()
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "EnvironmentSample":
-        data = json_value(data, dict, "a sample")
-        return cls(*[json_number(data.get(k), k) for k in cls._fields])
+    time: float
+    inflow_temp: float
+    inflow_rate: float
+    setpoint: float
+    outflow_temp: float
 
 
 @dataclass

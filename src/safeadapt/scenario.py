@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence, Union
 
@@ -39,9 +39,9 @@ class Trace:
     "hold" keeps each value until the next point (default); "linear"
     interpolates between points. Before the first point the first value
     applies, after the last point the last value applies. Every time and
-    value must be finite. Times may repeat: from a repeated time on, the
-    last point at that time applies, except at the first point's own time,
-    where the first value still applies.
+    value must be finite, and so must each linear step's time and value
+    difference. Times may repeat: from a repeated time on, the last point
+    at that time applies, the first time included.
     """
 
     points: tuple[tuple[float, float], ...]
@@ -53,10 +53,15 @@ class Trace:
         if self.interp not in ("hold", "linear"):
             raise ValidationError(f"unknown interpolation {self.interp!r}")
         _check_points(self.points, "trace point")
+        if self.interp == "linear":  # an infinite step would read inf, or 0.0 at its midpoint
+            for (t0, v0), (t1, v1) in zip(self.points, self.points[1:]):
+                if not (math.isfinite(t1 - t0) and math.isfinite(v1 - v0)):
+                    raise ValidationError(
+                        f"linear trace step from ({t0!r}, {v0!r}) to ({t1!r}, {v1!r}) overflows")
 
     def value_at(self, t: float) -> float:
         points = self.points
-        if t <= points[0][0]:
+        if t < points[0][0]:
             return points[0][1]
         for (t0, v0), (t1, v1) in zip(points, points[1:]):
             if t < t1:
@@ -71,7 +76,7 @@ class Trace:
         points = self.points
         t0, v0 = points[0]
         k = 0
-        while k < n and k * tick <= t0:
+        while k < n and k * tick < t0:
             yield v0
             k += 1
         hold = self.interp == "hold"
@@ -105,10 +110,7 @@ class Trace:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One run's inputs: setpoint steps, inflow traces, tick and run options.
-
-    Setpoint step times may repeat; the last step at a time wins.
-    """
+    """One run's inputs: setpoint steps (read as a hold `Trace`), inflow traces, tick, options."""
 
     id: str
     duration: float
@@ -121,6 +123,7 @@ class Scenario:
     initial_tank_temp: float = 20.0
     #: Optional operator-injected adaptation requests: (time, option id).
     manual_triggers: tuple[tuple[float, str], ...] = ()
+    setpoint_trace: Trace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.duration) and self.duration >= 0):
@@ -138,6 +141,7 @@ class Scenario:
         if not self.setpoint_schedule:
             raise ValidationError("setpoint schedule needs at least one step")
         _check_points(self.setpoint_schedule, "setpoint step")
+        object.__setattr__(self, "setpoint_trace", Trace(self.setpoint_schedule))
         if any(v < 0 for _, v in self.inflow_rate_trace.points):
             raise ValidationError("inflow rate trace has a negative value")
         for t, _ in self.manual_triggers:
@@ -145,28 +149,19 @@ class Scenario:
                 raise ValidationError(f"manual trigger time {t!r} is not finite")
 
     def setpoint_at(self, t: float) -> float:
-        value = self.setpoint_schedule[0][1]
-        for step_time, step_value in self.setpoint_schedule:
-            if t >= step_time:
-                value = step_value
-            else:
-                break
-        return value
+        return self.setpoint_trace.value_at(t)
 
     def setpoints(self, n: int, tick: float) -> Iterator[float]:
-        """Yield ``setpoint_at(k * tick)`` for ``k in range(n)``, reading forward (tick > 0)."""
-        value = self.setpoint_schedule[0][1]
-        k = 0
-        for step_time, step_value in self.setpoint_schedule:
-            while k < n and k * tick < step_time:
-                yield value
-                k += 1
-            value = step_value
-        for _ in range(k, n):
-            yield value
+        return self.setpoint_trace.values(n, tick)
 
     def ticks(self) -> int:
         return int(round(self.duration / self.tick))
+
+    def inputs(self) -> Iterator[tuple[int, float, float, float]]:
+        """``(k, setpoint, inflow_temp, inflow_rate)`` for each tick ``k``, read forward."""
+        n, tick = self.ticks(), self.tick
+        return zip(range(n), self.setpoints(n, tick), self.inflow_temp_trace.values(n, tick),
+                   self.inflow_rate_trace.values(n, tick))
 
     def to_dict(self) -> dict[str, Any]:
         return {

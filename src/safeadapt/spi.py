@@ -86,8 +86,7 @@ def spi_breached(w: SpiWindow) -> bool:
     return w.accumulated() > w.threshold + _EPS
 
 
-def spi_reset(w: SpiWindow) -> SpiWindow:
+def spi_reset(w: SpiWindow) -> None:
     """Zero the accumulator, e.g. after an adaptation's reset-spi step."""
     w.ring.clear()
     w.true_count = 0
-    return w

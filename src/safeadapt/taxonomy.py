@@ -195,6 +195,17 @@ def obligations_for(type_id: str) -> list[str]:
     return list(OBLIGATIONS[type_id])
 
 
+def check_lifecycles(case: "SafetyCase", type_ids: Iterable[str]) -> None:
+    """Raise `LifecycleMismatchError` at the first node, in case order, that carries an
+    obligation of ``type_ids`` on the wrong lifecycle: one pass over the case's nodes."""
+    wanted = {obligation for type_id in type_ids for obligation in OBLIGATIONS[type_id]}
+    wrong = {"static": wanted & DYNAMIC_OBLIGATIONS, "dynamic": wanted - DYNAMIC_OBLIGATIONS}
+    for node in case.nodes.values():
+        mismatched = node.discharges & wrong[node.lifecycle]
+        if mismatched:
+            raise LifecycleMismatchError(min(mismatched), node.id, node.lifecycle)
+
+
 def check_obligations(
     verdict_type: str,
     case: "SafetyCase",
@@ -206,17 +217,16 @@ def check_obligations(
     An obligation is ``discharged`` when at least one supported node of
     the correct lifecycle carries it, ``missing`` when no node carries
     it, and ``unsupported-node`` when only unsupported nodes carry it.
+    A carrier of the wrong lifecycle raises `LifecycleMismatchError`.
     """
     from .assurance import evaluate_validity, nodes_discharging
 
+    obligations = obligations_for(verdict_type)  # an unknown type is a ValidationError
+    check_lifecycles(case, [verdict_type])
     failing = evaluate_validity(case, now, knowledge)
     result: dict[str, str] = {}
-    for obligation in obligations_for(verdict_type):
-        required = "dynamic" if obligation in DYNAMIC_OBLIGATIONS else "static"
+    for obligation in obligations:
         carriers = nodes_discharging(case, obligation)
-        for node in carriers:
-            if node.lifecycle != required:
-                raise LifecycleMismatchError(obligation, node.id, node.lifecycle)
         if not carriers:
             result[obligation] = "missing"
         elif any(n.id not in failing for n in carriers):

@@ -482,6 +482,25 @@ class TestCli:
         assert not (tmp_path / "report.json").exists()
         assert "first unmet TIII.C3" in capsys.readouterr().err
 
+    def test_wrong_lifecycle_carrier_fails_at_load(self, tmp_path, capsys, monkeypatch):
+        case = json.loads((CORPUS_DIR / "type2_case.json").read_text())
+        case["nodes"]["Sn-B1"]["lifecycle"] = "dynamic"
+        (tmp_path / "case.json").write_text(json.dumps(case))
+        system = json.loads((CORPUS_DIR / "type2_system.json").read_text())
+        system["safety_case_path"] = str(tmp_path / "case.json")
+        (tmp_path / "system.json").write_text(json.dumps(system))
+        monkeypatch.setattr(cli, "run_scenario", lambda *a: pytest.fail("the run started"))
+        code = main([
+            "simulate",
+            "--scenario", str(CORPUS_DIR / "type2_scenario.json"),
+            "--system", str(tmp_path / "system.json"),
+            "--out", str(tmp_path / "trace.csv"),
+            "--report", str(tmp_path / "report.json"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "trace.csv").exists()
+        assert "TII.B1 requires a static node but 'Sn-B1' is dynamic" in capsys.readouterr().err
+
     def test_option_breaking_its_model_constraints_fails_at_load(self, tmp_path, capsys):
         system = json.loads((CORPUS_DIR / "type1_system.json").read_text())
         system["safety_case_path"] = str(CORPUS_DIR / "type1_case.json")
@@ -596,10 +615,12 @@ class TestCli:
         (lambda s: s.__delitem__("duration"), "duration"),
         (lambda s: s.update(tick=1e-300), "passes the cap"),
         (lambda s: s.update(duration=1e300), "passes the cap"),
+        (lambda s: s.update(inflow_temp_trace={"points": [[0, -1e308], [100, 1e308]],
+                                               "interp": "linear"}), "overflows"),
     ], ids=["duration-nan", "duration-inf", "inflow-nan-value", "inflow-nan-time",
             "setpoint-nan", "inflow-rate-negative", "manual-trigger-nan", "trace-point-3-items",
             "tick-string", "tick-int-overflow", "setpoint-string", "seed-string", "root-list",
-            "duration-missing", "tick-tiny", "duration-huge"])
+            "duration-missing", "tick-tiny", "duration-huge", "inflow-linear-step-overflow"])
     def test_malformed_scenario_fails_at_load(self, tmp_path, capsys, corrupt, fault):
         # Each is rejected when the scenario is loaded, before any tick runs.
         scenario = json.loads((CORPUS_DIR / "type2_scenario.json").read_text())

@@ -195,21 +195,6 @@ class TestAdaptationModel:
         assert AdaptationModel.from_dict(model.to_dict()) == model
 
 
-class TestEnvironmentSample:
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValidationError):
-            EnvironmentSample(-1.0, 10.0, 0.1, 50.0, 40.0)
-
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValidationError):
-            EnvironmentSample(0.0, 10.0, -0.1, 50.0, 40.0)
-
-    def test_round_trip(self):
-        sample = EnvironmentSample(1.5, 10.0, 0.1, 50.0, 40.0)
-        back = EnvironmentSample.from_dict(sample.to_dict())
-        assert back == sample and type(back) is EnvironmentSample
-
-
 @pytest.mark.parametrize("record", [
     EnvironmentSample(0.0, 10.0, 0.1, 50.0, 40.0),
     PlantState(tank_temp=20.0),

@@ -75,10 +75,21 @@ def test_cursors_on_hand_cases():
 
 
 def test_repeated_first_time():
-    # A trace keeps its first value at its first time; a setpoint step's last one wins.
-    trace = Trace(((0.0, 1.0), (0.0, 2.0)))
-    assert [trace.value_at(t) for t in (0.0, 0.1)] == list(trace.values(2, 0.1)) == [1.0, 2.0]
-    assert _scenario(setpoint_schedule=((0.0, 40.0), (0.0, 45.0))).setpoint_at(0.0) == 45.0
+    # One rule for traces and setpoint schedules: the last point at a time applies from it on.
+    for trace in (Trace(((0.0, 1.0), (0.0, 2.0))), Trace(((0.0, 1.0), (0.0, 2.0)), "linear")):
+        assert [trace.value_at(t) for t in (-0.1, 0.0, 0.1)] == [1.0, 2.0, 2.0]
+        assert list(trace.values(2, 0.1)) == [2.0, 2.0]
+    scenario = _scenario(setpoint_schedule=((0.0, 40.0), (0.0, 45.0)))
+    assert scenario.setpoint_at(0.0) == 45.0 and list(scenario.setpoints(2, 0.1)) == [45.0, 45.0]
+
+
+def test_linear_first_point_reads_as_interpolated():
+    # At its own time a linear trace's first point reads v0 + 0.0 * (v1 - v0), as an interior
+    # point does: -0.0 then reads 0.0 when the next value is not lower. A hold trace keeps -0.0.
+    linear, hold = Trace(((0.0, -0.0), (10.0, 1.0)), "linear"), Trace(((0.0, -0.0), (10.0, 1.0)))
+    assert math.copysign(1.0, linear.value_at(0.0)) == 1.0
+    assert [math.copysign(1.0, v) for v in linear.values(1, 0.1)] == [1.0]
+    assert [math.copysign(1.0, v) for v in (linear.value_at(-1.0), hold.value_at(0.0))] == [-1.0] * 2
 
 
 TICKS = st.sampled_from([0.05, 0.1, 0.3]) | st.floats(0.01, 0.5)
@@ -121,13 +132,22 @@ def test_setpoint_cursor_equals_setpoint_at(data, tick, n):
     ]
 
 
-@pytest.mark.parametrize("points", [
-    ((0.0, math.nan),), ((math.nan, 1.0),), ((0.0, 1.0), (math.nan, 2.0)),
-    ((0.0, math.inf),), ((-math.inf, 1.0),), ((5.0, 1.0), (0.0, 2.0)),
-], ids=["nan-value", "nan-time", "nan-later-time", "inf-value", "inf-time", "unsorted"])
-def test_malformed_trace_rejected(points):
+@pytest.mark.parametrize("points, interp", [
+    (((0.0, math.nan),), "hold"), (((math.nan, 1.0),), "hold"),
+    (((0.0, 1.0), (math.nan, 2.0)), "hold"), (((0.0, math.inf),), "hold"),
+    (((-math.inf, 1.0),), "hold"), (((5.0, 1.0), (0.0, 2.0)), "hold"),
+    # Finite points whose step overflows: the time step would read 0.0 at its midpoint t = 0.
+    (((-1.7e308, 0.0), (1.7e308, 10.0)), "linear"), (((0.0, -1e308), (100.0, 1e308)), "linear"),
+], ids=["nan-value", "nan-time", "nan-later-time", "inf-value", "inf-time", "unsorted",
+        "linear-time-step-overflow", "linear-value-step-overflow"])
+def test_malformed_trace_rejected(points, interp):
     with pytest.raises(ValidationError):
-        Trace(points)
+        Trace(points, interp)
+
+
+def test_hold_trace_may_step_across_the_float_range():
+    trace = Trace(((-1.7e308, 0.0), (1.7e308, 10.0)))  # a hold trace takes no difference
+    assert [trace.value_at(t) for t in (0.0, 1.7e308)] == [0.0, 10.0]
 
 
 @pytest.mark.parametrize("overrides", [
