@@ -17,7 +17,7 @@ from .harness import emit_trace, load_system, run_scenario, save_report
 from .mapek import assess_candidate
 from .model import SimulationFault, ValidationError, read_json
 from .scenario import load_scenario
-from .taxonomy import ClassificationError, LifecycleMismatchError, all_discharged, verdict_for
+from .taxonomy import all_discharged, verdict_for
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -117,14 +117,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (
-        ValidationError,
-        StructuralError,
-        ClassificationError,
-        LifecycleMismatchError,
-        SimulationFault,
-        OSError,  # an input path that is missing, a directory or unreadable
-    ) as exc:
+    # ValidationError covers ClassificationError and LifecycleMismatchError; OSError covers
+    # an input path that is missing, a directory or unreadable.
+    except (ValidationError, StructuralError, SimulationFault, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -94,9 +94,8 @@ class SystemDescription:
         # The plant refuses a suite tick it cannot step.
         for tick in {s.tick for s in self.assessment_scenarios} - {self.plant.tick}:
             replace(self.plant, tick=tick)
-        # A wrong-lifecycle carrier of a model's obligation fails here, not after the last tick.
-        taxonomy.check_lifecycles(self.safety_case, [taxonomy.classify(m.descriptor)
-                                                     for m in self.models])
+        # A wrong-lifecycle obligation carrier fails here, not after the last tick.
+        taxonomy.check_lifecycles(self.safety_case)
 
     def assessment_suite(self) -> Optional[AssessmentSuite]:
         if not self.assessment_scenarios:

@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence, Union
 
@@ -12,15 +13,20 @@ from .model import HISTORY_HORIZON, ValidationError, json_number, json_value, re
 MAX_RUN_TICKS = 1_000_000
 
 
-def _check_points(points: Sequence[tuple[float, float]], what: str) -> None:
-    """One pass: every time and value finite, times non-decreasing."""
-    prev = -math.inf
+def _check_points(points: Sequence[tuple[float, float]], what: str, linear: bool = False) -> None:
+    """One pass: every time and value finite, times non-decreasing and, for a linear
+    trace, every step's time and value difference finite (an infinite step would read
+    inf, or 0.0 at its midpoint)."""
+    t0, v0 = points[0]
     for t, v in points:
         if not (math.isfinite(t) and math.isfinite(v)):
             raise ValidationError(f"{what} ({t!r}, {v!r}) is not finite")
-        if t < prev:
+        if t < t0:
             raise ValidationError(f"{what}s must be sorted by time")
-        prev = t
+        if linear and not (math.isfinite(t - t0) and math.isfinite(v - v0)):
+            raise ValidationError(
+                f"linear trace step from ({t0!r}, {v0!r}) to ({t!r}, {v!r}) overflows")
+        t0, v0 = t, v
 
 
 def _pairs(points: Any, what: str, second: Callable[[Any, str], Any] = json_number) -> tuple:
@@ -52,12 +58,7 @@ class Trace:
             raise ValidationError("trace needs at least one point")
         if self.interp not in ("hold", "linear"):
             raise ValidationError(f"unknown interpolation {self.interp!r}")
-        _check_points(self.points, "trace point")
-        if self.interp == "linear":  # an infinite step would read inf, or 0.0 at its midpoint
-            for (t0, v0), (t1, v1) in zip(self.points, self.points[1:]):
-                if not (math.isfinite(t1 - t0) and math.isfinite(v1 - v0)):
-                    raise ValidationError(
-                        f"linear trace step from ({t0!r}, {v0!r}) to ({t1!r}, {v1!r}) overflows")
+        _check_points(self.points, "trace point", self.interp == "linear")
 
     def value_at(self, t: float) -> float:
         points = self.points
@@ -123,7 +124,6 @@ class Scenario:
     initial_tank_temp: float = 20.0
     #: Optional operator-injected adaptation requests: (time, option id).
     manual_triggers: tuple[tuple[float, str], ...] = ()
-    setpoint_trace: Trace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.duration) and self.duration >= 0):
@@ -141,12 +141,15 @@ class Scenario:
         if not self.setpoint_schedule:
             raise ValidationError("setpoint schedule needs at least one step")
         _check_points(self.setpoint_schedule, "setpoint step")
-        object.__setattr__(self, "setpoint_trace", Trace(self.setpoint_schedule))
         if any(v < 0 for _, v in self.inflow_rate_trace.points):
             raise ValidationError("inflow rate trace has a negative value")
         for t, _ in self.manual_triggers:
             if not math.isfinite(t):
                 raise ValidationError(f"manual trigger time {t!r} is not finite")
+
+    @cached_property  # built on first read; the schedule is checked at load
+    def setpoint_trace(self) -> Trace:
+        return Trace(self.setpoint_schedule)
 
     def setpoint_at(self, t: float) -> float:
         return self.setpoint_trace.value_at(t)

@@ -35,8 +35,12 @@ OBLIGATIONS = {
 #: others must sit on static nodes.
 DYNAMIC_OBLIGATIONS = frozenset({"TII.B4", "TII.B5", "TIII.B6", "TIII.B7"})
 
+#: The obligations a node of each lifecycle must not carry; other ids are unconstrained.
+_WRONG_ON = {"static": DYNAMIC_OBLIGATIONS,
+             "dynamic": frozenset().union(*OBLIGATIONS.values()) - DYNAMIC_OBLIGATIONS}
 
-class ClassificationError(ValueError):
+
+class ClassificationError(ValidationError):
     """No type's criteria are fully met by a descriptor."""
 
     def __init__(self, nearest_type: str, unmet_criterion: str):
@@ -47,7 +51,7 @@ class ClassificationError(ValueError):
         )
 
 
-class LifecycleMismatchError(ValueError):
+class LifecycleMismatchError(ValidationError):
     """An obligation is carried by a node of the wrong lifecycle."""
 
     def __init__(self, obligation: str, node_id: str, lifecycle: str):
@@ -195,13 +199,11 @@ def obligations_for(type_id: str) -> list[str]:
     return list(OBLIGATIONS[type_id])
 
 
-def check_lifecycles(case: "SafetyCase", type_ids: Iterable[str]) -> None:
-    """Raise `LifecycleMismatchError` at the first node, in case order, that carries an
-    obligation of ``type_ids`` on the wrong lifecycle: one pass over the case's nodes."""
-    wanted = {obligation for type_id in type_ids for obligation in OBLIGATIONS[type_id]}
-    wrong = {"static": wanted & DYNAMIC_OBLIGATIONS, "dynamic": wanted - DYNAMIC_OBLIGATIONS}
+def check_lifecycles(case: "SafetyCase") -> None:
+    """Raise `LifecycleMismatchError` at the first node, in case order, that carries a
+    type's obligation on the wrong lifecycle, whichever type the obligation belongs to."""
     for node in case.nodes.values():
-        mismatched = node.discharges & wrong[node.lifecycle]
+        mismatched = node.discharges & _WRONG_ON[node.lifecycle]
         if mismatched:
             raise LifecycleMismatchError(min(mismatched), node.id, node.lifecycle)
 
@@ -217,15 +219,15 @@ def check_obligations(
     An obligation is ``discharged`` when at least one supported node of
     the correct lifecycle carries it, ``missing`` when no node carries
     it, and ``unsupported-node`` when only unsupported nodes carry it.
-    A carrier of the wrong lifecycle raises `LifecycleMismatchError`.
+    Any node of the case that carries a type's obligation on the wrong
+    lifecycle raises `LifecycleMismatchError` (`check_lifecycles`).
     """
     from .assurance import evaluate_validity, nodes_discharging
 
-    obligations = obligations_for(verdict_type)  # an unknown type is a ValidationError
-    check_lifecycles(case, [verdict_type])
+    check_lifecycles(case)
     failing = evaluate_validity(case, now, knowledge)
     result: dict[str, str] = {}
-    for obligation in obligations:
+    for obligation in obligations_for(verdict_type):
         carriers = nodes_discharging(case, obligation)
         if not carriers:
             result[obligation] = "missing"

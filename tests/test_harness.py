@@ -391,6 +391,20 @@ class TestCli:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
 
+    def test_assess_does_not_classify(self, tmp_path, capsys):
+        system = json.loads((CORPUS_DIR / "type3_system.json").read_text())
+        system["safety_case_path"] = str(CORPUS_DIR / "type3_case.json")
+        system["adaptation_models"][0]["descriptor"]["case_in_knowledge_repo"] = False
+        (tmp_path / "system.json").write_text(json.dumps(system))
+        candidate_path = tmp_path / "candidate.json"
+        candidate_path.write_text(json.dumps(system["net_controller"]))
+        assert main(["classify", "--system", str(tmp_path / "system.json")]) == 2
+        assert "no type matched" in capsys.readouterr().err
+        code = main(["assess", "--system", str(tmp_path / "system.json"),
+                     "--candidate", str(candidate_path)])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+
     def test_assess_flat_candidate_fails(self, tmp_path, capsys):
         from safeadapt.controller import zero_spec
 
@@ -500,6 +514,10 @@ class TestCli:
         assert code == 2
         assert not (tmp_path / "trace.csv").exists()
         assert "TII.B1 requires a static node but 'Sn-B1' is dynamic" in capsys.readouterr().err
+        # The system's own case fails its load, whichever case check-case is given.
+        assert main(["check-case", "--system", str(tmp_path / "system.json"),
+                     "--case", str(CORPUS_DIR / "type2_case.json")]) == 2
+        assert "'Sn-B1' is dynamic" in capsys.readouterr().err
 
     def test_option_breaking_its_model_constraints_fails_at_load(self, tmp_path, capsys):
         system = json.loads((CORPUS_DIR / "type1_system.json").read_text())

@@ -11,7 +11,7 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from safeadapt.assurance import EvidenceItem, SafetyCase, StructuralError
 from safeadapt.cli import main
@@ -79,13 +79,21 @@ def _retyped(old, new):
 def mutated_documents(draw):
     site = draw(st.sampled_from(sorted(SITES, key=repr)))
     index, path = draw(st.sampled_from(SITES[site]))
+    parent = DOCUMENTS[index][2]
+    for step in path[:-1]:
+        parent = parent[step]
+    deletable = bool(path) and isinstance(parent, dict)
+    value = draw(st.sampled_from(REPLACEMENTS + ((DELETE,) if deletable else ())))
+    return _mutated(index, path, value)
+
+
+def _mutated(index, path, value):
+    """DOCUMENTS[index] with the value at ``path`` replaced by ``value`` (or deleted)."""
     name, part, document = DOCUMENTS[index]
     document = copy.deepcopy(document)
     parent = document
     for step in path[:-1]:
         parent = parent[step]
-    deletable = bool(path) and isinstance(parent, dict)
-    value = draw(st.sampled_from(REPLACEMENTS + ((DELETE,) if deletable else ())))
     old = parent[path[-1]] if path else document
     if not path:
         document = value
@@ -100,8 +108,23 @@ LOADERS = {"system": SystemDescription.from_dict, "case": SafetyCase.from_dict,
            "scenario": Scenario.from_dict}
 
 
+def _at(name, part, *path):
+    return DOCUMENTS.index(next(d for d in DOCUMENTS if d[:2] == (name, part))), path
+
+
+_SYSTEM_MODEL = ("adaptation_models", 0, "descriptor")
+
+
+# Pinned: mutations that keep every JSON type but break a model's descriptor (the first
+# two) or put a dynamic obligation on a node that defaults to static (the last two).
 @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
 @given(mutated=mutated_documents())
+@example(mutated=_mutated(*_at("type1", "system", *_SYSTEM_MODEL, "design_time_safety"), DELETE))
+@example(mutated=_mutated(*_at("type3", "system", *_SYSTEM_MODEL,
+                               "options_enumerated_at_design_time"), True))
+@example(mutated=_mutated(*_at("type2", "system", "safety_case", "nodes", "Sn-B4", "lifecycle"),
+                          DELETE))
+@example(mutated=_mutated(*_at("type2", "case", "nodes", "Sn-B4", "lifecycle"), DELETE))
 def test_one_mutation_loads_or_is_refused(tmp_path_factory, mutated):
     name, part, document, retyped = mutated
     try:

@@ -132,6 +132,20 @@ def test_setpoint_cursor_equals_setpoint_at(data, tick, n):
     ]
 
 
+@settings(max_examples=300)
+@given(data=st.data(), tick=TICKS)
+def test_setpoint_at_equals_the_last_step_at_or_before(data, tick):
+    schedule = data.draw(_points(tick))
+    t = data.draw(st.sampled_from([time for time, _ in schedule]) | st.floats(-60.0, 1500.0))
+    # Reference, independent of Trace: the value of the last step at or before t, and
+    # the first value before the first time.
+    expected = schedule[0][1]
+    for time, value in schedule:
+        if time <= t:
+            expected = value
+    assert _scenario(setpoint_schedule=schedule).setpoint_at(t) == expected
+
+
 @pytest.mark.parametrize("points, interp", [
     (((0.0, math.nan),), "hold"), (((math.nan, 1.0),), "hold"),
     (((0.0, 1.0), (math.nan, 2.0)), "hold"), (((0.0, math.inf),), "hold"),

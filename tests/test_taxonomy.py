@@ -201,6 +201,20 @@ class TestCheckObligations:
         with pytest.raises(LifecycleMismatchError):
             check_obligations("TI", case, now=0.0)
 
+    def test_another_types_obligation_on_the_wrong_lifecycle_is_a_mismatch(self):
+        def case(*solutions):
+            nodes = {"G1": CaseNode("G1", "goal", children=[n.id for n in solutions])}
+            nodes.update((n.id, n) for n in solutions)
+            return SafetyCase(nodes=nodes, root="G1", evidence={"ev1": _design_ev("ev1")})
+
+        # An id no type imposes binds neither lifecycle.
+        other = CaseNode("Sn2", "solution", lifecycle="dynamic", discharges={"site.X1"},
+                         evidence=["ev1"])
+        wrong = CaseNode("Sn1", "solution", discharges={"TII.B4"}, evidence=["ev1"])
+        with pytest.raises(LifecycleMismatchError, match="TII.B4"):
+            check_obligations("TI", case(wrong, other), now=0.0)
+        assert set(check_obligations("TI", case(other), now=0.0).values()) == {"missing"}
+
     def test_support_growth_never_undischarges(self):
         fail_item = EvidenceItem(
             id="ev-b4", kind="runtime-observation", verdict="fail",
