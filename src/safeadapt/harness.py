@@ -55,7 +55,6 @@ from .model import (
     SystemConfiguration,
     ValidationError,
     domain_subset,
-    history_capacity,
     json_value,
     read_json,
     write_json,
@@ -231,7 +230,8 @@ def run_scenario(
     repo = KnowledgeRepository(
         current_config=system.initial_config,
         safety_case=system.safety_case,
-        sample_history=deque(maxlen=history_capacity(tick)),
+        # Validity reads the newest sample and admission the last window: one rule for all.
+        sample_history=deque(maxlen=system.admission_policy.history_size(tick, scenario.ticks())),
         spi_windows=[replace(w, tick=tick) for w in system.spi_windows],
         active_option_id=system.initial_option_id,
         active_net=system.net_controller,

@@ -253,6 +253,12 @@ class AdmissionPolicy:
         if not 0 < self.confidence_z < math.inf:
             raise ValidationError("confidence_z must be finite and positive")
 
+    def history_size(self, tick: float, ticks: int) -> int:
+        """Samples a history ring of a ``ticks``-tick run must keep for `admission_test` to
+        read what the run's whole history would give it: the window's samples, the one before
+        them (the span check) and one for rounding in the times; never past the run, at least 1."""
+        return max(1, min(ticks, math.ceil(min(self.window / tick, ticks)) + 2))
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "window": self.window,

@@ -33,9 +33,6 @@ CONTROLLER_KINDS = ("pid", "parametric-net")
 #: The environment variables an operational domain may bound: fields of `EnvironmentSample`.
 DOMAIN_VARIABLES = ("inflow_temp", "inflow_rate")
 
-#: Seconds of samples a run's history ring keeps.
-HISTORY_HORIZON = 3600.0
-
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
 
@@ -422,7 +419,8 @@ class KnowledgeRepository:
 
     current_config: SystemConfiguration
     safety_case: "SafetyCase"
-    sample_history: deque = field(default_factory=lambda: deque(maxlen=36000))
+    #: A bounded ring; the default holds the newest sample, all that validity reads.
+    sample_history: deque = field(default_factory=lambda: deque(maxlen=1))
     spi_windows: list["SpiWindow"] = field(default_factory=list)
     active_option_id: str = ""
     #: Active network controller spec when controller_kind is parametric-net.
@@ -434,8 +432,3 @@ class KnowledgeRepository:
     def __post_init__(self) -> None:
         if self.sample_history.maxlen is None or self.sample_history.maxlen < 1:
             raise ValidationError("sample history must be a bounded ring")
-
-
-def history_capacity(tick: float, horizon: float = HISTORY_HORIZON) -> int:
-    """Ring capacity covering at least ``horizon`` seconds at ``tick`` rate."""
-    return max(1, int(round(horizon / tick)))

@@ -7,9 +7,9 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence, Union
 
-from .model import HISTORY_HORIZON, ValidationError, json_number, json_value, read_json, write_json
+from .model import ValidationError, json_number, json_value, read_json, write_json
 
-#: Most ticks a run may take and samples its history may keep; a day at 0.1 s fits.
+#: Most ticks a run may take; a day at 0.1 s fits.
 MAX_RUN_TICKS = 1_000_000
 
 
@@ -131,10 +131,10 @@ class Scenario:
         if not (math.isfinite(self.tick) and self.tick > 0):
             raise ValidationError(f"tick must be finite and > 0, got {self.tick}")
         # A quotient, not a rounded count: 1e300 / 1e-300 is infinite and would not round.
-        ticks = max(self.duration, HISTORY_HORIZON) / self.tick
+        ticks = self.duration / self.tick
         if ticks > MAX_RUN_TICKS:
             raise ValidationError(
-                f"a run of {ticks:.4g} ticks (duration or {HISTORY_HORIZON:g} s of history over "
+                f"a run of {ticks:.4g} ticks (duration {self.duration:g} s over "
                 f"tick {self.tick:g} s) passes the cap of {MAX_RUN_TICKS}")
         if not math.isfinite(self.initial_tank_temp):
             raise ValidationError(f"initial_tank_temp {self.initial_tank_temp} is not finite")

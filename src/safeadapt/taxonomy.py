@@ -8,7 +8,7 @@ case actually discharges those obligations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from .model import ValidationError, json_value
 
@@ -136,34 +136,30 @@ def all_discharged(verdicts: Iterable[Mapping[str, Any]]) -> bool:
     return all(status == "discharged" for v in verdicts for status in v["discharge"].values())
 
 
-def _criteria(descriptor: AdaptationDescriptor) -> dict[str, list[tuple[str, bool]]]:
-    """Structural criteria checks per type, in criterion order.
-
-    Behavioral criteria (e.g. run-time monotonicity of Type II domain
-    constraints) cannot be decided from a descriptor; they are enforced
-    by the planner and reported by the run harness.
-    """
-    d = descriptor
-    return {
-        "T0": [("T0.C1", not d.affects_safety_critical)],
-        "TI": [
-            ("TI.C1", d.affects_safety_critical),
-            ("TI.C2", d.options_enumerated_at_design_time),
-            ("TI.C3", d.design_time_safety == "unconditional"),
-        ],
-        "TII": [
-            ("TII.C1", d.affects_safety_critical),
-            ("TII.C2", d.options_enumerated_at_design_time),
-            ("TII.C3", d.design_time_safety == "domain-conditional"),
-            ("TII.C4", d.domain_constraints_declared),
-        ],
-        "TIII": [
-            ("TIII.C1", d.affects_safety_critical),
-            ("TIII.C2", not d.options_enumerated_at_design_time),
-            ("TIII.C3", d.runtime_assessment_declared),
-            ("TIII.C4", d.case_in_knowledge_repo),
-        ],
-    }
+#: Structural criteria per type, in criterion order: (criterion id, predicate on a
+#: descriptor). Behavioral criteria (e.g. run-time monotonicity of Type II domain
+#: constraints) cannot be decided from a descriptor; they are enforced by the planner
+#: and reported by the run harness.
+_CRITERIA: dict[str, tuple[tuple[str, Callable[[AdaptationDescriptor], bool]], ...]] = {
+    "T0": (("T0.C1", lambda d: not d.affects_safety_critical),),
+    "TI": (
+        ("TI.C1", lambda d: d.affects_safety_critical),
+        ("TI.C2", lambda d: d.options_enumerated_at_design_time),
+        ("TI.C3", lambda d: d.design_time_safety == "unconditional"),
+    ),
+    "TII": (
+        ("TII.C1", lambda d: d.affects_safety_critical),
+        ("TII.C2", lambda d: d.options_enumerated_at_design_time),
+        ("TII.C3", lambda d: d.design_time_safety == "domain-conditional"),
+        ("TII.C4", lambda d: d.domain_constraints_declared),
+    ),
+    "TIII": (
+        ("TIII.C1", lambda d: d.affects_safety_critical),
+        ("TIII.C2", lambda d: not d.options_enumerated_at_design_time),
+        ("TIII.C3", lambda d: d.runtime_assessment_declared),
+        ("TIII.C4", lambda d: d.case_in_knowledge_repo),
+    ),
+}
 
 
 def classify(descriptor: AdaptationDescriptor) -> str:
@@ -172,24 +168,24 @@ def classify(descriptor: AdaptationDescriptor) -> str:
     Raises ClassificationError, carrying the nearest type and its first
     unmet criterion, when no type's criteria are all satisfied.
     """
-    table = _criteria(descriptor)
     best_type = ""
     best_matched = -1
     best_unmet = ""
     for type_id in TYPES:
-        checks = table[type_id]
-        matched = sum(1 for _, ok in checks if ok)
-        if matched == len(checks):
+        checks = _CRITERIA[type_id]
+        unmet = [cid for cid, holds in checks if not holds(descriptor)]
+        if not unmet:
             return type_id
+        matched = len(checks) - len(unmet)
         if matched > best_matched:
             best_matched = matched
             best_type = type_id
-            best_unmet = next(cid for cid, ok in checks if not ok)
+            best_unmet = unmet[0]
     raise ClassificationError(best_type, best_unmet)
 
 
 def matched_criteria(descriptor: AdaptationDescriptor, type_id: str) -> list[str]:
-    return [cid for cid, ok in _criteria(descriptor)[type_id] if ok]
+    return [cid for cid, holds in _CRITERIA[type_id] if holds(descriptor)]
 
 
 def obligations_for(type_id: str) -> list[str]:

@@ -1,4 +1,5 @@
 import json
+from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
@@ -67,6 +68,14 @@ def _with(case, table, key, field, value):
 def _domain(case, inflow_temp):
     """The type2 case with one bound of its operational domain replaced."""
     return _with(case, "nodes", "C-DOM", "constraint", {"inflow_temp": inflow_temp})
+
+
+def _ring_sizes(monkeypatch):
+    """The ``maxlen`` of each ring the harness makes, in order."""
+    sizes = []
+    monkeypatch.setattr(harness, "deque",
+                        lambda maxlen: sizes.append(maxlen) or deque(maxlen=maxlen))
+    return sizes
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +169,16 @@ class TestRunScenario:
         _, report = run_scenario(scenario, system)
         assert any(d["applied"] for d in report.decisions)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_history_ring_holds_the_admission_window(self, monkeypatch, name):
+        # Each corpus system keeps the default 300 s window at 0.1 s: 3,000 samples, the
+        # one before them and one for rounding; no hour of history.
+        system_fn, scenario_fn = CORPUS[name]
+        scenario, system = replace(scenario_fn(), duration=301.0), system_fn()
+        sizes = _ring_sizes(monkeypatch)
+        run_scenario(scenario, system)
+        assert (system.admission_policy.window, scenario.tick, sizes) == (300.0, 0.1, [3002])
 
     def test_pid_gains_are_rebuilt_only_when_the_configuration_changes(self, monkeypatch):
         # Once before the first tick and once per applied adaptation.
@@ -448,6 +467,23 @@ class TestCli:
         captured = capfd.readouterr()
         assert (code, captured.err) == (3, "")
         assert json.loads(captured.out)["verdict"] == "fail"
+
+    def test_admission_window_past_the_run_keeps_the_run(self, tmp_path, monkeypatch, capsys):
+        # 1e300 s over a 0.1 s tick: the ring holds the run's 600 ticks, with no overflow.
+        system = json.loads((CORPUS_DIR / "type2_system.json").read_text())
+        system["safety_case_path"] = str(CORPUS_DIR / "type2_case.json")
+        system["admission_policy"]["window"] = 1e300
+        (tmp_path / "system.json").write_text(json.dumps(system))
+        save_scenario(replace(type2_scenario(), duration=60.0), tmp_path / "scenario.json")
+        sizes = _ring_sizes(monkeypatch)
+        code = main([
+            "simulate",
+            "--scenario", str(tmp_path / "scenario.json"),
+            "--system", str(tmp_path / "system.json"),
+            "--out", str(tmp_path / "trace.csv"),
+            "--report", str(tmp_path / "report.json"),
+        ])
+        assert (code, sizes, capsys.readouterr().err) == (0, [600], "")
 
     def test_key_error_inside_a_run_is_not_caught(self, tmp_path, monkeypatch):
         # Only input errors exit 2; a bug in a run keeps its traceback.

@@ -3,11 +3,15 @@
 A document with one value replaced or one key deleted either loads or is
 refused with ValidationError/StructuralError (always refused when the new
 value has another JSON type), and the CLI turns it into an exit code, never
-a traceback.
+a traceback. The same holds for `simulate` when one number of a system or
+scenario is set to an extreme finite value.
 """
+import contextlib
 import copy
+import io
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -142,6 +146,74 @@ def test_one_mutation_loads_or_is_refused(tmp_path_factory, mutated):
         argv = ["check-case", "--system", str(CORPUS_DIR / f"{name}_system.json"),
                 "--case", str(path)]
     assert main(argv) in (0, 2, 3)
+
+
+#: Extreme finite numbers: zero, the subnormal floor, tiny, huge and the largest float
+#: (the literal 1.8e308 would read as infinity).
+EXTREMES = tuple(sign * x for x in (5e-324, 1e-300, 1e300, sys.float_info.max)
+                 for sign in (1, -1)) + (0.0,)
+SIMULATED_SECONDS = 60.0  # the cap on a scenario's duration, unless the duration is the target
+
+
+def _value(document, path):
+    for step in path:
+        document = document[step]
+    return document
+
+
+#: Each site of a system or scenario document that holds a number -> its (index, path)s.
+NUMBER_SITES: dict = {}
+for _site, _places in SITES.items():
+    _numbers = [(index, path) for index, path in _places
+                if type(_value(DOCUMENTS[index][2], path)) in (int, float)]
+    if _site[0] in ("system", "scenario") and _numbers:
+        NUMBER_SITES[_site] = _numbers
+
+
+def extreme_numbers():
+    """(document index, path, extreme value) for one number of a system or scenario."""
+    places = st.sampled_from(sorted(NUMBER_SITES)).flatmap(
+        lambda site: st.sampled_from(NUMBER_SITES[site]))
+    return st.tuples(places, st.sampled_from(EXTREMES)).map(lambda p: (*p[0], p[1]))
+
+
+_WINDOW = ("admission_policy", "window")
+
+
+# A simulate run either finishes (0, or 3 with a hazard or an undischarged obligation) or
+# refuses its input with exit 2 and one "error: " line; no warning, no traceback. A 1e300 °C
+# inflow exits 0 with no hazard: the guard closes the valve on the first tick.
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+@given(target=extreme_numbers())
+@example(target=(*_at("type2", "system", *_WINDOW), sys.float_info.max))
+@example(target=(*_at("type2", "system", *_WINDOW), 5e-324))
+@example(target=(*_at("type2", "scenario", "tick"), 5e-324))
+@example(target=(*_at("type3", "scenario", "tick"), 1e300))
+@example(target=(*_at("type0", "scenario", "inflow_temp_trace", "points", 0, 1), 1e300))
+def test_an_extreme_number_simulates_or_is_refused(tmp_path_factory, target):
+    index, path, value = target
+    name, part, document, _ = _mutated(index, path, value)
+    documents = {"system": _document(name, "system"), "scenario": _document(name, "scenario"),
+                 part: document}
+    if (part, path) != ("scenario", ("duration",)):
+        scenario = documents["scenario"]
+        scenario["duration"] = min(scenario["duration"], SIMULATED_SECONDS)
+    directory = tmp_path_factory.getbasetemp()
+    paths = {p: directory / f"extreme_{p}.json" for p in documents}
+    for p, file in paths.items():
+        file.write_text(json.dumps(documents[p]))
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(["simulate", "--scenario", str(paths["scenario"]),
+                     "--system", str(paths["system"]), "--out", str(directory / "extreme.csv"),
+                     "--report", str(directory / "extreme_report.json")])
+    err = stderr.getvalue()
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""
 
 
 @pytest.mark.parametrize("name, part", [(n, p) for n, p, _ in DOCUMENTS])

@@ -7,7 +7,7 @@ from dataclasses import replace
 from itertools import accumulate, takewhile
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from safeadapt.assurance import (
     AttachEvidence,
@@ -235,6 +235,26 @@ class TestAdmission:
             stats = report.variables["inflow_temp"]
             assert (stats["mean"], stats["min"], stats["max"]) == (
                 statistics.fmean(values), min(values), max(values))
+
+    @settings(max_examples=200)
+    @given(
+        st.one_of(st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.5, 1.0]), st.floats(1e-3, 10.0)),
+        st.one_of(st.integers(1, 120), st.floats(0.01, 120.0)), st.integers(2, 150),
+        st.integers(0, 240),
+    )
+    @example(0.1, 3, 2, 40)  # window 0.30000000000000004 s: the quotient rounds up to 4
+    @example(0.1, 30, 300, 240)  # a corpus-like window that never fills min_samples
+    def test_sized_ring_reads_what_the_whole_history_reads(self, tick, ticks_per_window,
+                                                            min_samples, ticks):
+        # Samples at k * tick, as a run makes them; admission may run after any tick.
+        policy = AdmissionPolicy(window=ticks_per_window * tick, min_samples=min_samples)
+        ring, history = deque(maxlen=policy.history_size(tick, ticks)), []
+        for k in range(ticks):
+            sample = EnvironmentSample(k * tick, 1.0 + (k % 7) * 0.1, 0.5, 40.0, 40.0)
+            ring.append(sample)
+            history.append(sample)
+            assert admission_test(ring, COLD_FAST_DOMAIN, policy) == admission_test(
+                history, COLD_FAST_DOMAIN, policy)
 
 
 class TestPlanType2:

@@ -14,7 +14,6 @@ from safeadapt.model import (
     UNBOUNDED_DOMAIN,
     ValidationError,
     domain_subset,
-    history_capacity,
     option_satisfies_model,
 )
 from safeadapt.plant import GuardState, PlantState
@@ -206,8 +205,3 @@ def test_tick_records_reject_field_assignment(record):
         setattr(record, record._fields[0], 1.0)
     with pytest.raises(AttributeError):
         record.extra = 1.0  # no instance dict either
-
-
-def test_history_capacity_covers_an_hour():
-    assert history_capacity(0.1) == 36000
-    assert history_capacity(0.5) == 7200

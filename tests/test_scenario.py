@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from safeadapt.model import HISTORY_HORIZON, ValidationError
+from safeadapt.model import ValidationError
 from safeadapt.scenario import MAX_RUN_TICKS, Scenario, Trace
 
 POINTS = ((0.0, 1.0), (10.0, 2.0), (10.0, 3.0), (20.0, 4.0))
@@ -175,12 +175,12 @@ def test_hold_trace_may_step_across_the_float_range():
     dict(manual_triggers=((math.nan, "opt-1"),)),
     dict(manual_triggers=((1.0, "opt-1"), (math.inf, "opt-2"))),
     dict(duration=1e300), dict(duration=100_000.2), dict(tick=1e-300), dict(tick=5e-324),
-    dict(tick=0.003),
+    dict(tick=9e-6),
 ], ids=[
     "duration-nan", "duration-inf", "duration-negative", "tick-zero", "tick-negative",
     "tick-nan", "tick-inf", "initial-temp-nan", "setpoint-nan", "setpoint-time-nan",
     "setpoint-unsorted", "negative-inflow-rate", "manual-trigger-nan", "manual-trigger-inf",
-    "duration-huge", "ticks-past-cap", "tick-tiny", "tick-subnormal", "history-past-cap",
+    "duration-huge", "ticks-past-cap", "tick-tiny", "tick-subnormal", "short-run-past-cap",
 ])
 def test_malformed_scenario_rejected(overrides):
     with pytest.raises(ValidationError):
@@ -189,7 +189,8 @@ def test_malformed_scenario_rejected(overrides):
 
 def test_run_at_the_tick_cap_loads():
     assert _scenario(duration=MAX_RUN_TICKS * 0.1).ticks() == MAX_RUN_TICKS
-    assert _scenario(tick=HISTORY_HORIZON / MAX_RUN_TICKS).ticks() == 2778
+    # Only the run counts: a short run may take a tick whose hour would pass the cap.
+    assert _scenario(tick=10.0 / MAX_RUN_TICKS).ticks() == MAX_RUN_TICKS
 
 
 @pytest.mark.parametrize("points", [
