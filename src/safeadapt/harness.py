@@ -13,15 +13,17 @@ A run binds its SPI windows to the scenario's tick and shares the immutable
 safety case; PID gains are rebuilt only where the configuration changes.
 Scenario inputs are read by forward cursors, not looked up per tick. The
 values each tick creates (sample, plant, guard and PID states) are
-immutable tuples.
+immutable tuples. The trace keeps each tick as six floats plus its tail
+run's text, and formats rows only when they are read or written.
 """
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, Union
+from typing import Any, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
@@ -70,7 +72,7 @@ ADAPTATION_COOLDOWN = 60.0
 TYPE3_ASSESS_COOLDOWN = 120.0
 
 _GOAL_VIOLATION = AdaptationTrigger("goal-violation")
-_TRACE_CHUNK = 1024  # rows joined per write: a run's trace is never held as one string
+_TRACE_CHUNK = 1024  # rows formatted per write: a run's trace is never held as one string
 
 
 @dataclass
@@ -90,6 +92,11 @@ class SystemDescription:
     def __post_init__(self) -> None:
         if self.initial_config.controller_kind == "parametric-net" and self.net_controller is None:
             raise ValidationError("parametric-net initial configuration lacks a net_controller")
+        # The trace prints option ids unquoted: no CSV delimiter or quote may corrupt a row.
+        for option_id in (self.baseline_option_id, self.initial_option_id,
+                          *(o.id for m in self.models for o in m.options or ())):
+            if any(c in option_id for c in ',"\r\n'):
+                raise ValidationError(f"option id {option_id!r} holds a comma, quote or line break")
         # The plant refuses a suite tick it cannot step.
         for tick in {s.tick for s in self.assessment_scenarios} - {self.plant.tick}:
             replace(self.plant, tick=tick)
@@ -172,18 +179,37 @@ TRACE_HEADER = (
 _ROW_HEAD, _ROW_TAIL = "%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,", "%d,%s,%.6f,%s,%d,%.6f,%s,%d"
 
 
-def _row_formatter() -> Callable[[tuple, tuple], str]:
-    """A run's ``row(head, tail) == _ROW_HEAD % head + _ROW_TAIL % tail``, formatting the tail
-    only when it changes by ``==``, which holds -0.0 equal to 0.0. The tail's floats are never
-    -0.0: ``hazard_accum`` and the SPI duration are 0.0 literals or sums of positive ticks."""
-    memo: list = [None, ""]
+class TraceRows:
+    """A run's trace rows, the header first, held as numbers and formatted when read: each
+    tick's head floats in one array, and each run of ticks whose tails are equal by ``==``
+    as its first tick and its ``_ROW_TAIL`` text. ``==`` holds -0.0 equal to 0.0, but the
+    tail's floats are never -0.0: they are 0.0 literals or sums of positive ticks."""
 
-    def row(head: tuple, tail: tuple) -> str:
-        if tail != memo[0]:
-            memo[:] = tail, _ROW_TAIL % tail
-        return _ROW_HEAD % head + memo[1]
+    def __init__(self) -> None:
+        self._heads, self._starts, self._texts, self._tail = array("d"), array("l"), [], None
 
-    return row
+    def add(self, head: tuple, tail: tuple) -> None:
+        self._heads.extend(head)
+        if tail != self._tail:
+            self._tail = tail
+            self._starts.append(len(self._heads) // 6 - 1)
+            self._texts.append(_ROW_TAIL % tail)
+
+    def __len__(self) -> int:
+        return 1 + len(self._heads) // 6
+
+    def __iter__(self) -> Iterator[str]:
+        yield TRACE_HEADER
+        yield from (row[:-1] for row in self.chunks(1))
+
+    def chunks(self, size: int) -> Iterator[str]:
+        """The rows after the header, each ending in a newline, at most ``size`` to a string."""
+        heads, starts = self._heads, self._starts
+        for a, end, text in zip(starts, starts[1:] + array("l", [len(self) - 1]), self._texts):
+            fmt = _ROW_HEAD + text.replace("%", "%%") + "\n"
+            for b in range(a, end, size):
+                n = min(size, end - b)
+                yield (fmt * n) % tuple(heads[6 * b:6 * (b + n)])
 
 
 @dataclass
@@ -210,7 +236,7 @@ class RunReport:
 @np.errstate(over="ignore", invalid="ignore")
 def run_scenario(
     scenario: Scenario, system: SystemDescription
-) -> tuple[list[str], RunReport]:
+) -> tuple[TraceRows, RunReport]:
     """Execute the tick pipeline for a full scenario.
 
     Deterministic for a fixed (scenario, system, seed); returns the CSV
@@ -251,7 +277,7 @@ def run_scenario(
     spi_windows = repo.spi_windows  # reset in place by fail_safe, never rebound
 
     report = RunReport(scenario_id=scenario.id)
-    rows, row = [TRACE_HEADER], _row_formatter()
+    rows = TraceRows()
     # The sentinel never fires: load-time checks make every trigger time finite.
     manual_triggers = iter([*sorted(scenario.manual_triggers), (math.inf, "")])
     next_manual, manual_option = next(manual_triggers)
@@ -307,7 +333,7 @@ def run_scenario(
             activated_specs.append(spec_hash(decision.candidate_net))
 
     # Bound once per run; each traced layer is still called through its module binding.
-    append_sample, append_row, max_power = repo.sample_history.append, rows.append, plant.max_power
+    append_sample, append_row, max_power = repo.sample_history.append, rows.add, plant.max_power
     observe, take_violation, new_tuple = tracker.observe, tracker.take_violation, tuple.__new__
 
     for k, setpoint, inflow_temp, inflow_rate in scenario.inputs():
@@ -396,9 +422,9 @@ def run_scenario(
             last_valid, last_revision = valid, revision
             report.case_validity_timeline.append({"time": t, "revision": revision, "valid": valid})
         spi_near = spi_windows[0].accumulated() if spi_windows else 0.0
-        append_row(row((t, inflow_temp, inflow_rate, setpoint, outflow_temp, power), (
+        append_row((t, inflow_temp, inflow_rate, setpoint, outflow_temp, power), (
             valve_open, repo.active_option_id, hazard_accum, hazard_count,
-            tripped, spi_near, revision, valid)))
+            tripped, spi_near, revision, valid))
 
     report.hazard_count = state.hazard_count
     report.rise_times = [dict(e) for e in tracker.events]
@@ -416,12 +442,11 @@ def run_scenario(
     return rows, report
 
 
-def emit_trace(rows: list[str], path: Union[str, Path]) -> None:
-    """Write the bytes of ``"\\n".join(rows) + "\\n"`` (a lone newline for no rows) as CSV."""
+def emit_trace(rows: TraceRows, path: Union[str, Path]) -> None:
+    """Write the bytes of ``"\\n".join(rows) + "\\n"`` as CSV, ``_TRACE_CHUNK`` rows to a write."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for start in range(0, max(len(rows), 1), _TRACE_CHUNK):
-            fh.write("\n".join(rows[start:start + _TRACE_CHUNK]))
-            fh.write("\n")
+        fh.write(TRACE_HEADER + "\n")
+        fh.writelines(rows.chunks(_TRACE_CHUNK))
 
 
 def save_report(report: RunReport, path: Union[str, Path]) -> None:

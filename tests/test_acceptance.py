@@ -82,7 +82,7 @@ def test_criterion_1_guard_supremacy():
             initial_option_id="tel-5",
         )
         rows, report = run_scenario(scenario, system)
-        fields = [r.split(",") for r in rows[1:]]
+        fields = [r.split(",") for r in list(rows)[1:]]
         first_over = next(
             (float(f[0]) for f in fields if float(f[4]) > 90.0), None
         )
@@ -170,8 +170,8 @@ def test_criterion_4_dynamic_assurance(corpus_runs):
     # Fail-safe fires on the very tick the near-limit window exceeds
     # 60 s; the trace shows the accumulator at its 60.0 s ceiling on the
     # prior row and reset to zero on the breach row itself.
-    spi = [float(r.split(",")[11]) for r in rows[1:]]
-    times = [float(r.split(",")[0]) for r in rows[1:]]
+    spi = [float(r.split(",")[11]) for r in list(rows)[1:]]
+    times = [float(r.split(",")[0]) for r in list(rows)[1:]]
     first_breach_row = next(
         times[i + 1] for i in range(len(spi) - 1)
         if spi[i] >= 60.0 - SPI_EPS and spi[i + 1] == 0.0
@@ -197,7 +197,7 @@ def _fine_oracle_error(rows, scenario_fn):
     h = tick / substeps
     temp = scenario.initial_tank_temp
     worst = 0.0
-    for row in rows[1:]:
+    for row in list(rows)[1:]:
         f = row.split(",")
         inflow_temp, inflow_rate = float(f[1]), float(f[2])
         power, valve = float(f[5]), f[6] == "1"

@@ -1,10 +1,12 @@
+import gc
 import json
+import tracemalloc
 from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from safeadapt import assurance, cli, harness, taxonomy
 from safeadapt.assurance import CaseNode, SafetyCase
@@ -33,6 +35,7 @@ from safeadapt.model import SystemConfiguration, write_json
 from safeadapt.plant import PlantParams
 from safeadapt.scenario import Scenario, Trace, save_scenario
 from safeadapt.taxonomy import AdaptationDescriptor
+from run_oracle import ROW as _ROW, reference_run
 from validity_oracle import unsupported
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
@@ -91,28 +94,28 @@ def type1_run():
 class TestRunScenario:
     def test_zero_duration_emits_header_only(self):
         rows, report = run_scenario(_flat_scenario(0.0), _bare_system())
-        assert rows == [TRACE_HEADER]
+        assert list(rows) == [TRACE_HEADER]
         assert report.hazard_count == 0
         assert report.guard_trips == 0
         assert report.decisions == []
         assert report.clean()
 
     def test_first_row_starts_at_time_zero(self, type0_run):
-        rows, _ = type0_run
+        rows = list(type0_run[0])
         assert rows[0] == TRACE_HEADER
         assert rows[1].startswith("0.000000,")
 
     def test_equilibrium_holds_exactly(self):
         rows, report = run_scenario(_flat_scenario(5.0), _bare_system())
         assert len(rows) == 51
-        for row in rows[1:]:
+        for row in list(rows)[1:]:
             assert row.split(",")[4] == "20.000000"
         assert report.hazard_count == 0
 
     def test_guard_trips_one_tick_after_crossing(self, type0_run):
         rows, report = type0_run
-        outflow = [float(r.split(",")[4]) for r in rows[1:]]
-        tripped = [r.split(",")[10] for r in rows[1:]]
+        outflow = [float(r.split(",")[4]) for r in list(rows)[1:]]
+        tripped = [r.split(",")[10] for r in list(rows)[1:]]
         first_over = next(i for i, temp in enumerate(outflow) if temp > 90.0)
         assert tripped[first_over] == "0"
         assert tripped[first_over + 1] == "1"
@@ -123,7 +126,7 @@ class TestRunScenario:
     def test_runs_are_deterministic(self, type0_run):
         rows, _ = type0_run
         again, _ = run_scenario(type0_scenario(), type0_system())
-        assert again == rows
+        assert list(again) == list(rows)
 
     def test_type1_decision_log(self, type1_run):
         _, report = type1_run
@@ -135,7 +138,7 @@ class TestRunScenario:
     def test_type1_trace_reflects_active_option(self, type1_run):
         rows, report = type1_run
         switch_time = next(d["time"] for d in report.decisions if d["applied"])
-        for row in rows[1:]:
+        for row in list(rows)[1:]:
             fields = row.split(",")
             t, active = float(fields[0]), fields[7]
             assert active == ("opt-1" if t <= switch_time - 0.05 else "opt-9")
@@ -204,7 +207,7 @@ class TestRunScenario:
             assert report.spi_breaches > 0
         assert system.safety_case.to_dict() == case
         assert all(len(w.ring) == 0 and w.true_count == 0 for w in system.spi_windows)
-        assert run_scenario(scenario, system)[0] == rows
+        assert list(run_scenario(scenario, system)[0]) == list(rows)
 
     @pytest.mark.parametrize("system_fn, scenario_fn", [
         (type2_system, type2_scenario),
@@ -246,41 +249,120 @@ class TestRunScenario:
         assert len(revisions) > 1
         assert len(compiled) == len(revisions)
 
+    def test_trace_and_report_retain_at_most_80_bytes_a_tick(self):
+        # Six head floats take 48 bytes a tick; rows held as strings took about 160.
+        scenario, system = type3_scenario(), type3_system()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rows, report = run_scenario(scenario, system)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == scenario.ticks() + 1 == 36_001
+        assert retained <= 80 * scenario.ticks()
+
     def test_all_rows_have_header_arity(self, type1_run):
         rows, _ = type1_run
         arity = len(TRACE_HEADER.split(","))
         assert all(len(r.split(",")) == arity for r in rows)
 
 
-#: A trace row as one format string: the reference for the head/tail formatter.
-_ROW = "%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%d,%s,%.6f,%s,%d,%.6f,%s,%d"
-
-_row_head = st.tuples(*[st.floats()] * 6)
-# hazard_accum and the SPI duration are never -0.0 in a run (see harness._row_formatter).
+_row_head = st.tuples(*[st.floats()] * 6)  # any float: -0.0, nan and the infinities too
+# hazard_accum and the SPI duration are never -0.0 in a run (see harness.TraceRows).
 _non_negative = st.floats(0.0, 1e6).map(abs)
 _row_tail = st.tuples(
-    st.booleans(), st.sampled_from(["", "opt-a", "baseline"]), _non_negative,
+    st.booleans(), st.text(st.sampled_from("%sd(a)-"), max_size=4), _non_negative,
     st.integers(0, 3), st.booleans(), _non_negative, st.integers(0, 5), st.booleans(),
 )
+_HEAD = (-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 1e300)
+_TAILS = [(True, "100%", 0.0, 0, False, 0.0, 0, True), (False, "%s", 0.1, 1, True, 2.0, 1, False)]
 
 
 @settings(max_examples=300)
 @given(tails=st.lists(_row_tail, min_size=1, max_size=4),
-       rows=st.lists(st.tuples(_row_head, st.integers(0, 3)), max_size=40))
-def test_row_formatter_matches_the_one_string_row(tails, rows):
+       rows=st.lists(st.tuples(_row_head, st.integers(0, 3)), max_size=24))
+@example(tails=_TAILS, rows=[])  # no ticks: the header alone
+@example(tails=_TAILS, rows=[(_HEAD, 0)] * 9)  # one tail run in chunks of 4, 4 and 1
+# The tail changes at, one row before and one row after a chunk boundary.
+@example(tails=_TAILS, rows=[(_HEAD, pick) for pick in [0] * 4 + [1] * 4])
+@example(tails=_TAILS, rows=[(_HEAD, pick) for pick in [0] * 3 + [1] * 5])
+@example(tails=_TAILS, rows=[(_HEAD, pick) for pick in [0] * 5 + [1] * 3])
+def test_trace_rows_match_the_one_string_rows(tmp_path_factory, tails, rows):
     # Rows draw from a few tails, so a tail repeats (as an equal copy) and changes.
-    row = harness._row_formatter()
+    store, expected = harness.TraceRows(), [TRACE_HEADER]
     for head, pick in rows:
         tail = tuple(list(tails[pick % len(tails)]))
-        assert row(head, tail) == _ROW % (*head, *tail)
+        store.add(head, tail)
+        expected.append(_ROW % (*head, *tail))
+    assert len(store) == len(expected)
+    assert list(store) == expected
+    path = tmp_path_factory.getbasetemp() / "rows.csv"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_TRACE_CHUNK", 4)
+        harness.emit_trace(store, path)
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+    assert all(chunk.count("\n") <= 4 for chunk in store.chunks(4))
 
 
-@pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 9])  # around a chunk of 4 rows
-def test_chunked_trace_write_matches_the_one_string_write(tmp_path, monkeypatch, count):
-    monkeypatch.setattr(harness, "_TRACE_CHUNK", 4)
-    rows = [f"{k},row" for k in range(count)]
-    harness.emit_trace(rows, tmp_path / "trace.csv")
-    assert (tmp_path / "trace.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
+# Times from a small grid repeat; the rest fall anywhere in the run.
+_time = st.one_of(st.sampled_from([0.0, 0.5, 30.0, 60.0]), st.floats(0.0, 240.0))
+
+
+def _points(values):
+    return st.lists(st.tuples(_time, values), min_size=1, max_size=4).map(sorted).map(tuple)
+
+
+@st.composite
+def _generated_scenarios(draw, option_ids):
+    return Scenario(
+        id="generated",
+        duration=draw(st.floats(0.0, 240.0)),
+        tick=draw(st.one_of(st.sampled_from([0.1, 0.5]), st.floats(0.05, 0.5))),
+        setpoint_schedule=draw(_points(st.floats(20.0, 99.0))),
+        inflow_temp_trace=Trace(draw(_points(st.floats(0.0, 60.0))),
+                                draw(st.sampled_from(["hold", "linear"]))),
+        inflow_rate_trace=Trace(draw(_points(st.floats(0.0, 0.6))),
+                                draw(st.sampled_from(["hold", "linear"]))),
+        seed=draw(st.integers(0, 100)),
+        guard_enabled=draw(st.booleans()),
+        initial_tank_temp=draw(st.one_of(st.floats(10.0, 95.0), st.floats(84.0, 92.0))),
+        manual_triggers=tuple(draw(st.lists(
+            st.tuples(_time, st.sampled_from([*option_ids, "opt-99"])), max_size=3))),
+    )
+
+
+def _pinned(id, duration, setpoints, inflow_temp, inflow_rate, initial, guard, manual):
+    return Scenario(id, duration, setpoints, Trace.constant(inflow_temp),
+                    Trace.constant(inflow_rate), tick=0.5, seed=4, guard_enabled=guard,
+                    initial_tank_temp=initial, manual_triggers=manual)
+
+
+# Hot: the guard trips (or the hazard counts), the 60 s rise limit passes, and the type3
+# near-limit window breaches. Cold: a 300 s window of cold samples admits a type2 option.
+_HOT = _pinned("hot", 200.0, ((0.0, 80.0), (5.0, 95.0)), 10.0, 0.005, 88.0, True, ())
+_COLD = _pinned("cold", 330.0, ((0.0, 40.0),), 0.8, 0.5, 40.0, True, ((100.0, "opt-1"),))
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_run_matches_the_reference_run(tmp_path_factory, name):
+    system = CORPUS[name][0]()
+    option_ids = [o.id for o in system.models[0].options or ()] if system.models else []
+
+    @settings(max_examples=25)
+    @given(_generated_scenarios(option_ids))
+    @example(_HOT)
+    @example(replace(_HOT, guard_enabled=False))
+    @example(_COLD)
+    def check(scenario):
+        rows, report = run_scenario(scenario, system)
+        path = tmp_path_factory.getbasetemp() / f"{name}-run.csv"
+        harness.emit_trace(rows, path)
+        assert (path.read_bytes(), report) == reference_run(scenario, system)
+
+    check()
 
 
 class TestSystemFiles:
@@ -581,6 +663,31 @@ class TestCli:
         code = main(["classify", "--system", str(tmp_path / "system.json")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: domain bound 'inflow_temp'")
+
+    # The trace prints the active option id unquoted: each character would split a row.
+    @pytest.mark.parametrize("char", [",", '"', "\r", "\n"], ids=["comma", "quote", "cr", "lf"])
+    @pytest.mark.parametrize("where", ["option", "baseline_option_id", "initial_option_id"])
+    def test_option_id_that_would_break_the_trace_fails_at_load(
+        self, tmp_path, capsys, monkeypatch, where, char
+    ):
+        system = json.loads((CORPUS_DIR / "type1_system.json").read_text())
+        system["safety_case_path"] = str(CORPUS_DIR / "type1_case.json")
+        if where == "option":
+            system["adaptation_models"][0]["options"][0]["id"] = f"opt{char}1"
+        else:
+            system[where] = f"opt{char}1"
+        (tmp_path / "system.json").write_text(json.dumps(system))
+        monkeypatch.setattr(cli, "run_scenario", lambda *a: pytest.fail("the run started"))
+        code = main([
+            "simulate",
+            "--scenario", str(CORPUS_DIR / "type1_scenario.json"),
+            "--system", str(tmp_path / "system.json"),
+            "--out", str(tmp_path / "trace.csv"),
+            "--report", str(tmp_path / "report.json"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "trace.csv").exists()
+        assert f"option id {f'opt{char}1'!r} holds a comma" in capsys.readouterr().err
 
     def test_malformed_system_is_a_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "system.json"
