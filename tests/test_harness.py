@@ -290,7 +290,7 @@ _TAILS = [(True, "100%", 0.0, 0, False, 0.0, 0, True), (False, "%s", 0.1, 1, Tru
 @example(tails=_TAILS, rows=[(_HEAD, pick) for pick in [0] * 4 + [1] * 4])
 @example(tails=_TAILS, rows=[(_HEAD, pick) for pick in [0] * 3 + [1] * 5])
 @example(tails=_TAILS, rows=[(_HEAD, pick) for pick in [0] * 5 + [1] * 3])
-def test_trace_rows_match_the_one_string_rows(tmp_path_factory, tails, rows):
+def test_row_formatter_matches_the_one_string_row(tmp_path_factory, tails, rows):
     # Rows draw from a few tails, so a tail repeats (as an equal copy) and changes.
     store, expected = harness.TraceRows(), [TRACE_HEADER]
     for head, pick in rows:
@@ -305,6 +305,18 @@ def test_trace_rows_match_the_one_string_rows(tmp_path_factory, tails, rows):
         harness.emit_trace(store, path)
     assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
     assert all(chunk.count("\n") <= 4 for chunk in store.chunks(4))
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 9])  # around a chunk of 4 rows
+def test_chunked_trace_write_matches_the_one_string_write(tmp_path, monkeypatch, count):
+    monkeypatch.setattr(harness, "_TRACE_CHUNK", 4)
+    store, expected = harness.TraceRows(), [TRACE_HEADER]
+    for k in range(count):  # the tail changes after the third row, inside the first chunk
+        head, tail = (k / 3, k, -k, 0.5, 1e-9 * k, 90.0), _TAILS[k >= 3]
+        store.add(head, tail)
+        expected.append(_ROW % (*head, *tail))
+    harness.emit_trace(store, tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
 
 
 # Times from a small grid repeat; the rest fall anywhere in the run.
