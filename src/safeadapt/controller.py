@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Mapping, NamedTuple, Sequence
 
@@ -78,6 +78,9 @@ class NetControllerSpec:
     layer_sizes: tuple[int, ...]
     weights: tuple[float, ...]
     activation: str = "tanh"
+    # net_compute's last two calls on this spec, older first: (inputs tuple, max_power, power).
+    _recent: list = field(default_factory=lambda: [((), 0.0, 0.0)] * 2,
+                          init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.activation != "tanh":
@@ -145,17 +148,27 @@ def zero_spec(layer_sizes: Sequence[int]) -> NetControllerSpec:
 def net_compute(
     spec: NetControllerSpec, inputs: Sequence[float], max_power: float
 ) -> float:
-    """Deterministic forward pass; returns a power in [0, max_power]."""
+    """Deterministic forward pass; returns a power in [0, max_power].
+
+    A call whose inputs and max_power equal (by ``==``) the call two before on this spec
+    returns that call's power without a pass: the controlled plant chatters with period 2.
+    """
     if len(inputs) != NET_INPUT_COUNT:
         raise ValidationError(
             f"expected {NET_INPUT_COUNT} inputs, got {len(inputs)}"
         )
+    key, recent = tuple(inputs), spec._recent  # immutable: a list mutated in place never hits
+    older = recent[0]
+    if older[0] == key and older[1] == max_power:
+        recent[0], recent[1] = recent[1], older
+        return older[2]
     # x.dot(m) makes the BLAS call of x @ m at half the dispatch cost, bit for bit.
-    x = np.array(inputs, dtype=float)
+    x = np.array(key, dtype=float)
     hidden, matrix, bias = spec.layers
     for hidden_matrix, hidden_bias in hidden:
         x = np.tanh(x.dot(hidden_matrix) + hidden_bias)
     z = float(x.dot(matrix)[0]) + bias
     # Logistic squash keeps the command in [0, 1] before power scaling.
-    level = 0.5 * (1.0 + math.tanh(0.5 * z))
-    return level * max_power
+    power = 0.5 * (1.0 + math.tanh(0.5 * z)) * max_power
+    recent[0], recent[1] = recent[1], (key, max_power, power)
+    return power

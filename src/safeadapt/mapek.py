@@ -578,13 +578,14 @@ def assess_candidate(
         for scenario in suite.scenarios
     ]
     verdict = "pass" if all(r["ok"] for r in results) else "fail"
+    digest = spec_hash(candidate)  # plan_type3 reads the candidate id from payload_ref
     evidence = EvidenceItem(
-        id=f"assess-{spec_hash(candidate)[:12]}-r{int(round(now * 10))}",
+        id=f"assess-{digest[:12]}-r{int(round(now * 10))}",
         kind="runtime-assessment",
         verdict=verdict,
         produced_at=now,
         freshness=DEFAULT_RUNTIME_FRESHNESS,
-        payload_ref=spec_hash(candidate),
+        payload_ref=digest,
     )
     return {"verdict": verdict, "evidence": evidence, "results": results}
 
@@ -602,7 +603,7 @@ def plan_type3(
     candidate = propose_candidate(current, seed)
     outcome = assess_candidate(candidate, suite, now)
     evidence: EvidenceItem = outcome["evidence"]
-    candidate_id = f"candidate-{spec_hash(candidate)[:12]}"
+    candidate_id = f"candidate-{evidence.payload_ref[:12]}"
     if outcome["verdict"] != "pass":
         return AdaptationDecision(
             trigger=trigger_kind,

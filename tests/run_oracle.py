@@ -3,9 +3,10 @@
 `reference_run` steps a scenario with none of the run loop's shortcuts. It
 builds each record with its constructor, reads each tick's inputs with
 `Trace.value_at` and `Scenario.setpoint_at`, keeps the whole sample history,
-decides the case's validity with `support_map`, and formats each row with the
-one-string `ROW`. The property in `test_harness.py` compares its bytes and
-report with the program's.
+decides the case's validity with `support_map`, computes the network's power
+with the memo-free `matmul_net`, and formats each row with the one-string `ROW`.
+The property in `test_harness.py` compares its bytes and report with the
+program's.
 """
 from collections import deque
 from dataclasses import replace
@@ -14,7 +15,7 @@ import numpy as np
 
 from safeadapt import taxonomy
 from safeadapt.assurance import current_constraints
-from safeadapt.controller import PidConfig, PidState, net_compute, pid_compute
+from safeadapt.controller import PidConfig, PidState, pid_compute
 from safeadapt.harness import (
     ADAPTATION_COOLDOWN,
     TRACE_HEADER,
@@ -36,6 +37,7 @@ from safeadapt.mapek import (
 from safeadapt.model import EnvironmentSample, KnowledgeRepository, domain_subset
 from safeadapt.plant import GuardState, PlantState, guard_step, hazard_update, plant_step
 from safeadapt.spi import spi_update
+from net_oracle import matmul_net
 from validity_oracle import support_map
 
 #: A trace row as one format string. Bools print as 1/0.
@@ -130,7 +132,7 @@ def reference_run(scenario, system):
                                            plant.max_power)
         else:
             temp_rate = (state.outflow_temp - prev_temp) / tick
-            power = net_compute(
+            power = matmul_net(
                 repo.active_net,
                 (setpoint, state.outflow_temp, inflow_temp, inflow_rate, temp_rate),
                 plant.max_power,

@@ -1,9 +1,10 @@
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from safeadapt.controller import (
     NET_INPUT_COUNT,
@@ -17,6 +18,7 @@ from safeadapt.controller import (
 )
 from safeadapt.mapek import MAX_LAYER_COUNT, MAX_LAYER_SIZE, WEIGHT_NOISE_SCALE, propose_candidate
 from safeadapt.model import SystemConfiguration, ValidationError
+from net_oracle import matmul_net
 
 
 class TestPid:
@@ -103,29 +105,6 @@ def _reference_net(spec, inputs, max_power):
     return (0.5 * (1.0 + math.tanh(0.5 * z))) * max_power
 
 
-def _matmul_net(spec, inputs, max_power):
-    """The forward pass through ``@`` and array-valued biases: the bit-exact oracle.
-
-    Unflattens the weights as ``NetControllerSpec.layers`` does, as views of one
-    float array, so that each matrix has the same layout in memory.
-    """
-    dims = (NET_INPUT_COUNT, *spec.layer_sizes, 1)
-    flat = np.array(spec.weights, dtype=float)
-    layers, pos = [], 0
-    for fan_in, fan_out in zip(dims, dims[1:]):
-        matrix = flat[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out)
-        pos += fan_in * fan_out
-        layers.append((matrix, flat[pos:pos + fan_out]))
-        pos += fan_out
-    x = np.asarray(inputs, dtype=float)
-    for matrix, bias in layers[:-1]:
-        x = np.tanh(x @ matrix + bias)
-    matrix, bias = layers[-1]
-    z = float((x @ matrix + bias)[0])
-    level = 0.5 * (1.0 + math.tanh(0.5 * z))
-    return level * max_power
-
-
 @st.composite
 def _net_specs(draw):
     """Every topology a Type III run can reach, with zero weights (``zero_spec``), weights
@@ -154,7 +133,47 @@ _net_inputs = st.tuples(*[st.floats(-300.0, 300.0)] * NET_INPUT_COUNT)
 def test_forward_pass_is_bit_identical_to_the_matmul_oracle(spec, first, second):
     # The first call builds the spec's cached layers, the second reads them.
     for inputs in (first, second):
-        assert net_compute(spec, inputs, 10000.0) == _matmul_net(spec, inputs, 10000.0)
+        assert net_compute(spec, inputs, 10000.0) == matmul_net(spec, inputs, 10000.0)
+
+
+# Calls drawn from a small pool repeat at distances 1, 2 and 3, on two specs and two
+# max_power values; inputs hold signed zeros, infinities and NaN.
+_memo_floats = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+                         st.floats(-300.0, 300.0))
+_SPECS = (zero_spec([2]), NetControllerSpec((2,), tuple(k / 10 for k in range(weight_count([2])))))
+_POOL = [(50.0, 40.0, 10.0, 0.1, 0.0), (0.0, -0.0, math.inf, -math.inf, 1.0),
+         (math.nan, 60.0, -0.0, 0.5, 2.0)]
+
+
+def _same_bits(got, want):
+    return math.isnan(got) and math.isnan(want) or struct.pack("<d", got) == struct.pack("<d", want)
+
+
+@settings(max_examples=200)
+@given(specs=st.tuples(_net_specs(), _net_specs()),
+       pool=st.lists(st.tuples(*[_memo_floats] * NET_INPUT_COUNT), min_size=1, max_size=3),
+       calls=st.lists(st.tuples(st.integers(0, 1), st.sampled_from([10000.0, 2500.0]),
+                                st.integers(0, 2), st.booleans()), max_size=12))
+@example(specs=_SPECS, pool=_POOL, calls=[(0, 10000.0, k, False) for k in [0, 0, 1, 0, 2, 1, 0]])
+# A repeat at distance 2 with another max_power, a list that was mutated since it was
+# passed, and a repeat on the other spec.
+@example(specs=_SPECS, pool=_POOL, calls=[(1, 10000.0, 0, False), (1, 10000.0, 1, False),
+                                          (1, 2500.0, 0, False)])
+@example(specs=_SPECS, pool=_POOL, calls=[(1, 10000.0, 0, True), (1, 10000.0, 1, False),
+                                          (1, 10000.0, 1, True)])
+@example(specs=_SPECS, pool=_POOL, calls=[(0, 10000.0, 0, False), (0, 10000.0, 1, False),
+                                          (1, 10000.0, 0, False)])
+def test_memoised_calls_are_bit_identical_to_the_matmul_oracle(specs, pool, calls):
+    specs = [NetControllerSpec(s.layer_sizes, s.weights) for s in specs]  # cold memos
+    shared = [0.0] * NET_INPUT_COUNT  # one list, mutated in place between calls
+    with np.errstate(over="ignore", invalid="ignore"):
+        for which, max_power, pick, through_list in calls:
+            inputs = pool[pick % len(pool)]
+            if through_list:
+                shared[:] = inputs
+                inputs = shared
+            got = net_compute(specs[which], inputs, max_power)
+            assert _same_bits(got, matmul_net(specs[which], inputs, max_power))
 
 
 class TestNet:

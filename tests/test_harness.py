@@ -5,10 +5,11 @@ from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from safeadapt import assurance, cli, harness, taxonomy
+from safeadapt import assurance, cli, controller, harness, mapek, taxonomy
 from safeadapt.assurance import CaseNode, SafetyCase
 from safeadapt.cli import main
 from safeadapt.controller import PidConfig
@@ -263,6 +264,30 @@ class TestRunScenario:
             tracemalloc.stop()
         assert len(rows) == scenario.ticks() + 1 == 36_001
         assert retained <= 80 * scenario.ticks()
+
+    def test_most_type3_ticks_skip_the_forward_pass(self, monkeypatch):
+        # The controlled plant chatters with period 2: most calls repeat the inputs of the
+        # call two before. np.array runs once a pass, and once a spec when its layers are built.
+        counts = {"calls": 0, "arrays": 0}
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def array(self, *args, **kwargs):
+                counts["arrays"] += 1
+                return np.array(*args, **kwargs)
+
+        def counted_net_compute(*args):
+            counts["calls"] += 1
+            return controller.net_compute(*args)
+
+        monkeypatch.setattr(controller, "np", CountingNumpy())
+        monkeypatch.setattr(harness, "net_compute", counted_net_compute)
+        monkeypatch.setattr(mapek, "net_compute", counted_net_compute)
+        run_scenario(replace(type3_scenario(), duration=300.0), type3_system())
+        assert counts["calls"] >= 3000
+        assert counts["arrays"] <= 0.15 * counts["calls"]
 
     def test_all_rows_have_header_arity(self, type1_run):
         rows, _ = type1_run

@@ -14,7 +14,7 @@ from safeadapt.assurance import (
     ReplaceConstraintContext,
     evaluate_validity,
 )
-from safeadapt.controller import NetControllerSpec, net_compute, weight_count, zero_spec
+from safeadapt.controller import NetControllerSpec, weight_count, zero_spec
 from safeadapt.corpus import (
     COLD_FAST_DOMAIN,
     PERMISSIVE_DOMAIN,
@@ -53,6 +53,7 @@ from safeadapt.model import (
 from safeadapt.plant import PlantState, hazard_update, plant_step
 from safeadapt.scenario import Scenario, Trace
 from safeadapt.spi import SpiWindow, spi_breached, spi_update
+from net_oracle import matmul_net
 
 OPTION_IDS = {f"opt-{k}" for k in range(1, 11)}
 
@@ -342,7 +343,8 @@ class TestProposeCandidate:
 
 
 def _reference_assessment_scenario(candidate, scenario, plant, goal):
-    """The embedded simulation as it read its inputs by time, one lookup per tick."""
+    """The embedded simulation as it read its inputs by time, one lookup per tick, with
+    the memo-free forward pass."""
     tick = scenario.tick
     plant = replace(plant, tick=tick)
     state = PlantState(tank_temp=scenario.initial_tank_temp)
@@ -354,7 +356,7 @@ def _reference_assessment_scenario(candidate, scenario, plant, goal):
         inflow_temp = scenario.inflow_temp_trace.value_at(t)
         inflow_rate = scenario.inflow_rate_trace.value_at(t)
         temp_rate = (state.tank_temp - prev_temp) / tick
-        power = net_compute(
+        power = matmul_net(
             candidate,
             (setpoint, state.tank_temp, inflow_temp, inflow_rate, temp_rate),
             plant.max_power,
@@ -415,6 +417,20 @@ class TestAssessment:
             ]
         assert verdicts == {"pass", "fail"}
 
+    def test_warm_and_cold_memos_assess_alike(self):
+        # Each candidate's second assessment starts on the memo its first one left; an
+        # equal spec built afresh starts on an empty one.
+        suite, verdicts = _suite(), set()
+        for seed in range(2, 8):  # both verdicts, and a grown layer
+            candidate = propose_candidate(baseline_net(), seed)
+            cold = assess_candidate(candidate, suite)
+            verdicts.add(cold["verdict"])
+            for again in (candidate, NetControllerSpec(candidate.layer_sizes, candidate.weights)):
+                outcome = assess_candidate(again, suite)
+                assert outcome["verdict"] == cold["verdict"]
+                assert outcome["results"] == cold["results"]
+        assert verdicts == {"pass", "fail"}
+
     def test_plant_steps_at_the_scenario_tick(self):
         step = Scenario(
             id="coarse", duration=120.0, setpoint_schedule=((0.0, 40.0), (5.0, 60.0)),
@@ -460,9 +476,13 @@ class TestPlanType3:
                 failures += 1
                 assert not decision.applied
                 assert "TIII.B4" in decision.reason
+                candidate = propose_candidate(baseline_net(), seed)
+                assert f"candidate-{spec_hash(candidate)[:12]} failed" in decision.reason
             elif decision.applied:
                 assert item.verdict == "pass"
                 assert item.payload_ref == spec_hash(decision.candidate_net)
+                assert decision.chosen_option == f"candidate-{item.payload_ref[:12]}"
+            assert item.id == f"assess-{item.payload_ref[:12]}-r0"
         assert failures > 0
 
     def test_applied_candidate_updates_repo_and_case(self):
