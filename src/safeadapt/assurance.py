@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Un
 from . import spi
 from .model import (
     EnvironmentSample, OperationalDomain, UNBOUNDED_DOMAIN, ValidationError, json_ids, json_number,
-    json_value, read_json, write_json,
+    json_value, read_json,
 )
 
 if TYPE_CHECKING:
@@ -78,16 +78,6 @@ class EvidenceItem:
                 f"design evidence {self.id!r} must have unlimited freshness"
             )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "kind": self.kind,
-            "verdict": self.verdict,
-            "produced_at": self.produced_at,
-            "freshness": self.freshness,
-            "payload_ref": self.payload_ref,
-        }
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EvidenceItem":
         data = json_value(data, dict, "an evidence item")
@@ -131,23 +121,6 @@ class CaseNode:
             raise ValidationError(
                 f"only solution nodes may carry evidence ({self.id!r})"
             )
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "id": self.id,
-            "kind": self.kind,
-            "text": self.text,
-            "lifecycle": self.lifecycle,
-            "children": list(self.children),
-            "discharges": sorted(self.discharges),
-        }
-        if self.constraint is not None:
-            out["constraint"] = self.constraint.to_dict()
-        if self.predicate is not None:
-            out["predicate"] = self.predicate
-        if self.evidence:
-            out["evidence"] = list(self.evidence)
-        return out
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CaseNode":
@@ -220,15 +193,6 @@ class SafetyCase:
         except KeyError:
             raise StructuralError(f"no node {node_id!r}") from None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "root": self.root,
-            "revision": self.revision,
-            "nodes": {nid: node.to_dict() for nid, node in sorted(self.nodes.items())},
-            "evidence": {eid: ev.to_dict() for eid, ev in sorted(self.evidence.items())},
-            "snapshots": [list(s) for s in self.snapshots],
-        }
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SafetyCase":
         data = json_value(data, dict, "a safety case")
@@ -254,10 +218,6 @@ def _snapshot(entry: Any) -> tuple[int, float, str]:
 
 def load_case(path: Union[str, Path]) -> SafetyCase:
     return SafetyCase.from_dict(read_json(path))
-
-
-def save_case(case: SafetyCase, path: Union[str, Path]) -> None:
-    write_json(path, case.to_dict())
 
 
 # --- run-time predicates ----------------------------------------------------

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from typing import Optional, Sequence
@@ -24,11 +25,22 @@ EXIT_VALIDATION = 2
 EXIT_UNSAFE = 3
 
 
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing ``path`` would raise, and leave no file behind."""
+    existed = os.path.lexists(path)
+    open(path, "a").close()
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
     system = load_system(args.system)
+    # An output the run could not write is refused before the first tick.
+    _check_writable(args.out)
+    _check_writable(args.report)
     rows, report = run_scenario(scenario, system)
     emit_trace(rows, args.out)
     save_report(report, args.report)

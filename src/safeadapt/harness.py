@@ -110,24 +110,6 @@ class SystemDescription:
             scenarios=self.assessment_scenarios, plant=self.plant, goal=self.goal
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "plant": self.plant.to_dict(),
-            "initial_configuration": self.initial_config.to_dict(),
-            "adaptation_models": [m.to_dict() for m in self.models],
-            "safety_case": self.safety_case.to_dict(),
-            "goal": self.goal.to_dict(),
-            "admission_policy": self.admission_policy.to_dict(),
-            "spi_windows": [w.to_dict() for w in self.spi_windows],
-            "baseline_option_id": self.baseline_option_id,
-            "initial_option_id": self.initial_option_id,
-        }
-        if self.net_controller is not None:
-            out["net_controller"] = self.net_controller.to_dict()
-        if self.assessment_scenarios:
-            out["assessment_scenarios"] = [s.to_dict() for s in self.assessment_scenarios]
-        return out
-
     @classmethod
     def from_dict(
         cls, data: Mapping[str, Any], base_dir: Optional[Path] = None

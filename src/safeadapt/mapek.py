@@ -61,9 +61,6 @@ class AdaptationGoal:
         if not (0 < self.rise_time_limit < math.inf and 0 < self.settle_band < math.inf):
             raise ValidationError("goal limits must be finite and positive")
 
-    def to_dict(self) -> dict[str, float]:
-        return {"rise_time_limit": self.rise_time_limit, "settle_band": self.settle_band}
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "AdaptationGoal":
         data = json_value(data, dict, "goal")
@@ -258,13 +255,6 @@ class AdmissionPolicy:
         read what the run's whole history would give it: the window's samples, the one before
         them (the span check) and one for rounding in the times; never past the run, at least 1."""
         return max(1, min(ticks, math.ceil(min(self.window / tick, ticks)) + 2))
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "window": self.window,
-            "min_samples": self.min_samples,
-            "confidence_z": self.confidence_z,
-        }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "AdmissionPolicy":

@@ -128,15 +128,6 @@ class OperationalDomain:
         }
         return OperationalDomain(kept)
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        for name, (low, high) in self.bounds.items():
-            out[name] = [
-                None if low == _NEG_INF else low,
-                None if high == _POS_INF else high,
-            ]
-        return out
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "OperationalDomain":
         bounds = {}
@@ -189,12 +180,6 @@ class SystemConfiguration:
         merged.update(assignment)
         return SystemConfiguration(self.controller_kind, merged)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "controller_kind": self.controller_kind,
-            "parameters": dict(self.parameters),
-        }
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SystemConfiguration":
         data = json_value(data, dict, "initial_configuration")
@@ -246,16 +231,6 @@ class ParameterConstraint:
             return False
         return True
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"kind": self.kind, "target": self.target}
-        if self.low is not None:
-            out["low"] = self.low
-        if self.high is not None:
-            out["high"] = self.high
-        if self.condition is not None:
-            out["condition"] = [self.condition[0], self.condition[1]]
-        return out
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ParameterConstraint":
         data = json_value(data, dict, "a parameter constraint")
@@ -293,19 +268,6 @@ class AdaptationOption:
             _check_finite(f"assignment {name!r}", value)
         if self.design_rise_time is not None:
             _check_finite("design_rise_time", self.design_rise_time)
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "id": self.id,
-            "model_id": self.model_id,
-            "assignment": dict(self.assignment),
-            "design_time_evidence": list(self.design_time_evidence),
-        }
-        if self.domain is not None:
-            out["domain"] = self.domain.to_dict()
-        if self.design_rise_time is not None:
-            out["design_rise_time"] = self.design_rise_time
-        return out
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "AdaptationOption":
@@ -351,17 +313,6 @@ class AdaptationModel:
                 raise ValidationError(
                     f"option {option.id!r} breaks the constraints of model {self.id!r}"
                 )
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "id": self.id,
-            "parameters": list(self.parameters),
-            "constraints": [c.to_dict() for c in self.constraints],
-            "descriptor": self.descriptor.to_dict(),
-        }
-        if self.options is not None:
-            out["options"] = [o.to_dict() for o in self.options]
-        return out
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "AdaptationModel":

@@ -50,9 +50,6 @@ class PlantParams:
         """Thermal mass of the tank contents, J/K."""
         return self.density * self.specific_heat * self.volume
 
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _PARAMS}
-
     @classmethod
     def from_dict(cls, data) -> "PlantParams":
         data = json_value(data, dict, "plant")

@@ -7,7 +7,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence, Union
 
-from .model import ValidationError, json_number, json_value, read_json, write_json
+from .model import ValidationError, json_number, json_value, read_json
 
 #: Most ticks a run may take; a day at 0.1 s fits.
 MAX_RUN_TICKS = 1_000_000
@@ -92,9 +92,6 @@ class Trace:
         for _ in range(k, n):
             yield v0
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"points": [list(p) for p in self.points], "interp": self.interp}
-
     @classmethod
     def from_dict(cls, data: Any, what: str = "trace point") -> "Trace":
         if isinstance(data, Mapping):  # an object, or the bare list of points
@@ -103,10 +100,6 @@ class Trace:
         else:
             points, interp = data, "hold"
         return cls(_pairs(points, what), interp)
-
-    @classmethod
-    def constant(cls, value: float) -> "Trace":
-        return cls(((0.0, float(value)),))
 
 
 @dataclass(frozen=True)
@@ -166,20 +159,6 @@ class Scenario:
         return zip(range(n), self.setpoints(n, tick), self.inflow_temp_trace.values(n, tick),
                    self.inflow_rate_trace.values(n, tick))
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "tick": self.tick,
-            "duration": self.duration,
-            "setpoint_schedule": [list(p) for p in self.setpoint_schedule],
-            "inflow_temp_trace": self.inflow_temp_trace.to_dict(),
-            "inflow_rate_trace": self.inflow_rate_trace.to_dict(),
-            "seed": self.seed,
-            "guard_enabled": self.guard_enabled,
-            "initial_tank_temp": self.initial_tank_temp,
-            "manual_triggers": [list(p) for p in self.manual_triggers],
-        }
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":
         data = json_value(data, dict, "a scenario")
@@ -204,7 +183,3 @@ class Scenario:
 
 def load_scenario(path: Union[str, Path]) -> Scenario:
     return Scenario.from_dict(read_json(path))
-
-
-def save_scenario(scenario: Scenario, path: Union[str, Path]) -> None:
-    write_json(path, scenario.to_dict())

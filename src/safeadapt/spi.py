@@ -53,14 +53,6 @@ class SpiWindow:
         """Duration (s) for which the predicate held within the window."""
         return self.true_count * self.tick
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "temp_threshold": self.temp_threshold,
-            "window": self.window,
-            "threshold": self.threshold,
-        }
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SpiWindow":
         data = json_value(data, dict, "an SPI window")

@@ -91,17 +91,6 @@ class AdaptationDescriptor:
                 "design-time safety requires options enumerated at design time"
             )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "affects_safety_critical": self.affects_safety_critical,
-            "independence_argued": self.independence_argued,
-            "options_enumerated_at_design_time": self.options_enumerated_at_design_time,
-            "design_time_safety": self.design_time_safety,
-            "domain_constraints_declared": self.domain_constraints_declared,
-            "runtime_assessment_declared": self.runtime_assessment_declared,
-            "case_in_knowledge_repo": self.case_in_knowledge_repo,
-        }
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "AdaptationDescriptor":
         data = json_value(data, dict, "descriptor")

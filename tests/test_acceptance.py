@@ -6,7 +6,6 @@ runs are executed once per session and shared across criteria.
 import copy
 import random
 import time
-from pathlib import Path
 
 import pytest
 
@@ -19,12 +18,9 @@ from safeadapt.assurance import (
     adapt_case,
     evaluate_validity,
 )
-from safeadapt.corpus import CORPUS, type0_case, type0_model, type1_model
 from safeadapt.harness import run_scenario
 from safeadapt.mapek import (
-    AdaptationGoal,
     AdaptationTrigger,
-    AssessmentSuite,
     plan_type1,
     plan_type3,
     spec_hash,
@@ -38,6 +34,7 @@ from safeadapt.taxonomy import (
     matched_criteria,
     obligations_for,
 )
+import corpus_files
 
 SPI_EPS = 1e-6
 
@@ -50,13 +47,14 @@ def _verdict(number: int, label: str, ok: bool) -> None:
 @pytest.fixture(scope="module")
 def corpus_runs():
     return {
-        name: run_scenario(scenario_fn(), system_fn())
-        for name, (system_fn, scenario_fn) in CORPUS.items()
+        name: run_scenario(corpus_files.scenario(name), corpus_files.system(name))
+        for name in corpus_files.NAMES
     }
 
 
 def test_criterion_1_guard_supremacy():
     rng = random.Random(101)
+    type0 = corpus_files.system("type0")
     started = time.perf_counter()
     ok = True
     for _ in range(50):
@@ -64,8 +62,8 @@ def test_criterion_1_guard_supremacy():
             id="adv",
             duration=120.0,
             setpoint_schedule=((0.0, rng.uniform(95.0, 99.0)),),
-            inflow_temp_trace=Trace.constant(rng.uniform(5.0, 15.0)),
-            inflow_rate_trace=Trace.constant(rng.uniform(0.001, 0.01)),
+            inflow_temp_trace=Trace(((0.0, rng.uniform(5.0, 15.0)),)),
+            inflow_rate_trace=Trace(((0.0, rng.uniform(0.001, 0.01)),)),
             guard_enabled=True,
             initial_tank_temp=rng.uniform(89.0, 89.9),
         )
@@ -76,8 +74,8 @@ def test_criterion_1_guard_supremacy():
             initial_config=SystemConfiguration("pid", {
                 "kp": rng.uniform(20000.0, 80000.0), "ki": 0.0, "kd": 0.0,
             }),
-            models=[type0_model()],
-            safety_case=type0_case(),
+            models=type0.models,
+            safety_case=type0.safety_case,
             baseline_option_id="tel-5",
             initial_option_id="tel-5",
         )
@@ -97,7 +95,7 @@ def test_criterion_1_guard_supremacy():
 
 def test_criterion_2_closed_option_set(corpus_runs):
     rng = random.Random(202)
-    model = type1_model()
+    model = corpus_files.system("type1").models[0]
     option_ids = {o.id for o in model.options}
     ok = True
     for _ in range(120):
@@ -139,13 +137,9 @@ def test_criterion_3_constrained_assurance(corpus_runs):
 
 
 def test_criterion_4_dynamic_assurance(corpus_runs):
-    from safeadapt.corpus import (
-        TYPE3_PLANT, assessment_scenarios, baseline_net, type3_case, type3_model,
-    )
-
-    suite = AssessmentSuite(assessment_scenarios(), TYPE3_PLANT, AdaptationGoal())
-    model, case = type3_model(), type3_case()
-    base = baseline_net()
+    type3 = corpus_files.system("type3")
+    suite = type3.assessment_suite()
+    model, case, base = type3.models[0], type3.safety_case, type3.net_controller
     ok = True
     proposals = 0
     failed_hashes = set()
@@ -183,15 +177,10 @@ def test_criterion_4_dynamic_assurance(corpus_runs):
     _verdict(4, "dynamic assurance", ok)
 
 
-def _fine_oracle_error(rows, scenario_fn):
+def _fine_oracle_error(rows, name):
     """Replay the recorded inputs at dt/100 via the per-tick closed form."""
-    scenario = scenario_fn()
+    scenario, params = corpus_files.scenario(name), corpus_files.system(name).plant
     tick = scenario.tick
-    params = PlantParams()
-    from safeadapt.corpus import TYPE3_PLANT
-
-    if scenario.id.startswith("type3"):
-        params = TYPE3_PLANT
     volume, capacity = params.volume, params.heat_capacity
     substeps = 100
     h = tick / substeps
@@ -216,7 +205,7 @@ def _fine_oracle_error(rows, scenario_fn):
 def test_criterion_5_integrator_oracle(corpus_runs):
     ok = True
     for name, (rows, _) in corpus_runs.items():
-        error = _fine_oracle_error(rows, CORPUS[name][1])
+        error = _fine_oracle_error(rows, name)
         ok = ok and error <= 0.05
     # Hand-derived steady state: 10 degC inflow at 0.1 L/s balanced by
     # 4186 W holds the 50 L tank at 20 degC.
@@ -292,9 +281,10 @@ def test_criterion_6_taxonomy_goldens():
 
 def test_criterion_7_determinism(corpus_runs):
     ok = True
-    for name, (system_fn, scenario_fn) in CORPUS.items():
+    for name in corpus_files.NAMES:
         first = "\n".join(corpus_runs[name][0]).encode()
-        second = "\n".join(run_scenario(scenario_fn(), system_fn())[0]).encode()
+        second = "\n".join(
+            run_scenario(corpus_files.scenario(name), corpus_files.system(name))[0]).encode()
         ok = ok and first == second
     _verdict(7, "determinism", ok)
 
@@ -344,7 +334,7 @@ def test_criterion_8_validity_semantics():
         # rejected wholesale and the case survives bit-identical.
         if statics:
             counter += 1
-            before = case.to_dict()
+            before = copy.deepcopy(case)
             targets = [rng.choice(statics).id]
             if dynamics:
                 targets.insert(rng.randint(0, 1), rng.choice(dynamics).id)
@@ -354,7 +344,7 @@ def test_criterion_8_validity_semantics():
                 ok = False
             except StaticNodeError:
                 pass
-            ok = ok and case.to_dict() == before
+            ok = ok and case == before
 
         # Evidence monotonicity: attaching passing evidence never
         # un-supports a node that was supported.

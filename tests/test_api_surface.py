@@ -6,11 +6,13 @@ its own definition; an import alone is not a reference. A classmethod is
 referenced only as ``ClassName.method``, or as ``cls.method`` inside its
 own class, so that a name shared by many classes (``from_dict``) hides
 none of them. Dunder methods are called by the language and are exempt.
-Every name a module imports at its top level must be referenced in that
-module.
+An instance method is matched by its bare name, so each name that more
+than one class defines is pinned with its classes: one used method cannot
+hide another class's unused one. Every name a module imports at its top
+level must be referenced in that module.
 """
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "safeadapt"
@@ -19,8 +21,17 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "safeadapt"
 ALLOWED = {
     # Bound by the benchmark's layer tracer, which checks that the tick makes no lookups.
     "scenario.Scenario.setpoint_at",
-    # The README's command for regenerating ``corpus/``.
-    "corpus.write_corpus",
+}
+
+#: Each instance-method name that more than one class defines -> those classes.
+SHARED_METHODS = {
+    "to_dict": {
+        "controller.NetControllerSpec",  # mapek.spec_hash
+        "harness.RunReport",  # harness.save_report
+        "mapek.AdaptationDecision",  # harness.run_scenario, into the report
+        "mapek.AdmissionReport",  # AdaptationDecision.to_dict and plan_type2's evidence
+        "taxonomy.TaxonomyVerdict",  # harness.run_scenario and cli._emit_verdicts
+    },
 }
 
 
@@ -85,6 +96,15 @@ def test_every_definition_is_referenced_in_src():
     )
     assert [q for q in unreferenced if q not in ALLOWED] == []
     assert sorted(ALLOWED - set(unreferenced)) == []  # a stale exemption goes too
+
+
+def test_shared_method_names_are_pinned():
+    classes = defaultdict(set)
+    for qualified, name, node, owner in _definitions(_modules()):
+        if qualified.count(".") == 2 and owner is None:
+            classes[name].add(qualified.rpartition(".")[0])
+    # A new shared name fails, and so does a stale pin.
+    assert {name: c for name, c in classes.items() if len(c) > 1} == SHARED_METHODS
 
 
 def test_package_binds_no_names():

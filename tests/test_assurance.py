@@ -19,9 +19,7 @@ from safeadapt.assurance import (
     current_constraints,
     evaluate_validity,
     load_case,
-    save_case,
 )
-from safeadapt.corpus import type3_case
 from safeadapt.model import (
     EnvironmentSample,
     KnowledgeRepository,
@@ -34,6 +32,7 @@ from safeadapt import spi as spi_module
 from safeadapt.spi import SpiWindow
 from safeadapt.taxonomy import DYNAMIC_OBLIGATIONS, check_obligations, obligations_for
 from validity_oracle import support_map, unsupported
+import corpus_files
 
 COLD_FAST = OperationalDomain({"inflow_temp": (-10.0, 2.0), "inflow_rate": (0.2, 1.0)})
 PERMISSIVE = OperationalDomain({"inflow_temp": (-10.0, 40.0), "inflow_rate": (0.01, 1.0)})
@@ -253,17 +252,17 @@ class TestAdaptCase:
     def test_patch_cannot_break_node_invariants(self, patch):
         # A-SPI is a dynamic assumption: it may carry neither evidence nor a constraint.
         with pytest.raises(ValidationError, match="A-SPI"):
-            adapt_case(type3_case(), [patch])
+            adapt_case(corpus_files.case("type3"), [patch])
 
     def test_static_target_rejected_and_nothing_applied(self):
         case = _dynamic_case()
-        before = copy.deepcopy(case.to_dict())
+        before = copy.deepcopy(case)
         with pytest.raises(StaticNodeError, match="Sn2"):
             adapt_case(case, [
                 AttachEvidence("Sn1", _fresh_pass("ok")),
                 AttachEvidence("Sn2", _fresh_pass("bad")),
             ])
-        assert case.to_dict() == before
+        assert case == before
 
     def test_revision_log_counts_successful_calls(self):
         case = _dynamic_case()
@@ -316,15 +315,15 @@ class TestSerialization:
     def test_round_trip_is_lossless(self, tmp_path):
         case = _dynamic_case()
         path = tmp_path / "case.json"
-        save_case(case, path)
-        assert load_case(path).to_dict() == case.to_dict()
+        path.write_text(json.dumps(corpus_files.write(case)))
+        assert load_case(path) == case
 
     def test_adapted_case_round_trips(self):
         case = _dynamic_case()
         for now, cause in ((5.0, "first"), (7, "second")):
             case = adapt_case(case, [AttachEvidence("Sn1", _fresh_pass(f"ev-{cause}"))],
                               now=now, cause=cause)
-        loaded = SafetyCase.from_dict(json.loads(json.dumps(case.to_dict())))
+        loaded = SafetyCase.from_dict(json.loads(json.dumps(corpus_files.write(case))))
         assert loaded == case
         assert loaded.snapshots == [(1, 5.0, "first"), (2, 7.0, "second")]
 

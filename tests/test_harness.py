@@ -1,9 +1,9 @@
+import copy
 import gc
 import json
 import tracemalloc
 from collections import deque
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,33 +13,19 @@ from safeadapt import assurance, cli, controller, harness, mapek, taxonomy
 from safeadapt.assurance import CaseNode, SafetyCase
 from safeadapt.cli import main
 from safeadapt.controller import PidConfig
-from safeadapt.corpus import (
-    CORPUS,
-    type0_scenario,
-    type0_system,
-    type1_model,
-    type1_scenario,
-    type1_system,
-    type2_scenario,
-    type2_system,
-    type3_scenario,
-    type3_system,
-    write_corpus,
-)
 from safeadapt.harness import (
     TRACE_HEADER,
     SystemDescription,
     load_system,
     run_scenario,
 )
-from safeadapt.model import SystemConfiguration, write_json
+from safeadapt.model import SystemConfiguration
 from safeadapt.plant import PlantParams
-from safeadapt.scenario import Scenario, Trace, save_scenario
-from safeadapt.taxonomy import AdaptationDescriptor
+from safeadapt.scenario import Scenario, Trace
 from run_oracle import ROW as _ROW, reference_run
 from validity_oracle import unsupported
-
-CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+import corpus_files
+from corpus_files import CORPUS_DIR, NAMES
 
 
 def _bare_system(**overrides):
@@ -58,8 +44,8 @@ def _flat_scenario(duration, setpoint=20.0, inflow_temp=20.0, initial=20.0):
         id="flat",
         duration=duration,
         setpoint_schedule=((0.0, setpoint),),
-        inflow_temp_trace=Trace.constant(inflow_temp),
-        inflow_rate_trace=Trace.constant(0.1),
+        inflow_temp_trace=Trace(((0.0, inflow_temp),)),
+        inflow_rate_trace=Trace(((0.0, 0.1),)),
         initial_tank_temp=initial,
     )
 
@@ -84,12 +70,12 @@ def _ring_sizes(monkeypatch):
 
 @pytest.fixture(scope="module")
 def type0_run():
-    return run_scenario(type0_scenario(), type0_system())
+    return run_scenario(corpus_files.scenario("type0"), corpus_files.system("type0"))
 
 
 @pytest.fixture(scope="module")
 def type1_run():
-    return run_scenario(type1_scenario(), type1_system())
+    return run_scenario(corpus_files.scenario("type1"), corpus_files.system("type1"))
 
 
 class TestRunScenario:
@@ -126,7 +112,7 @@ class TestRunScenario:
 
     def test_runs_are_deterministic(self, type0_run):
         rows, _ = type0_run
-        again, _ = run_scenario(type0_scenario(), type0_system())
+        again, _ = run_scenario(corpus_files.scenario("type0"), corpus_files.system("type0"))
         assert list(again) == list(rows)
 
     def test_type1_decision_log(self, type1_run):
@@ -144,17 +130,18 @@ class TestRunScenario:
             t, active = float(fields[0]), fields[7]
             assert active == ("opt-1" if t <= switch_time - 0.05 else "opt-9")
 
-    @pytest.mark.parametrize("system_fn, option_id", [
-        (type0_system, "tel-1"),
-        (type3_system, "net-baseline"),
+    @pytest.mark.parametrize("system_file, option_id", [
+        ("type0_system", "tel-1"),
+        ("type3_system", "net-baseline"),
     ])
-    def test_manual_trigger_ignored_for_type0_and_type3(self, system_fn, option_id):
+    def test_manual_trigger_ignored_for_type0_and_type3(self, system_file, option_id):
         scenario = replace(_flat_scenario(5.0), manual_triggers=((1.0, option_id),))
-        _, report = run_scenario(scenario, system_fn())
+        _, report = run_scenario(scenario, load_system(CORPUS_DIR / f"{system_file}.json"))
         assert report.decisions == []
 
     def test_case_is_not_validated_per_tick(self, monkeypatch):
-        scenario, system = replace(type0_scenario(), duration=10.0), type0_system()
+        scenario = replace(corpus_files.scenario("type0"), duration=10.0)
+        system = corpus_files.system("type0")
         calls = []
         validate = SafetyCase.validate
         monkeypatch.setattr(
@@ -166,7 +153,8 @@ class TestRunScenario:
     def test_models_are_classified_once_per_run(self, monkeypatch):
         # Once before the first tick and once for the end-of-run verdict;
         # planners and executor take the type from the harness.
-        scenario, system = replace(type2_scenario(), duration=1200.0), type2_system()
+        scenario = replace(corpus_files.scenario("type2"), duration=1200.0)
+        system = corpus_files.system("type2")
         calls = []
         classify = taxonomy.classify
         monkeypatch.setattr(taxonomy, "classify", lambda d: calls.append(d) or classify(d))
@@ -174,12 +162,12 @@ class TestRunScenario:
         assert any(d["applied"] for d in report.decisions)
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("name", sorted(CORPUS))
+    @pytest.mark.parametrize("name", NAMES)
     def test_history_ring_holds_the_admission_window(self, monkeypatch, name):
         # Each corpus system keeps the default 300 s window at 0.1 s: 3,000 samples, the
         # one before them and one for rounding; no hour of history.
-        system_fn, scenario_fn = CORPUS[name]
-        scenario, system = replace(scenario_fn(), duration=301.0), system_fn()
+        scenario = replace(corpus_files.scenario(name), duration=301.0)
+        system = corpus_files.system(name)
         sizes = _ring_sizes(monkeypatch)
         run_scenario(scenario, system)
         assert (system.admission_policy.window, scenario.tick, sizes) == (300.0, 0.1, [3002])
@@ -189,34 +177,27 @@ class TestRunScenario:
         calls = []
         build = PidConfig.from_configuration
         monkeypatch.setattr(PidConfig, "from_configuration", lambda c: calls.append(c) or build(c))
-        _, report = run_scenario(type1_scenario(), type1_system())
+        _, report = run_scenario(corpus_files.scenario("type1"), corpus_files.system("type1"))
         applied = sum(d["applied"] for d in report.decisions)
         assert applied > 0
         assert len(calls) == 1 + applied
 
-    @pytest.mark.parametrize("system_fn, scenario_fn", [
-        (type2_system, type2_scenario),
-        (type3_system, type3_scenario),
-    ], ids=["type2", "type3"])
-    def test_run_leaves_the_system_description_untouched(self, system_fn, scenario_fn):
+    @pytest.mark.parametrize("name", ["type2", "type3"])
+    def test_run_leaves_the_system_description_untouched(self, name):
         # The run shares the immutable case and binds its own SPI windows.
-        scenario, system = replace(scenario_fn(), duration=1200.0), system_fn()
-        case = system.safety_case.to_dict()
+        scenario = replace(corpus_files.scenario(name), duration=1200.0)
+        system = corpus_files.system(name)
+        case = copy.deepcopy(system.safety_case)
         rows, report = run_scenario(scenario, system)
         assert report.case_validity_timeline[-1]["revision"] > 0
         if system.spi_windows:
             assert report.spi_breaches > 0
-        assert system.safety_case.to_dict() == case
+        assert system.safety_case == case
         assert all(len(w.ring) == 0 and w.true_count == 0 for w in system.spi_windows)
         assert list(run_scenario(scenario, system)[0]) == list(rows)
 
-    @pytest.mark.parametrize("system_fn, scenario_fn", [
-        (type2_system, type2_scenario),
-        (type3_system, type3_scenario),
-    ], ids=["type2", "type3"])
-    def test_validity_agrees_with_support_map_every_tick(
-        self, monkeypatch, system_fn, scenario_fn
-    ):
+    @pytest.mark.parametrize("name", ["type2", "type3"])
+    def test_validity_agrees_with_support_map_every_tick(self, monkeypatch, name):
         revisions = set()
 
         def checked(case, now, repo):
@@ -226,16 +207,12 @@ class TestRunScenario:
             return failing
 
         monkeypatch.setattr(harness, "evaluate_validity", checked)
-        run_scenario(replace(scenario_fn(), duration=1200.0), system_fn())
+        run_scenario(replace(corpus_files.scenario(name), duration=1200.0),
+                     corpus_files.system(name))
         assert len(revisions) > 1  # a revision's plan was compiled part way through
 
-    @pytest.mark.parametrize("system_fn, scenario_fn", [
-        (type2_system, type2_scenario),
-        (type3_system, type3_scenario),
-    ], ids=["type2", "type3"])
-    def test_validity_compiles_once_per_case_revision(
-        self, monkeypatch, system_fn, scenario_fn
-    ):
+    @pytest.mark.parametrize("name", ["type2", "type3"])
+    def test_validity_compiles_once_per_case_revision(self, monkeypatch, name):
         # The tick and the end-of-run verdicts share each revision's stored plan.
         compiled, revisions = [], set()
         compile_validity, evaluate = assurance._compile_validity, harness.evaluate_validity
@@ -246,13 +223,14 @@ class TestRunScenario:
             harness, "evaluate_validity",
             lambda case, *a: revisions.add(case.revision) or evaluate(case, *a),
         )
-        run_scenario(replace(scenario_fn(), duration=1200.0), system_fn())
+        run_scenario(replace(corpus_files.scenario(name), duration=1200.0),
+                     corpus_files.system(name))
         assert len(revisions) > 1
         assert len(compiled) == len(revisions)
 
     def test_trace_and_report_retain_at_most_80_bytes_a_tick(self):
         # Six head floats take 48 bytes a tick; rows held as strings took about 160.
-        scenario, system = type3_scenario(), type3_system()
+        scenario, system = corpus_files.scenario("type3"), corpus_files.system("type3")
         gc.collect()
         tracemalloc.start()
         try:
@@ -285,7 +263,8 @@ class TestRunScenario:
         monkeypatch.setattr(controller, "np", CountingNumpy())
         monkeypatch.setattr(harness, "net_compute", counted_net_compute)
         monkeypatch.setattr(mapek, "net_compute", counted_net_compute)
-        run_scenario(replace(type3_scenario(), duration=300.0), type3_system())
+        run_scenario(replace(corpus_files.scenario("type3"), duration=300.0),
+                     corpus_files.system("type3"))
         assert counts["calls"] >= 3000
         assert counts["arrays"] <= 0.15 * counts["calls"]
 
@@ -372,8 +351,8 @@ def _generated_scenarios(draw, option_ids):
 
 
 def _pinned(id, duration, setpoints, inflow_temp, inflow_rate, initial, guard, manual):
-    return Scenario(id, duration, setpoints, Trace.constant(inflow_temp),
-                    Trace.constant(inflow_rate), tick=0.5, seed=4, guard_enabled=guard,
+    return Scenario(id, duration, setpoints, Trace(((0.0, inflow_temp),)),
+                    Trace(((0.0, inflow_rate),)), tick=0.5, seed=4, guard_enabled=guard,
                     initial_tank_temp=initial, manual_triggers=manual)
 
 
@@ -383,9 +362,9 @@ _HOT = _pinned("hot", 200.0, ((0.0, 80.0), (5.0, 95.0)), 10.0, 0.005, 88.0, True
 _COLD = _pinned("cold", 330.0, ((0.0, 40.0),), 0.8, 0.5, 40.0, True, ((100.0, "opt-1"),))
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
+@pytest.mark.parametrize("name", NAMES)
 def test_run_matches_the_reference_run(tmp_path_factory, name):
-    system = CORPUS[name][0]()
+    system = corpus_files.system(name)
     option_ids = [o.id for o in system.models[0].options or ()] if system.models else []
 
     @settings(max_examples=25)
@@ -404,21 +383,11 @@ def test_run_matches_the_reference_run(tmp_path_factory, name):
 
 class TestSystemFiles:
     def test_save_load_round_trip(self, tmp_path):
-        system = type3_system()
+        # A system written with its case inline loads back equal.
+        system = corpus_files.system("type3")
         path = tmp_path / "system.json"
-        write_json(path, system.to_dict())
-        assert load_system(path).to_dict() == system.to_dict()
-
-    def test_write_corpus_reproduces_corpus_byte_for_byte(self, tmp_path):
-        written = write_corpus(tmp_path)
-        assert sorted(p.name for p in written) == sorted(p.name for p in CORPUS_DIR.iterdir())
-        for path in written:
-            assert path.read_bytes() == (CORPUS_DIR / path.name).read_bytes(), path.name
-
-    def test_corpus_files_match_builders(self):
-        for name, (system_fn, scenario_fn) in CORPUS.items():
-            loaded = load_system(CORPUS_DIR / f"{name}_system.json")
-            assert loaded.to_dict() == system_fn().to_dict()
+        path.write_text(json.dumps(corpus_files.write(system)))
+        assert load_system(path) == system
 
 
 class TestCli:
@@ -455,9 +424,9 @@ class TestCli:
         assert set(verdicts[0]["discharge"].values()) == {"discharged"}
 
     def test_check_case_empty_case_fails(self, tmp_path, capsys):
-        bare = SafetyCase(nodes={"G1": CaseNode("G1", "goal")}, root="G1")
         case_path = tmp_path / "case.json"
-        case_path.write_text(json.dumps(bare.to_dict()))
+        bare = {"root": "G1", "nodes": {"G1": {"id": "G1", "kind": "goal"}}}
+        case_path.write_text(json.dumps(bare))
         code = main([
             "check-case",
             "--system", str(CORPUS_DIR / "type1_system.json"),
@@ -557,12 +526,13 @@ class TestCli:
         assert json.loads(capsys.readouterr().out)["verdict"] == "fail"
 
     # A forward pass that overflows is left to the program's own non-finite checks:
-    # numpy's RuntimeWarning would fail these tests, and nothing reaches stderr.
-    @pytest.mark.filterwarnings("error")
+    # numpy's RuntimeWarning would fail these tests (warnings are errors), and nothing
+    # reaches stderr.
     @pytest.mark.parametrize("setpoint", [1e308, -1e308])
     def test_overflowing_net_input_writes_no_warning(self, tmp_path, capfd, setpoint):
-        scenario = replace(type3_scenario(), duration=30.0, setpoint_schedule=((0.0, setpoint),))
-        save_scenario(scenario, tmp_path / "scenario.json")
+        scenario = corpus_files.document("type3", "scenario")
+        scenario.update(duration=30.0, setpoint_schedule=[[0.0, setpoint]])
+        (tmp_path / "scenario.json").write_text(json.dumps(scenario))
         code = main([
             "simulate",
             "--scenario", str(tmp_path / "scenario.json"),
@@ -572,7 +542,6 @@ class TestCli:
         ])
         assert (code, capfd.readouterr().err) == (0, "")
 
-    @pytest.mark.filterwarnings("error")
     def test_overflowing_candidate_writes_no_warning(self, tmp_path, capfd):
         net = load_system(CORPUS_DIR / "type3_system.json").net_controller
         candidate_path = tmp_path / "candidate.json"
@@ -593,7 +562,9 @@ class TestCli:
         system["safety_case_path"] = str(CORPUS_DIR / "type2_case.json")
         system["admission_policy"]["window"] = 1e300
         (tmp_path / "system.json").write_text(json.dumps(system))
-        save_scenario(replace(type2_scenario(), duration=60.0), tmp_path / "scenario.json")
+        scenario = corpus_files.document("type2", "scenario")
+        scenario["duration"] = 60.0
+        (tmp_path / "scenario.json").write_text(json.dumps(scenario))
         sizes = _ring_sizes(monkeypatch)
         code = main([
             "simulate",
@@ -603,6 +574,25 @@ class TestCli:
             "--report", str(tmp_path / "report.json"),
         ])
         assert (code, sizes, capsys.readouterr().err) == (0, [600], "")
+
+    @pytest.mark.parametrize("option", ["--out", "--report"])
+    def test_unwritable_output_is_refused_before_the_run(
+        self, tmp_path, capsys, monkeypatch, option
+    ):
+        monkeypatch.setattr(cli, "run_scenario", lambda *a: pytest.fail("the run started"))
+        outputs = {"--out": tmp_path / "trace.csv", "--report": tmp_path / "report.json"}
+        outputs[option] = tmp_path / "missing" / outputs[option].name
+        code = main([
+            "simulate",
+            "--scenario", str(CORPUS_DIR / "type2_scenario.json"),
+            "--system", str(CORPUS_DIR / "type2_system.json"),
+            *(arg for flag, path in outputs.items() for arg in (flag, str(path))),
+        ])
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []  # neither a trace nor a report
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(outputs[option]) in err
 
     def test_key_error_inside_a_run_is_not_caught(self, tmp_path, monkeypatch):
         # Only input errors exit 2; a bug in a run keeps its traceback.
@@ -631,17 +621,15 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     def test_unclassifiable_secondary_model_fails_before_the_run(self, tmp_path, capsys):
-        rogue = replace(
-            type1_model(), id="rogue",
-            descriptor=AdaptationDescriptor(affects_safety_critical=True),
-        )
-        system = type1_system()
-        system.models.append(rogue)
-        write_json(tmp_path / "system.json", system.to_dict())
-        save_scenario(_flat_scenario(5.0), tmp_path / "scenario.json")
+        system = corpus_files.document("type1", "system")
+        system["safety_case_path"] = str(CORPUS_DIR / "type1_case.json")
+        rogue = copy.deepcopy(system["adaptation_models"][0])
+        rogue.update(id="rogue", descriptor={"affects_safety_critical": True})
+        system["adaptation_models"].append(rogue)
+        (tmp_path / "system.json").write_text(json.dumps(system))
         code = main([
             "simulate",
-            "--scenario", str(tmp_path / "scenario.json"),
+            "--scenario", str(CORPUS_DIR / "type1_scenario.json"),
             "--system", str(tmp_path / "system.json"),
             "--out", str(tmp_path / "trace.csv"),
             "--report", str(tmp_path / "report.json"),

@@ -1,10 +1,11 @@
 """Every loader reads raw JSON through the readers in `safeadapt.model`.
 
-A document with one value replaced or one key deleted either loads or is
-refused with ValidationError/StructuralError (always refused when the new
-value has another JSON type), and the CLI turns it into an exit code, never
-a traceback. The same holds for `simulate` when one number of a system or
-scenario is set to an extreme finite value.
+The documents are the corpus triples and the type3 network as an `assess`
+candidate. A document with one value replaced or one key deleted either
+loads or is refused with ValidationError/StructuralError (always refused when
+the new value has another JSON type), and the CLI turns it into an exit code,
+never a traceback. The same holds for `simulate` and `assess` when one number
+of a system, scenario or candidate is set to an extreme finite value.
 """
 import contextlib
 import copy
@@ -12,13 +13,13 @@ import io
 import json
 import math
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from safeadapt.assurance import EvidenceItem, SafetyCase, StructuralError
 from safeadapt.cli import main
+from safeadapt.controller import NetControllerSpec
 from safeadapt.harness import SystemDescription
 from safeadapt.mapek import AdaptationGoal, AdmissionPolicy
 from safeadapt.model import (
@@ -31,13 +32,16 @@ from safeadapt.model import (
     json_value,
 )
 from safeadapt.scenario import Scenario
+import corpus_files
+from corpus_files import CORPUS_DIR, NAMES
 
-CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
-NAMES = ("type0", "type1", "type2", "type3")
+SYSTEM = str(CORPUS_DIR / "type3_system.json")  # the system an `assess` candidate runs in
 
 
 def _document(name, part):
-    document = json.loads((CORPUS_DIR / f"{name}_{part}.json").read_text())
+    if part == "candidate":
+        return _document(name, "system")["net_controller"]
+    document = corpus_files.document(name, part)
     if part == "system":  # self-contained, so the case is mutated too
         document.pop("safety_case_path")
         document["safety_case"] = _document(name, "case")
@@ -46,6 +50,7 @@ def _document(name, part):
 
 DOCUMENTS = [(name, part, _document(name, part))
              for name in NAMES for part in ("system", "case", "scenario")]
+DOCUMENTS.append(("type3", "candidate", _document("type3", "candidate")))
 
 #: What one mutation puts in place of a value; ``DELETE`` removes its key.
 DELETE = object()
@@ -109,7 +114,7 @@ def _mutated(index, path, value):
 
 
 LOADERS = {"system": SystemDescription.from_dict, "case": SafetyCase.from_dict,
-           "scenario": Scenario.from_dict}
+           "scenario": Scenario.from_dict, "candidate": NetControllerSpec.from_dict}
 
 
 def _at(name, part, *path):
@@ -129,6 +134,7 @@ _SYSTEM_MODEL = ("adaptation_models", 0, "descriptor")
 @example(mutated=_mutated(*_at("type2", "system", "safety_case", "nodes", "Sn-B4", "lifecycle"),
                           DELETE))
 @example(mutated=_mutated(*_at("type2", "case", "nodes", "Sn-B4", "lifecycle"), DELETE))
+@example(mutated=_mutated(*_at("type3", "candidate", "weights", 24), -1))  # an inverted gain
 def test_one_mutation_loads_or_is_refused(tmp_path_factory, mutated):
     name, part, document, retyped = mutated
     try:
@@ -140,11 +146,12 @@ def test_one_mutation_loads_or_is_refused(tmp_path_factory, mutated):
         return
     path = tmp_path_factory.getbasetemp() / f"mutated_{part}.json"
     path.write_text(json.dumps(document))
-    if part == "system":
-        argv = ["classify", "--system", str(path)]
-    else:
-        argv = ["check-case", "--system", str(CORPUS_DIR / f"{name}_system.json"),
-                "--case", str(path)]
+    argv = {
+        "system": ["classify", "--system", str(path)],
+        "case": ["check-case", "--system", str(CORPUS_DIR / f"{name}_system.json"),
+                 "--case", str(path)],
+        "candidate": ["assess", "--system", SYSTEM, "--candidate", str(path)],
+    }[part]
     assert main(argv) in (0, 2, 3)
 
 
@@ -161,17 +168,19 @@ def _value(document, path):
     return document
 
 
-#: Each site of a system or scenario document that holds a number -> its (index, path)s.
+#: Each site of a system, scenario or candidate document that holds a number -> its
+#: (index, path)s.
 NUMBER_SITES: dict = {}
 for _site, _places in SITES.items():
     _numbers = [(index, path) for index, path in _places
                 if type(_value(DOCUMENTS[index][2], path)) in (int, float)]
-    if _site[0] in ("system", "scenario") and _numbers:
+    if _site[0] != "case" and _numbers:
         NUMBER_SITES[_site] = _numbers
 
 
 def extreme_numbers():
-    """(document index, path, extreme value) for one number of a system or scenario."""
+    """(document index, path, extreme value) for one number of a system, scenario or
+    candidate."""
     places = st.sampled_from(sorted(NUMBER_SITES)).flatmap(
         lambda site: st.sampled_from(NUMBER_SITES[site]))
     return st.tuples(places, st.sampled_from(EXTREMES)).map(lambda p: (*p[0], p[1]))
@@ -180,10 +189,10 @@ def extreme_numbers():
 _WINDOW = ("admission_policy", "window")
 
 
-# A simulate run either finishes (0, or 3 with a hazard or an undischarged obligation) or
-# refuses its input with exit 2 and one "error: " line; no warning, no traceback. A 1e300 °C
-# inflow exits 0 with no hazard: the guard closes the valve on the first tick.
-@pytest.mark.filterwarnings("error")
+# A simulate run or an assessment either finishes (0, or 3 with a hazard, an undischarged
+# obligation or a failed candidate) or refuses its input with exit 2 and one "error: " line;
+# no warning (warnings are errors), no traceback. A 1e300 °C inflow exits 0 with no hazard:
+# the guard closes the valve on the first tick.
 @settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
 @given(target=extreme_numbers())
 @example(target=(*_at("type2", "system", *_WINDOW), sys.float_info.max))
@@ -191,23 +200,31 @@ _WINDOW = ("admission_policy", "window")
 @example(target=(*_at("type2", "scenario", "tick"), 5e-324))
 @example(target=(*_at("type3", "scenario", "tick"), 1e300))
 @example(target=(*_at("type0", "scenario", "inflow_temp_trace", "points", 0, 1), 1e300))
+@example(target=(*_at("type3", "candidate", "weights", 24), sys.float_info.max))
+@example(target=(*_at("type3", "candidate", "weights", 0), -5e-324))
 def test_an_extreme_number_simulates_or_is_refused(tmp_path_factory, target):
     index, path, value = target
     name, part, document, _ = _mutated(index, path, value)
-    documents = {"system": _document(name, "system"), "scenario": _document(name, "scenario"),
-                 part: document}
-    if (part, path) != ("scenario", ("duration",)):
-        scenario = documents["scenario"]
-        scenario["duration"] = min(scenario["duration"], SIMULATED_SECONDS)
     directory = tmp_path_factory.getbasetemp()
-    paths = {p: directory / f"extreme_{p}.json" for p in documents}
-    for p, file in paths.items():
-        file.write_text(json.dumps(documents[p]))
+    if part == "candidate":
+        (directory / "extreme_candidate.json").write_text(json.dumps(document))
+        argv = ["assess", "--system", SYSTEM,
+                "--candidate", str(directory / "extreme_candidate.json")]
+    else:
+        documents = {"system": _document(name, "system"),
+                     "scenario": _document(name, "scenario"), part: document}
+        if (part, path) != ("scenario", ("duration",)):
+            scenario = documents["scenario"]
+            scenario["duration"] = min(scenario["duration"], SIMULATED_SECONDS)
+        paths = {p: directory / f"extreme_{p}.json" for p in documents}
+        for p, file in paths.items():
+            file.write_text(json.dumps(documents[p]))
+        argv = ["simulate", "--scenario", str(paths["scenario"]),
+                "--system", str(paths["system"]), "--out", str(directory / "extreme.csv"),
+                "--report", str(directory / "extreme_report.json")]
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-        code = main(["simulate", "--scenario", str(paths["scenario"]),
-                     "--system", str(paths["system"]), "--out", str(directory / "extreme.csv"),
-                     "--report", str(directory / "extreme_report.json")])
+        code = main(argv)
     err = stderr.getvalue()
     assert code in (0, 2, 3)
     if code == 2:
@@ -218,8 +235,9 @@ def test_an_extreme_number_simulates_or_is_refused(tmp_path_factory, target):
 
 @pytest.mark.parametrize("name, part", [(n, p) for n, p, _ in DOCUMENTS])
 def test_round_trip(name, part):
-    loaded = LOADERS[part](_document(name, part))
-    assert type(loaded).from_dict(json.loads(json.dumps(loaded.to_dict()))) == loaded
+    # Writing a loaded document gives it back: the loader keeps every key the corpus holds.
+    document = _document(name, part)
+    assert corpus_files.write(LOADERS[part](document)) == document
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"{\"a\": "], ids=["not-utf8", "not-json"])
@@ -227,13 +245,12 @@ def test_round_trip(name, part):
 def test_unreadable_file_exits_2_and_names_it(tmp_path, capsys, part, content):
     path = tmp_path / f"{part}.json"
     path.write_bytes(content)
-    system = str(CORPUS_DIR / "type3_system.json")
     argv = {
         "system": ["classify", "--system", str(path)],
-        "case": ["check-case", "--system", system, "--case", str(path)],
-        "scenario": ["simulate", "--scenario", str(path), "--system", system,
+        "case": ["check-case", "--system", SYSTEM, "--case", str(path)],
+        "scenario": ["simulate", "--scenario", str(path), "--system", SYSTEM,
                      "--out", str(tmp_path / "t.csv"), "--report", str(tmp_path / "r.json")],
-        "candidate": ["assess", "--system", system, "--candidate", str(path)],
+        "candidate": ["assess", "--system", SYSTEM, "--candidate", str(path)],
     }[part]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: ")

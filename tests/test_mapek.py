@@ -15,19 +15,6 @@ from safeadapt.assurance import (
     evaluate_validity,
 )
 from safeadapt.controller import NetControllerSpec, weight_count, zero_spec
-from safeadapt.corpus import (
-    COLD_FAST_DOMAIN,
-    PERMISSIVE_DOMAIN,
-    TYPE3_PLANT,
-    assessment_scenarios,
-    baseline_net,
-    type1_case,
-    type1_model,
-    type2_case,
-    type2_model,
-    type3_case,
-    type3_model,
-)
 from safeadapt.mapek import (
     AdaptationGoal,
     AdaptationTrigger,
@@ -54,12 +41,22 @@ from safeadapt.plant import PlantState, hazard_update, plant_step
 from safeadapt.scenario import Scenario, Trace
 from safeadapt.spi import SpiWindow, spi_breached, spi_update
 from net_oracle import matmul_net
+import corpus_files
 
 OPTION_IDS = {f"opt-{k}" for k in range(1, 11)}
+TYPE1_MODEL, TYPE2_MODEL, TYPE3_MODEL = (
+    corpus_files.system(name).models[0] for name in ("type1", "type2", "type3"))
+TYPE3_PLANT = corpus_files.system("type3").plant
+#: The cold, fast-inflow domain of the aggressive option 9.
+COLD_FAST_DOMAIN = next(o.domain for o in TYPE2_MODEL.options if o.id == "opt-9")
+
+
+def _baseline_net():
+    return corpus_files.system("type3").net_controller
 
 
 def _suite():
-    return AssessmentSuite(assessment_scenarios(), TYPE3_PLANT, AdaptationGoal())
+    return corpus_files.system("type3").assessment_suite()
 
 
 class TestGoalTracker:
@@ -101,18 +98,18 @@ class TestGoalTracker:
 class TestPlanType1:
     def test_goal_violation_picks_fastest_option(self):
         decision = plan_type1(
-            type1_model(), AdaptationTrigger("goal-violation"), "opt-1"
+            TYPE1_MODEL, AdaptationTrigger("goal-violation"), "opt-1"
         )
         assert decision.applied
         assert decision.chosen_option == "opt-9"  # smallest design rise time
 
     def test_applied_choice_is_always_enumerated(self):
-        decision = plan_type1(type1_model(), AdaptationTrigger("goal-violation"), "opt-5")
+        decision = plan_type1(TYPE1_MODEL, AdaptationTrigger("goal-violation"), "opt-5")
         assert decision.chosen_option in OPTION_IDS
 
     def test_rogue_request_refused_with_reason(self):
         decision = plan_type1(
-            type1_model(),
+            TYPE1_MODEL,
             AdaptationTrigger("manual", requested_option_id="opt-99"),
         )
         assert not decision.applied
@@ -121,13 +118,13 @@ class TestPlanType1:
 
     def test_valid_request_honoured(self):
         decision = plan_type1(
-            type1_model(), AdaptationTrigger("manual", requested_option_id="opt-3")
+            TYPE1_MODEL, AdaptationTrigger("manual", requested_option_id="opt-3")
         )
         assert decision.applied and decision.chosen_option == "opt-3"
 
     def test_no_better_option(self):
         decision = plan_type1(
-            type1_model(), AdaptationTrigger("goal-violation"), "opt-9"
+            TYPE1_MODEL, AdaptationTrigger("goal-violation"), "opt-9"
         )
         assert not decision.applied and decision.chosen_option is None
 
@@ -261,8 +258,8 @@ class TestAdmission:
 class TestPlanType2:
     def test_cold_window_admits_option_9(self):
         decision = plan_type2(
-            type2_model(), _cold_samples(500), AdmissionPolicy(),
-            type2_case(), active_option_id="opt-1", now=500.0,
+            TYPE2_MODEL, _cold_samples(500), AdmissionPolicy(),
+            corpus_files.case("type2"), active_option_id="opt-1", now=500.0,
         )
         assert decision.applied and decision.chosen_option == "opt-9"
         assert decision.admission.admit
@@ -275,9 +272,11 @@ class TestPlanType2:
         ]
 
     def test_relaxing_request_refused_citing_monotonicity(self):
-        case = type2_case(initial_domain=COLD_FAST_DOMAIN)
+        case = corpus_files.case("type2")
+        case = replace(case, nodes={
+            **case.nodes, "C-DOM": replace(case.node("C-DOM"), constraint=COLD_FAST_DOMAIN)})
         decision = plan_type2(
-            type2_model(), _cold_samples(500), AdmissionPolicy(), case,
+            TYPE2_MODEL, _cold_samples(500), AdmissionPolicy(), case,
             active_option_id="opt-9",
             trigger=AdaptationTrigger("manual", requested_option_id="opt-1"),
         )
@@ -286,14 +285,14 @@ class TestPlanType2:
 
     def test_rogue_request_refused(self):
         decision = plan_type2(
-            type2_model(), _cold_samples(500), AdmissionPolicy(), type2_case(),
+            TYPE2_MODEL, _cold_samples(500), AdmissionPolicy(), corpus_files.case("type2"),
             trigger=AdaptationTrigger("manual", requested_option_id="opt-77"),
         )
         assert not decision.applied and "TII.B1" in decision.reason
 
     def test_not_ready_is_not_applied(self):
         decision = plan_type2(
-            type2_model(), _cold_samples(50), AdmissionPolicy(), type2_case(),
+            TYPE2_MODEL, _cold_samples(50), AdmissionPolicy(), corpus_files.case("type2"),
             active_option_id="opt-1",
         )
         assert not decision.applied
@@ -301,12 +300,12 @@ class TestPlanType2:
 
 class TestProposeCandidate:
     def test_deterministic_per_seed(self):
-        base = baseline_net()
+        base = _baseline_net()
         assert propose_candidate(base, 7) == propose_candidate(base, 7)
         assert propose_candidate(base, 7) != propose_candidate(base, 8)
 
     def test_weight_branch_statistics(self):
-        base = baseline_net()
+        base = _baseline_net()
         weight_branch = 0
         for seed in range(2000):
             candidate = propose_candidate(base, seed)
@@ -317,7 +316,7 @@ class TestProposeCandidate:
         assert weight_branch / 2000 == pytest.approx(0.9, abs=0.03)
 
     def test_hyper_branch_single_mutation_with_zero_weights(self):
-        base = baseline_net()
+        base = _baseline_net()
         seen_topologies = set()
         for seed in range(2000):
             candidate = propose_candidate(base, seed)
@@ -379,14 +378,14 @@ def _reference_assessment_scenario(candidate, scenario, plant, goal):
 
 class TestAssessment:
     def test_baseline_passes_shipped_suite(self):
-        outcome = assess_candidate(baseline_net(), _suite())
+        outcome = assess_candidate(_baseline_net(), _suite())
         assert outcome["verdict"] == "pass"
         assert outcome["evidence"].verdict == "pass"
-        assert outcome["evidence"].payload_ref == spec_hash(baseline_net())
+        assert outcome["evidence"].payload_ref == spec_hash(_baseline_net())
 
     def test_reassessment_is_idempotent(self):
-        first = assess_candidate(baseline_net(), _suite())
-        second = assess_candidate(baseline_net(), _suite())
+        first = assess_candidate(_baseline_net(), _suite())
+        second = assess_candidate(_baseline_net(), _suite())
         assert first["verdict"] == second["verdict"] == "pass"
         assert first["results"] == second["results"]
 
@@ -404,11 +403,11 @@ class TestAssessment:
             inflow_rate_trace=Trace(((0.0, 0.02), (40.0, 0.05))), initial_tank_temp=50.0,
         )
         suite = AssessmentSuite(
-            assessment_scenarios() + (ramp,), TYPE3_PLANT, AdaptationGoal()
+            _suite().scenarios + (ramp,), TYPE3_PLANT, AdaptationGoal()
         )
         verdicts = set()
         for seed in range(30):
-            candidate = propose_candidate(baseline_net(), seed)
+            candidate = propose_candidate(_baseline_net(), seed)
             outcome = assess_candidate(candidate, suite)
             verdicts.add(outcome["verdict"])
             assert outcome["results"] == [
@@ -422,7 +421,7 @@ class TestAssessment:
         # equal spec built afresh starts on an empty one.
         suite, verdicts = _suite(), set()
         for seed in range(2, 8):  # both verdicts, and a grown layer
-            candidate = propose_candidate(baseline_net(), seed)
+            candidate = propose_candidate(_baseline_net(), seed)
             cold = assess_candidate(candidate, suite)
             verdicts.add(cold["verdict"])
             for again in (candidate, NetControllerSpec(candidate.layer_sizes, candidate.weights)):
@@ -434,33 +433,33 @@ class TestAssessment:
     def test_plant_steps_at_the_scenario_tick(self):
         step = Scenario(
             id="coarse", duration=120.0, setpoint_schedule=((0.0, 40.0), (5.0, 60.0)),
-            inflow_temp_trace=Trace.constant(10.0), inflow_rate_trace=Trace.constant(0.02),
+            inflow_temp_trace=Trace(((0.0, 10.0),)), inflow_rate_trace=Trace(((0.0, 0.02),)),
             tick=0.2, guard_enabled=False, initial_tank_temp=40.0,
         )
         outcomes = [
-            assess_candidate(baseline_net(), AssessmentSuite((step,), plant, AdaptationGoal()))
+            assess_candidate(_baseline_net(), AssessmentSuite((step,), plant, AdaptationGoal()))
             for plant in (TYPE3_PLANT, replace(TYPE3_PLANT, tick=0.2))
         ]
         assert outcomes[0]["results"] == outcomes[1]["results"]
         assert outcomes[0]["verdict"] == "pass"
 
     def test_spec_hash_is_stable_and_sensitive(self):
-        a, b = baseline_net(), zero_spec([4])
-        assert spec_hash(a) == spec_hash(baseline_net())
+        a, b = _baseline_net(), zero_spec([4])
+        assert spec_hash(a) == spec_hash(_baseline_net())
         assert spec_hash(a) != spec_hash(b)
 
 
 def _type3_repo():
     return KnowledgeRepository(
         current_config=SystemConfiguration("parametric-net", {}),
-        safety_case=type3_case(),
+        safety_case=corpus_files.case("type3"),
         sample_history=deque(maxlen=100),
         spi_windows=[SpiWindow()],
         active_option_id="net-baseline",
-        active_net=baseline_net(),
+        active_net=_baseline_net(),
         baseline_option_id="net-baseline",
         baseline_config=SystemConfiguration("parametric-net", {}),
-        baseline_net=baseline_net(),
+        baseline_net=_baseline_net(),
     )
 
 
@@ -470,13 +469,14 @@ class TestPlanType3:
         # zero-weight candidates, which fail the suite.
         failures = 0
         for seed in range(40):
-            decision = plan_type3(type3_model(), baseline_net(), _suite(), seed, type3_case())
+            decision = plan_type3(
+                TYPE3_MODEL, _baseline_net(), _suite(), seed, corpus_files.case("type3"))
             item = decision.evidence_items[0]
             if item.verdict == "fail":
                 failures += 1
                 assert not decision.applied
                 assert "TIII.B4" in decision.reason
-                candidate = propose_candidate(baseline_net(), seed)
+                candidate = propose_candidate(_baseline_net(), seed)
                 assert f"candidate-{spec_hash(candidate)[:12]} failed" in decision.reason
             elif decision.applied:
                 assert item.verdict == "pass"
@@ -489,7 +489,7 @@ class TestPlanType3:
         passing = None
         for seed in range(40):
             decision = plan_type3(
-                type3_model(), baseline_net(), _suite(), seed, type3_case(), now=7.0,
+                TYPE3_MODEL, _baseline_net(), _suite(), seed, corpus_files.case("type3"), now=7.0,
             )
             if decision.applied:
                 passing = decision
@@ -507,10 +507,9 @@ class TestPlanType3:
 
 
 def _type2_repo(case=None):
-    model = type2_model()
     return KnowledgeRepository(
         current_config=SystemConfiguration("pid", {"kp": 50.0, "ki": 0.5, "kd": 0.0}),
-        safety_case=case if case is not None else type2_case(),
+        safety_case=case if case is not None else corpus_files.case("type2"),
         sample_history=deque(maxlen=100),
         active_option_id="opt-1",
         baseline_option_id="opt-1",
@@ -521,8 +520,8 @@ def _type2_repo(case=None):
 class TestExecuteAdaptation:
     def test_type2_apply_updates_gains_and_constraints(self):
         decision = plan_type2(
-            type2_model(), _cold_samples(500), AdmissionPolicy(),
-            type2_case(), active_option_id="opt-1", now=500.0,
+            TYPE2_MODEL, _cold_samples(500), AdmissionPolicy(),
+            corpus_files.case("type2"), active_option_id="opt-1", now=500.0,
         )
         repo = _type2_repo()
         execute_adaptation(decision, repo, now=500.0)
@@ -534,7 +533,7 @@ class TestExecuteAdaptation:
         assert repo.safety_case.revision == 1
 
     def test_rollback_when_case_patch_targets_static_node(self):
-        case = type2_case()
+        case = corpus_files.case("type2")
         # Freeze the nodes the executor patches: now both the context
         # replacement and the evidence attach are illegal.
         case.node("C-DOM").lifecycle = "static"
@@ -543,32 +542,32 @@ class TestExecuteAdaptation:
         case.node("Sn-B5").lifecycle = "static"
         case.node("G-B5").lifecycle = "static"
         decision = plan_type2(
-            type2_model(), _cold_samples(500), AdmissionPolicy(),
+            TYPE2_MODEL, _cold_samples(500), AdmissionPolicy(),
             case, active_option_id="opt-1", now=500.0,
         )
         assert decision.applied
         repo = _type2_repo(case)
         before_config = repo.current_config
-        before_case = copy.deepcopy(case.to_dict())
+        before_case = copy.deepcopy(case)
         execute_adaptation(decision, repo, now=500.0)
         assert not decision.applied
         assert "rolled back" in decision.reason
         assert repo.current_config == before_config
-        assert repo.safety_case.to_dict() == before_case
+        assert repo.safety_case == before_case
 
     def test_type1_apply_updates_gains_and_keeps_case(self):
-        decision = plan_type1(type1_model(), AdaptationTrigger("goal-violation"), "opt-1")
+        decision = plan_type1(TYPE1_MODEL, AdaptationTrigger("goal-violation"), "opt-1")
         assert decision.applied
         repo = KnowledgeRepository(
             current_config=SystemConfiguration("pid", {"kp": 50.0, "ki": 0.5, "kd": 0.0}),
-            safety_case=type1_case(),
+            safety_case=corpus_files.case("type1"),
             sample_history=deque(maxlen=100),
             active_option_id="opt-1",
         )
         revision = repo.safety_case.revision
         execute_adaptation(decision, repo, now=10.0)
         option = decision.option
-        assert option in type1_model().options and option.id == decision.chosen_option
+        assert option in TYPE1_MODEL.options and option.id == decision.chosen_option
         assert repo.current_config.parameters == option.assignment
         assert repo.active_option_id == option.id
         assert repo.safety_case.revision == revision
@@ -577,7 +576,7 @@ class TestExecuteAdaptation:
     def test_unapplied_decision_is_a_no_op(self):
         repo = _type2_repo()
         decision = plan_type1(
-            type1_model(), AdaptationTrigger("manual", requested_option_id="nope")
+            TYPE1_MODEL, AdaptationTrigger("manual", requested_option_id="nope")
         )
         before = repo.current_config
         execute_adaptation(decision, repo)
@@ -593,7 +592,7 @@ class TestFailSafe:
             spi_update(repo.spi_windows[0], 86.0)
         assert spi_breached(repo.spi_windows[0])
         fail_safe(repo, now=100.0)
-        assert repo.active_net == baseline_net()
+        assert repo.active_net == _baseline_net()
         assert repo.active_option_id == "net-baseline"
         assert not spi_breached(repo.spi_windows[0])
 

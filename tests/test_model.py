@@ -18,6 +18,7 @@ from safeadapt.model import (
 )
 from safeadapt.plant import GuardState, PlantState
 from safeadapt.taxonomy import AdaptationDescriptor
+from corpus_files import write
 
 COLD_FAST = OperationalDomain({"inflow_temp": (-10.0, 2.0), "inflow_rate": (0.2, 1.0)})
 PERMISSIVE = OperationalDomain({"inflow_temp": (-10.0, 40.0), "inflow_rate": (0.01, 1.0)})
@@ -34,7 +35,7 @@ class TestOperationalDomain:
     def test_round_trip(self):
         half_open = OperationalDomain({"inflow_temp": (-math.inf, 2.0)})
         for domain in (COLD_FAST, PERMISSIVE, UNBOUNDED_DOMAIN, half_open):
-            assert OperationalDomain.from_dict(domain.to_dict()) == domain
+            assert OperationalDomain.from_dict(write(domain)) == domain
 
     def test_none_maps_to_infinity(self):
         domain = OperationalDomain.from_dict({"inflow_temp": [None, 2.0]})
@@ -113,7 +114,7 @@ class TestSystemConfiguration:
 
     def test_round_trip(self):
         config = SystemConfiguration("pid", {"kp": 1.5})
-        assert SystemConfiguration.from_dict(config.to_dict()) == config
+        assert SystemConfiguration.from_dict(write(config)) == config
 
 
 def _conditional_model():
@@ -165,7 +166,7 @@ class TestParameterConstraint:
 
     def test_round_trip(self):
         constraint = ParameterConstraint("conditional", "kd", low=10.0, condition=("kp", 1000.0))
-        assert ParameterConstraint.from_dict(constraint.to_dict()) == constraint
+        assert ParameterConstraint.from_dict(write(constraint)) == constraint
 
 
 class TestAdaptationModel:
@@ -191,7 +192,7 @@ class TestAdaptationModel:
 
     def test_round_trip(self):
         model = _conditional_model()
-        assert AdaptationModel.from_dict(model.to_dict()) == model
+        assert AdaptationModel.from_dict(write(model)) == model
 
 
 @pytest.mark.parametrize("record", [

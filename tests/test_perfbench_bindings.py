@@ -15,9 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from safeadapt import corpus, harness, spi
+from safeadapt import harness, spi
 from safeadapt.assurance import evaluate_validity
 from safeadapt.model import KnowledgeRepository, SystemConfiguration
+import corpus_files
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -52,7 +53,7 @@ def test_validity_predicate_calls_spi_breached_through_its_module(monkeypatch):
     calls = []
     breached = spi.spi_breached
     monkeypatch.setattr(spi, "spi_breached", lambda w: calls.append(w) or breached(w))
-    case = corpus.type3_case()
+    case = corpus_files.case("type3")
     window = spi.SpiWindow()
     repo = KnowledgeRepository(
         current_config=SystemConfiguration("pid", {}), safety_case=case, spi_windows=[window],
@@ -61,19 +62,19 @@ def test_validity_predicate_calls_spi_breached_through_its_module(monkeypatch):
     assert calls == [window]
 
 
-@pytest.mark.parametrize("system_fn, scenario_fn, per_tick", [
-    (corpus.type2_system, corpus.type2_scenario, {"controller.pid_compute": 1}),
-    (corpus.type3_system, corpus.type3_scenario,
-     # `spi_update` returns the breach, so only the validity predicate calls `spi_breached`.
-     {"controller.net_compute": 1, "spi.spi_update": 1, "spi.spi_breached": 1}),
+@pytest.mark.parametrize("name, per_tick", [
+    ("type2", {"controller.pid_compute": 1}),
+    # `spi_update` returns the breach, so only the validity predicate calls `spi_breached`.
+    ("type3", {"controller.net_compute": 1, "spi.spi_update": 1, "spi.spi_breached": 1}),
 ], ids=["type2", "type3"])
-def test_traced_run_records_every_tick_layer(system_fn, scenario_fn, per_tick):
+def test_traced_run_records_every_tick_layer(name, per_tick):
     # A layer whose binding drops off the call path would read 0 here.
-    scenario = replace(scenario_fn(), duration=120.0)
+    scenario = replace(corpus_files.scenario(name), duration=120.0)
+    system = corpus_files.system(name)
     tracer = _tracer()
     assert tracer.install() == []
     try:
-        harness.run_scenario(scenario, system_fn())
+        harness.run_scenario(scenario, system)
     finally:
         assert tracer.restore()
     counts = dict(zip(tracer.span_names, tracer.counts_since(0)))

@@ -13,6 +13,7 @@ from safeadapt.plant import (
     hazard_update,
     plant_step,
 )
+from corpus_files import write
 
 
 def _env(temp=10.0, rate=0.1, t=0.0):
@@ -185,7 +186,7 @@ def test_outflow_equals_tank_temperature():
 
 def test_params_round_trip():
     params = PlantParams(volume=4.0)
-    assert PlantParams.from_dict(params.to_dict()) == params
+    assert PlantParams.from_dict(write(params)) == params
 
 
 def test_hazard_temp_constant():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from safeadapt.model import ValidationError
 from safeadapt.scenario import MAX_RUN_TICKS, Scenario, Trace
+from corpus_files import write
 
 POINTS = ((0.0, 1.0), (10.0, 2.0), (10.0, 3.0), (20.0, 4.0))
 SCHEDULE = ((5.0, 40.0), (10.0, 50.0), (10.0, 55.0), (20.0, 60.0))
@@ -20,7 +21,7 @@ SCHEDULE = ((5.0, 40.0), (10.0, 50.0), (10.0, 55.0), (20.0, 60.0))
 def _scenario(**overrides):
     fields = dict(
         id="s", duration=10.0, setpoint_schedule=((0.0, 40.0),),
-        inflow_temp_trace=Trace.constant(10.0), inflow_rate_trace=Trace.constant(0.1),
+        inflow_temp_trace=Trace(((0.0, 10.0),)), inflow_rate_trace=Trace(((0.0, 0.1),)),
     )
     fields.update(overrides)
     return Scenario(**fields)
@@ -212,20 +213,20 @@ def test_malformed_trace_document_rejected(points):
 ], ids=["root-list", "seed-bool", "seed-float", "guard-string", "tick-bool", "duration-string",
         "triggers-number", "trigger-one-item", "trigger-string-time", "setpoint-string"])
 def test_malformed_scenario_document_rejected(change):
-    document = _scenario(manual_triggers=((1.0, "opt-1"),)).to_dict()
+    document = write(_scenario(manual_triggers=((1.0, "opt-1"),)))
     document = change(document) or document
     with pytest.raises(ValidationError):
         Scenario.from_dict(document)
 
 
 def test_document_numbers_load_as_floats():
-    document = _scenario(manual_triggers=((1.0, "opt-1"),)).to_dict()
+    document = write(_scenario(manual_triggers=((1.0, "opt-1"),)))
     document.update(tick=1, duration=10, setpoint_schedule=[[0, 40]])
     scenario = Scenario.from_dict(document)
-    assert Scenario.from_dict(scenario.to_dict()) == scenario
+    assert Scenario.from_dict(write(scenario)) == scenario
     assert all(type(x) is float for x in (scenario.tick, scenario.duration,
                                           *scenario.setpoint_schedule[0]))
 
 
 def test_zero_inflow_rate_is_legal():
-    assert _scenario(inflow_rate_trace=Trace.constant(0.0)).ticks() == 100
+    assert _scenario(inflow_rate_trace=Trace(((0.0, 0.0),))).ticks() == 100

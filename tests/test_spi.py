@@ -6,6 +6,7 @@ from hypothesis import example, given, strategies as st
 
 from safeadapt.model import ValidationError
 from safeadapt.spi import SpiWindow, spi_breached, spi_reset, spi_update
+from corpus_files import write
 
 
 def _feed(window, temps):
@@ -90,7 +91,7 @@ class TestResetAndLifecycle:
 
     def test_round_trip(self):
         w = SpiWindow(id="x", temp_threshold=80.0, window=100.0, threshold=10.0)
-        restored = SpiWindow.from_dict(w.to_dict())
+        restored = SpiWindow.from_dict(write(w))
         assert (restored.id, restored.temp_threshold, restored.window, restored.threshold) == (
             "x", 80.0, 100.0, 10.0,
         )

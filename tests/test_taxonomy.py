@@ -17,6 +17,7 @@ from safeadapt.taxonomy import (
     obligations_for,
     verdict_for,
 )
+from corpus_files import write
 
 T0_DESC = AdaptationDescriptor(affects_safety_critical=False, independence_argued=True)
 TI_DESC = AdaptationDescriptor(
@@ -74,7 +75,7 @@ class TestClassify:
 
     def test_round_trip(self):
         for descriptor in (T0_DESC, TI_DESC, TII_DESC, TIII_DESC):
-            assert AdaptationDescriptor.from_dict(descriptor.to_dict()) == descriptor
+            assert AdaptationDescriptor.from_dict(write(descriptor)) == descriptor
 
 
 def _all_well_formed_descriptors():
