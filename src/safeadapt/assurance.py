@@ -18,6 +18,7 @@ a `SafetyCase` must not be mutated after construction.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Union
@@ -230,6 +231,12 @@ def _predicate_spi_under_threshold(knowledge: "KnowledgeRepository", now: float)
     return not any(map(spi.spi_breached, knowledge.spi_windows))
 
 
+#: Every predicate holds wherever a run reads the case's validity, so a run asks none per tick
+#: (see `watch_root`). ``spi-under-threshold`` holds after each tick's SPI step: `spi_update`
+#: returns the breach, a breach runs `mapek.fail_safe`, `fail_safe` resets every window, and
+#: `execute_adaptation` only resets windows. A breach therefore shows in the run's
+#: ``spi_breaches`` and decisions, never in its ``case_valid``. A new predicate must hold the
+#: same way, or the run must ask it.
 PREDICATES: dict[str, PredicateFn] = {
     "spi-under-threshold": _predicate_spi_under_threshold,
 }
@@ -278,6 +285,14 @@ def _compile_validity(case: SafetyCase) -> _ValidityPlan:
     return _ValidityPlan(frozenset(const_failing), *map(tuple, (freshness, bounds, predicates)))
 
 
+def _plan(case: SafetyCase) -> _ValidityPlan:
+    """The case's validity plan, compiled on first use and stored on the case."""
+    plan = case._plan
+    if plan is None:
+        plan = case._plan = _compile_validity(case)
+    return plan
+
+
 def evaluate_validity(
     case: SafetyCase, now: float, knowledge: Optional["KnowledgeRepository"] = None
 ) -> frozenset[str]:
@@ -288,9 +303,7 @@ def evaluate_validity(
     constraint (unchecked without knowledge or samples) and its predicate holds (false
     without knowledge); a goal or strategy iff all its children are. The plan is compiled
     on the case's first call and stored on the case."""
-    plan = case._plan
-    if plan is None:
-        plan = case._plan = _compile_validity(case)
+    plan = _plan(case)
     failing = plan.const_failing
     for produced_at, freshness, closure in plan.freshness:
         if not now - produced_at <= freshness:  # fresh until produced_at + freshness, inclusive
@@ -306,6 +319,32 @@ def evaluate_validity(
         if not predicate(knowledge, now):
             failing = failing | closure
     return failing
+
+
+def watch_root(
+    case: SafetyCase, k: int, tick: float, ticks: int
+) -> tuple[tuple[tuple[int, float, float], ...], int]:
+    """What can change the root's validity in a run from tick ``k`` (time ``k * tick``) on,
+    while ``case`` holds: the ``(sample field index, low, high)`` bounds it rests on, to be
+    read against each tick's newest sample, and the first tick at which a runtime evidence
+    item it rests on is stale (``ticks`` if none is before the run ends). Between those two,
+    the root's validity is that of tick ``k`` where there are no bounds, and otherwise
+    whether every bound holds. A root failing at every time from ``k`` on has neither.
+
+    Predicates are left out: each holds wherever a run reads validity (see `PREDICATES`).
+    The expiry tick is found by `evaluate_validity`'s own test on the run's own times,
+    ``not k * tick - produced_at <= freshness``, which goes true once and stays true."""
+    plan, root = _plan(case), case.root
+    stale_at = ticks
+    if root not in plan.const_failing:
+        for produced_at, freshness, closure in plan.freshness:
+            if root in closure:
+                # The item's first stale tick before stale_at, or stale_at if it has none.
+                stale_at = k + bisect_left(range(k, stale_at), True, key=lambda j: (
+                    not j * tick - produced_at <= freshness))
+        if stale_at > k:
+            return tuple(b[:3] for b in plan.bounds if root in b[3]), stale_at
+    return (), ticks
 
 
 # --- adaptation patches -----------------------------------------------------

@@ -33,7 +33,16 @@ def _check_writable(path: str) -> None:
         os.remove(path)
 
 
+def _same_file(a: str, b: str) -> bool:
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    return os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    # The report would overwrite the trace.
+    if _same_file(args.out, args.report):
+        raise ValidationError(f"--out and --report name the same file: {args.out}")
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)

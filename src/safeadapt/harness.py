@@ -13,8 +13,11 @@ A run binds its SPI windows to the scenario's tick and shares the immutable
 safety case; PID gains are rebuilt only where the configuration changes.
 Scenario inputs are read by forward cursors, not looked up per tick. The
 values each tick creates (sample, plant, guard and PID states) are
-immutable tuples. The trace keeps each tick as six floats plus its tail
-run's text, and formats rows only when they are read or written.
+immutable tuples. The case's validity is evaluated when the case changes
+and when the root's evidence expires, and between those read from the
+root's dynamic bounds alone (see `assurance.watch_root`). The trace keeps
+each tick as seven floats, and each run of equal tails once, and formats
+rows only when they are read or written.
 """
 from __future__ import annotations
 
@@ -22,13 +25,16 @@ import math
 from array import array
 from collections import deque
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
 from . import taxonomy
-from .assurance import SafetyCase, current_constraints, evaluate_validity, load_case
+from .assurance import (
+    SafetyCase, current_constraints, evaluate_validity, load_case, watch_root,
+)
 from .controller import (
     NetControllerSpec,
     PidConfig,
@@ -157,41 +163,74 @@ TRACE_HEADER = (
     "case_revision,case_valid"
 )
 
-#: One trace row: ``t`` to ``power`` change every tick, the tail seldom. Bools print as 1/0.
-_ROW_HEAD, _ROW_TAIL = "%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,", "%d,%s,%.6f,%s,%d,%.6f,%s,%d"
+#: A row's floats after ``t``, which is ``k * tick``: ``inflow_temp`` to ``power``,
+#: ``hazard_accum`` and ``spi_near_limit``.
+_FLOATS = 7
+#: What follows ``power``, ``hazard_accum`` and ``spi_near_limit`` in a row: the tail's fields
+#: ``valve_open, active_option | hazard_count, guard_tripped | case_revision, case_valid``.
+_ROW_TAIL = (",%d,%s,", ",%s,%d,", ",%s,%d\n")  # bools print as 1/0
+#: Ticks a block of the store holds. Blocks of one size are reused from run to run, where one
+#: growing array would be copied as it grows and leave each copy's pages resident.
+_BLOCK = 1024
 
 
 class TraceRows:
-    """A run's trace rows, the header first, held as numbers and formatted when read: each
-    tick's head floats in one array, and each run of ticks whose tails are equal by ``==``
-    as its first tick and its ``_ROW_TAIL`` text. ``==`` holds -0.0 equal to 0.0, but the
-    tail's floats are never -0.0: they are 0.0 literals or sums of positive ticks."""
+    """A run's trace rows, the header first, held as numbers and formatted when read.
 
-    def __init__(self) -> None:
-        self._heads, self._starts, self._texts, self._tail = array("d"), array("l"), [], None
+    Each tick's seven floats go into an ``array("d")`` block of ``_BLOCK`` ticks, 56 bytes a
+    tick; ``t`` is ``k * tick``, the run's own product. A run of ticks whose tails (the
+    valve, option, hazard count, trip, revision and validity) are equal by ``==`` is kept as
+    its first tick and its tail. A column whose bits are the same on every row of a written
+    string is formatted once, into the string's format; only the other columns are
+    formatted per row."""
 
-    def add(self, head: tuple, tail: tuple) -> None:
-        self._heads.extend(head)
+    def __init__(self, tick: float) -> None:
+        self._tick, self._starts, self._tails, self._tail = tick, array("l"), [], None
+        self._block = array("d")
+        self._blocks = [self._block]
+
+    def add(self, floats: tuple, tail: tuple) -> None:
+        block = self._block
+        if len(block) == _FLOATS * _BLOCK:
+            block = self._block = array("d")
+            self._blocks.append(block)
+        block.extend(floats)
         if tail != self._tail:
             self._tail = tail
-            self._starts.append(len(self._heads) // 6 - 1)
-            self._texts.append(_ROW_TAIL % tail)
+            self._starts.append(len(self) - 2)  # this tick's index; len counts the header
+            self._tails.append(tail)
 
     def __len__(self) -> int:
-        return 1 + len(self._heads) // 6
+        return 1 + _BLOCK * (len(self._blocks) - 1) + len(self._block) // _FLOATS
 
     def __iter__(self) -> Iterator[str]:
         yield TRACE_HEADER
         yield from (row[:-1] for row in self.chunks(1))
 
     def chunks(self, size: int) -> Iterator[str]:
-        """The rows after the header, each ending in a newline, at most ``size`` to a string."""
-        heads, starts = self._heads, self._starts
-        for a, end, text in zip(starts, starts[1:] + array("l", [len(self) - 1]), self._texts):
-            fmt = _ROW_HEAD + text.replace("%", "%%") + "\n"
-            for b in range(a, end, size):
-                n = min(size, end - b)
-                yield (fmt * n) % tuple(heads[6 * b:6 * (b + n)])
+        """The rows after the header, each ending in a newline, at most ``size`` to a string
+        and each string within one block."""
+        tick, starts = self._tick, self._starts
+        for a, end, tail in zip(starts, [*starts[1:], len(self) - 1], self._tails):
+            seps = (",",) * 4 + tuple((gap % fields).replace("%", "%%") for gap, fields in
+                                      zip(_ROW_TAIL, (tail[:2], tail[2:4], tail[4:])))
+            b = a
+            while b < end:
+                block, first = divmod(b, _BLOCK)
+                n = min(size, end - b, _BLOCK - first)
+                floats = self._blocks[block]
+                fmt, varying = ["%.6f,"], [map(tick.__mul__, range(b, b + n))]
+                for column, sep in enumerate(seps):
+                    values = floats[_FLOATS * first + column:_FLOATS * (first + n):_FLOATS]
+                    # Bits, not ==: -0.0 == 0.0 but prints differently, and nan != nan.
+                    if values.tobytes() == values[:1].tobytes() * n:
+                        fmt.append("%.6f" % values[0])
+                    else:
+                        fmt.append("%.6f")
+                        varying.append(values)
+                    fmt.append(sep)
+                yield ("".join(fmt) * n) % tuple(chain.from_iterable(zip(*varying)))
+                b += n
 
 
 @dataclass
@@ -224,7 +263,7 @@ def run_scenario(
     Deterministic for a fixed (scenario, system, seed); returns the CSV
     trace rows (header included) and the final run report.
     """
-    tick = scenario.tick
+    tick, ticks = scenario.tick, scenario.ticks()
     plant = replace(system.plant, tick=tick)
     goal = system.goal
 
@@ -239,7 +278,7 @@ def run_scenario(
         current_config=system.initial_config,
         safety_case=system.safety_case,
         # Validity reads the newest sample and admission the last window: one rule for all.
-        sample_history=deque(maxlen=system.admission_policy.history_size(tick, scenario.ticks())),
+        sample_history=deque(maxlen=system.admission_policy.history_size(tick, ticks)),
         spi_windows=[replace(w, tick=tick) for w in system.spi_windows],
         active_option_id=system.initial_option_id,
         active_net=system.net_controller,
@@ -259,7 +298,7 @@ def run_scenario(
     spi_windows = repo.spi_windows  # reset in place by fail_safe, never rebound
 
     report = RunReport(scenario_id=scenario.id)
-    rows = TraceRows()
+    rows = TraceRows(tick)
     # The sentinel never fires: load-time checks make every trigger time finite.
     manual_triggers = iter([*sorted(scenario.manual_triggers), (math.inf, "")])
     next_manual, manual_option = next(manual_triggers)
@@ -271,7 +310,8 @@ def run_scenario(
     activated_specs: list[str] = []
     last_domain = current_constraints(repo.safety_case) if type_id == "TII" else None
     monotone = True
-    last_revision = last_valid = None
+    last_revision = last_valid = watched = None
+    stale_at, bounds = -1, ()
 
     def plan(trigger: AdaptationTrigger, t: float) -> Optional[AdaptationDecision]:
         """The one map from the primary model's type to its planner."""
@@ -396,17 +436,26 @@ def run_scenario(
                 last_assessment_time = t
                 apply_decision(plan(_GOAL_VIOLATION, t), t)
 
-        # trace
+        # trace: the root's validity is evaluated when the case changes and at an expiry;
+        # between those it changes only with the bounds it rests on (see watch_root)
         case = repo.safety_case
-        valid = case.root not in evaluate_validity(case, t, repo)
+        if case is not watched or k == stale_at:
+            watched, valid = case, case.root not in evaluate_validity(case, t, repo)
+            bounds, stale_at = watch_root(case, k, tick, ticks)
+        elif bounds:
+            valid = True
+            for index, low, high in bounds:
+                if not low <= sample[index] <= high:
+                    valid = False
+                    break
         revision = case.revision
         if valid != last_valid or revision != last_revision:
             last_valid, last_revision = valid, revision
             report.case_validity_timeline.append({"time": t, "revision": revision, "valid": valid})
         spi_near = spi_windows[0].accumulated() if spi_windows else 0.0
-        append_row((t, inflow_temp, inflow_rate, setpoint, outflow_temp, power), (
-            valve_open, repo.active_option_id, hazard_accum, hazard_count,
-            tripped, spi_near, revision, valid))
+        append_row((inflow_temp, inflow_rate, setpoint, outflow_temp, power, hazard_accum,
+                    spi_near), (valve_open, repo.active_option_id, hazard_count, tripped,
+                                revision, valid))
 
     report.hazard_count = state.hazard_count
     report.rise_times = [dict(e) for e in tracker.events]

@@ -4,7 +4,7 @@ import math
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from safeadapt.assurance import (
     AttachEvidence,
@@ -19,6 +19,7 @@ from safeadapt.assurance import (
     current_constraints,
     evaluate_validity,
     load_case,
+    watch_root,
 )
 from safeadapt.model import (
     EnvironmentSample,
@@ -475,3 +476,46 @@ def test_compiled_validity_matches_support_map(case, times, inflow_temps, breach
                 assert check_obligations("TII", current, now, knowledge) == (
                     _reference_obligations(current, now, knowledge)
                 )
+
+
+# One item, fresh by sums and stale by the run's own test from tick 3 of 0.1 s on.
+_EXPIRING = _single_goal_case(_fresh_pass(produced=0.1, freshness=0.2))
+
+
+@settings(max_examples=100)
+@given(
+    case=_random_cases(),
+    tick=st.sampled_from([0.1, 0.3, 0.7, 1.1]),
+    ticks=st.integers(1, 600),
+    revise_at=st.integers(0, 600),
+    inflow_temps=st.lists(st.sampled_from([-20.0, 0.0, 1.0, 5.0, 30.0, 50.0]), min_size=1),
+)
+@example(case=_EXPIRING, tick=0.1, ticks=6, revise_at=6, inflow_temps=[0.0])
+def test_watched_root_validity_matches_evaluate_validity(case, tick, ticks, revise_at,
+                                                         inflow_temps):
+    # The run's rule (see harness.run_scenario): evaluate the case when it changes and at the
+    # watch's expiry tick; between those, the root's validity is the one evaluated where no
+    # bound is watched, and otherwise whether every watched bound holds on the newest sample.
+    # The SPI window never breaches, as at every point where a run reads validity.
+    repo = KnowledgeRepository(
+        current_config=SystemConfiguration("pid", {}), safety_case=case,
+        sample_history=deque(maxlen=1), spi_windows=[SpiWindow(window=10.0, threshold=1.0, tick=1.0)],
+    )
+    revised = adapt_case(case, list(_revision_patches(case)), now=revise_at * tick)
+    watched = None
+    for k in range(ticks):
+        t = k * tick
+        sample = EnvironmentSample(t, inflow_temps[k % len(inflow_temps)], 0.5, 40.0, 40.0)
+        repo.sample_history.append(sample)
+        current = revised if k >= revise_at else case
+        expected = current.root not in evaluate_validity(current, t, repo)
+        if current is not watched or k == stale_at:
+            watched, valid = current, expected
+            bounds, stale_at = watch_root(current, k, tick, ticks)
+            assert k < stale_at <= ticks
+            # The expiry tick is the first stale one, never earlier.
+            assert stale_at == ticks or current.root in evaluate_validity(
+                current, stale_at * tick)
+        elif bounds:
+            valid = all(low <= sample[index] <= high for index, low, high in bounds)
+        assert valid == expected

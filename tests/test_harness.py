@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from safeadapt import assurance, cli, controller, harness, mapek, taxonomy
-from safeadapt.assurance import CaseNode, SafetyCase
+from safeadapt.assurance import CaseNode, EvidenceItem, SafetyCase
 from safeadapt.cli import main
 from safeadapt.controller import PidConfig
 from safeadapt.harness import (
@@ -22,8 +22,9 @@ from safeadapt.harness import (
 from safeadapt.model import SystemConfiguration
 from safeadapt.plant import PlantParams
 from safeadapt.scenario import Scenario, Trace
+from safeadapt.spi import SpiWindow
 from run_oracle import ROW as _ROW, reference_run
-from validity_oracle import unsupported
+from validity_oracle import support_map, unsupported
 import corpus_files
 from corpus_files import CORPUS_DIR, NAMES
 
@@ -66,6 +67,19 @@ def _ring_sizes(monkeypatch):
     monkeypatch.setattr(harness, "deque",
                         lambda maxlen: sizes.append(maxlen) or deque(maxlen=maxlen))
     return sizes
+
+
+def _retained_run(scenario, system):
+    """A run's trace rows and the bytes its trace and report retain."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows, report = run_scenario(scenario, system)
+        gc.collect()
+        return rows, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="module")
@@ -196,20 +210,37 @@ class TestRunScenario:
         assert all(len(w.ring) == 0 and w.true_count == 0 for w in system.spi_windows)
         assert list(run_scenario(scenario, system)[0]) == list(rows)
 
-    @pytest.mark.parametrize("name", ["type2", "type3"])
-    def test_validity_agrees_with_support_map_every_tick(self, monkeypatch, name):
-        revisions = set()
+    @pytest.mark.parametrize("name, duration", [("type2", 2500.0), ("type3", 1200.0)],
+                             ids=["type2", "type3"])
+    def test_validity_agrees_with_support_map_every_tick(self, monkeypatch, name, duration):
+        # Each tick's stored revision and validity against support_map on the run's own
+        # knowledge at that tick; each evaluation the run asks for, node by node.
+        scenario = replace(corpus_files.scenario(name), duration=duration)
+        repos, entries = [], set()
+        new_repo, evaluate = harness.KnowledgeRepository, assurance.evaluate_validity
+
+        class CheckedRows(harness.TraceRows):
+            def add(self, floats, tail):
+                repo, t = repos[-1], (len(self) - 1) * scenario.tick
+                case = repo.safety_case
+                assert tail[-2:] == (case.revision, support_map(case, t, repo)[case.root])
+                entries.add(tail[-2:])
+                super().add(floats, tail)
 
         def checked(case, now, repo):
-            failing = assurance.evaluate_validity(case, now, repo)
+            failing = evaluate(case, now, repo)
             assert failing == unsupported(case, now, repo)
-            revisions.add(case.revision)
             return failing
 
+        monkeypatch.setattr(harness, "KnowledgeRepository",
+                            lambda **fields: repos.append(new_repo(**fields)) or repos[-1])
+        monkeypatch.setattr(harness, "TraceRows", CheckedRows)
         monkeypatch.setattr(harness, "evaluate_validity", checked)
-        run_scenario(replace(corpus_files.scenario(name), duration=1200.0),
-                     corpus_files.system(name))
-        assert len(revisions) > 1  # a revision's plan was compiled part way through
+        rows, _ = run_scenario(scenario, corpus_files.system(name))
+        assert len(rows) == scenario.ticks() + 1
+        assert len({revision for revision, _ in entries}) > 1  # a plan made part way through
+        if name == "type2":  # C-DOM's bound fails at 2428.6 s, inside revision 1
+            assert (1, True) in entries and (1, False) in entries
 
     @pytest.mark.parametrize("name", ["type2", "type3"])
     def test_validity_compiles_once_per_case_revision(self, monkeypatch, name):
@@ -229,18 +260,22 @@ class TestRunScenario:
         assert len(compiled) == len(revisions)
 
     def test_trace_and_report_retain_at_most_80_bytes_a_tick(self):
-        # Six head floats take 48 bytes a tick; rows held as strings took about 160.
-        scenario, system = corpus_files.scenario("type3"), corpus_files.system("type3")
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            rows, report = run_scenario(scenario, system)
-            gc.collect()
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        # Seven floats take 56 bytes a tick; rows held as strings took about 160.
+        scenario = corpus_files.scenario("type3")
+        rows, retained = _retained_run(scenario, corpus_files.system("type3"))
         assert len(rows) == scenario.ticks() + 1 == 36_001
+        assert retained <= 80 * scenario.ticks()
+
+    def test_a_tail_run_outlasts_a_growing_spi_duration(self):
+        # The outflow holds at 88 degC, over the 85.5 degC near-limit threshold, and the
+        # window never breaches, so the SPI duration grows every tick: a number in the store,
+        # not a new tail run.
+        scenario = _flat_scenario(1800.0, setpoint=88.0, inflow_temp=88.0, initial=88.0)
+        system = _bare_system(spi_windows=[SpiWindow(threshold=3600.0)])
+        rows, retained = _retained_run(scenario, system)
+        spi_near = [float(row.split(",")[11]) for row in list(rows)[1:]]
+        assert all(a < b for a, b in zip(spi_near, spi_near[1:]))
+        assert len(rows._tails) == 1  # one tail run for the whole run
         assert retained <= 80 * scenario.ticks()
 
     def test_most_type3_ticks_skip_the_forward_pass(self, monkeypatch):
@@ -274,51 +309,67 @@ class TestRunScenario:
         assert all(len(r.split(",")) == arity for r in rows)
 
 
-_row_head = st.tuples(*[st.floats()] * 6)  # any float: -0.0, nan and the infinities too
-# hazard_accum and the SPI duration are never -0.0 in a run (see harness.TraceRows).
-_non_negative = st.floats(0.0, 1e6).map(abs)
+_row_floats = st.tuples(*[st.floats()] * 7)  # any float: -0.0, nan and the infinities too
 _row_tail = st.tuples(
-    st.booleans(), st.text(st.sampled_from("%sd(a)-"), max_size=4), _non_negative,
-    st.integers(0, 3), st.booleans(), _non_negative, st.integers(0, 5), st.booleans(),
+    st.booleans(), st.text(st.sampled_from("%sd(a)-"), max_size=4), st.integers(0, 3),
+    st.booleans(), st.integers(0, 5), st.booleans(),
 )
-_HEAD = (-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 1e300)
-_TAILS = [(True, "100%", 0.0, 0, False, 0.0, 0, True), (False, "%s", 0.1, 1, True, 2.0, 1, False)]
+_FLOATS = (-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 1e300, 5e-7)
+_TAILS = [(True, "100%", 0, False, 0, True), (False, "%s", 1, True, 1, False)]
+
+
+def _row(k, tick, floats, tail):
+    """A trace row as the one-string ``ROW`` formats it, from what ``TraceRows.add`` takes."""
+    valve, option, count, tripped, revision, valid = tail
+    return _ROW % (k * tick, *floats[:5], valve, option, floats[5], count, tripped, floats[6],
+                   revision, valid)
 
 
 @settings(max_examples=300)
-@given(tails=st.lists(_row_tail, min_size=1, max_size=4),
-       rows=st.lists(st.tuples(_row_head, st.integers(0, 3)), max_size=24))
-@example(tails=_TAILS, rows=[])  # no ticks: the header alone
-@example(tails=_TAILS, rows=[(_HEAD, 0)] * 9)  # one tail run in chunks of 4, 4 and 1
+@given(tick=st.floats(), block=st.sampled_from([3, 5, harness._BLOCK]),
+       tails=st.lists(_row_tail, min_size=1, max_size=4),
+       rows=st.lists(st.tuples(_row_floats, st.integers(0, 3)), max_size=24))
+@example(tick=0.1, block=harness._BLOCK, tails=_TAILS, rows=[])  # no ticks: the header alone
+# One tail run in chunks of 4, 4 and 1, in one block and across blocks of 3 and 5 ticks.
+@example(tick=0.1, block=harness._BLOCK, tails=_TAILS, rows=[(_FLOATS, 0)] * 9)
+@example(tick=0.1, block=3, tails=_TAILS, rows=[(_FLOATS, 0)] * 9)
+@example(tick=0.1, block=5, tails=_TAILS, rows=[(_FLOATS, 0)] * 9)
 # The tail changes at, one row before and one row after a chunk boundary.
-@example(tails=_TAILS, rows=[(_HEAD, pick) for pick in [0] * 4 + [1] * 4])
-@example(tails=_TAILS, rows=[(_HEAD, pick) for pick in [0] * 3 + [1] * 5])
-@example(tails=_TAILS, rows=[(_HEAD, pick) for pick in [0] * 5 + [1] * 3])
-def test_row_formatter_matches_the_one_string_row(tmp_path_factory, tails, rows):
+@example(tick=0.1, block=harness._BLOCK, tails=_TAILS,
+         rows=[(_FLOATS, pick) for pick in [0] * 4 + [1] * 4])
+@example(tick=0.1, block=harness._BLOCK, tails=_TAILS,
+         rows=[(_FLOATS, pick) for pick in [0] * 3 + [1] * 5])
+@example(tick=0.1, block=harness._BLOCK, tails=_TAILS,
+         rows=[(_FLOATS, pick) for pick in [0] * 5 + [1] * 3])
+# 0.0 and -0.0 are equal by == and print differently, in one chunk and in every column.
+@example(tick=-0.0, block=harness._BLOCK, tails=_TAILS,
+         rows=[((0.0,) * 7, 0), ((-0.0,) * 7, 0)] * 2)
+def test_row_formatter_matches_the_one_string_row(tmp_path_factory, tick, block, tails, rows):
     # Rows draw from a few tails, so a tail repeats (as an equal copy) and changes.
-    store, expected = harness.TraceRows(), [TRACE_HEADER]
-    for head, pick in rows:
-        tail = tuple(list(tails[pick % len(tails)]))
-        store.add(head, tail)
-        expected.append(_ROW % (*head, *tail))
-    assert len(store) == len(expected)
-    assert list(store) == expected
     path = tmp_path_factory.getbasetemp() / "rows.csv"
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_BLOCK", block)
         patch.setattr(harness, "_TRACE_CHUNK", 4)
+        store, expected = harness.TraceRows(tick), [TRACE_HEADER]
+        for k, (floats, pick) in enumerate(rows):
+            tail = tuple(list(tails[pick % len(tails)]))
+            store.add(floats, tail)
+            expected.append(_row(k, tick, floats, tail))
+        assert len(store) == len(expected)
+        assert list(store) == expected
         harness.emit_trace(store, path)
+        assert all(chunk.count("\n") <= 4 for chunk in store.chunks(4))
     assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
-    assert all(chunk.count("\n") <= 4 for chunk in store.chunks(4))
 
 
 @pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 9])  # around a chunk of 4 rows
 def test_chunked_trace_write_matches_the_one_string_write(tmp_path, monkeypatch, count):
     monkeypatch.setattr(harness, "_TRACE_CHUNK", 4)
-    store, expected = harness.TraceRows(), [TRACE_HEADER]
+    store, expected = harness.TraceRows(1 / 3), [TRACE_HEADER]
     for k in range(count):  # the tail changes after the third row, inside the first chunk
-        head, tail = (k / 3, k, -k, 0.5, 1e-9 * k, 90.0), _TAILS[k >= 3]
-        store.add(head, tail)
-        expected.append(_ROW % (*head, *tail))
+        floats, tail = (k, -k, 0.5, 1e-9 * k, 90.0, 0.1 * k, 60.0), _TAILS[k >= 3]
+        store.add(floats, tail)
+        expected.append(_row(k, 1 / 3, floats, tail))
     harness.emit_trace(store, tmp_path / "trace.csv")
     assert (tmp_path / "trace.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
 
@@ -379,6 +430,92 @@ def test_run_matches_the_reference_run(tmp_path_factory, name):
         assert (path.read_bytes(), report) == reference_run(scenario, system)
 
     check()
+
+
+#: Criterion 1's bound on the time from the first over-limit outflow to the trip, s.
+_TRIP_LATENCY = 2.0
+
+
+def _check_paper_invariants(name, scenario, system, rows, report):
+    """The paper's run-time claims, read from the trace and the report alone."""
+    fields = [row.split(",") for row in list(rows)[1:]]
+    times = [float(f[0]) for f in fields]
+    # Guard supremacy: a trip follows an over-limit outflow in time, latches, and zeroes
+    # the power; a disabled guard never trips.
+    tripped = [f[10] == "1" for f in fields]
+    assert all(f[5] == "0.000000" for f, trip in zip(fields, tripped) if trip)
+    assert tripped == sorted(tripped)
+    over = next((i for i, f in enumerate(fields) if float(f[4]) > 90.0), None)
+    if not scenario.guard_enabled:
+        assert not any(tripped)
+    elif over is not None and over + 1 < len(fields):
+        assert any(tripped) and times[tripped.index(True)] - times[over] <= _TRIP_LATENCY
+    # Every active option is the start, the baseline or an applied decision's; a model
+    # with a design-time set applies nothing outside it.
+    applied = [d for d in report.decisions if d["applied"]]
+    options = {o.id for model in system.models for o in model.options or ()}
+    assert {f[7] for f in fields} <= {system.initial_option_id, system.baseline_option_id,
+                                      *(d["chosen_option"] for d in applied)}
+    for decision in applied:
+        if decision["trigger"] == "spi-breach":
+            assert decision["chosen_option"] == system.baseline_option_id
+        elif name == "type3":
+            assert decision["chosen_option"].startswith("candidate-")
+        else:
+            assert decision["chosen_option"] in options
+    # TII.C5 and TIII.B4: no relaxed constraint, and no applied candidate that failed.
+    assert report.runtime_criteria["tii_c5_constraints_monotone"] is not False
+    assert report.runtime_criteria["tiii_b4_never_applied_failed"] is not False
+    failed = {d["reason"].split()[1] for d in report.decisions
+              if not d["applied"] and d["reason"].endswith("failed assessment (TIII.B4)")}
+    assert not failed & {d["chosen_option"] for d in applied}
+    # Each fail-safe falls on a row whose SPI duration drops to 0 from its threshold.
+    breaches = [d["time"] for d in report.decisions if d["trigger"] == "spi-breach"]
+    assert len(breaches) == report.spi_breaches
+    for time in breaches:
+        i = times.index(float("%.6f" % time))
+        threshold = system.spi_windows[0].threshold
+        assert i > 0 and float(fields[i][11]) == 0.0
+        assert float(fields[i - 1][11]) >= threshold - scenario.tick
+    # The validity timeline names every row where the revision or the validity changes.
+    changes = [(f[0], int(f[12]), f[13] == "1") for i, f in enumerate(fields)
+               if i == 0 or f[12:] != fields[i - 1][12:]]
+    assert changes == [("%.6f" % e["time"], e["revision"], e["valid"])
+                       for e in report.case_validity_timeline]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_paper_invariants_hold_on_generated_runs(name):
+    system = corpus_files.system(name)
+    option_ids = [o.id for o in system.models[0].options or ()] if system.models else []
+
+    @settings(max_examples=15)
+    @given(_generated_scenarios(option_ids))
+    @example(_HOT)
+    @example(replace(_HOT, guard_enabled=False))
+    @example(_COLD)
+    # A request outside every set, then (after type2's first admission) a wider domain.
+    @example(replace(_COLD, manual_triggers=((100.0, "opt-99"), (320.0, "opt-1"))))
+    def check(scenario):
+        rows, report = run_scenario(scenario, system)
+        _check_paper_invariants(name, scenario, system, rows, report)
+
+    check()
+
+
+def test_an_expiry_mid_run_matches_the_reference_run(tmp_path):
+    # No corpus or generated run outlives its evidence. At a 0.1 s tick, 3 * 0.1 - 0.1 > 0.2
+    # makes this item stale at tick 3, though 3 * 0.1 is not past 0.1 + 0.2.
+    item = EvidenceItem("E1", "runtime-observation", "pass", produced_at=0.1, freshness=0.2)
+    case = SafetyCase(nodes={"G1": CaseNode("G1", "goal", children=["S1"]),
+                             "S1": CaseNode("S1", "solution", evidence=["E1"])},
+                      root="G1", evidence={"E1": item})
+    scenario, system = _flat_scenario(1.0), _bare_system(safety_case=case)
+    rows, report = run_scenario(scenario, system)
+    harness.emit_trace(rows, tmp_path / "run.csv")
+    assert ((tmp_path / "run.csv").read_bytes(), report) == reference_run(scenario, system)
+    assert [(e["time"], e["valid"]) for e in report.case_validity_timeline] == [
+        (0.0, True), (3 * 0.1, False)]
 
 
 class TestSystemFiles:
@@ -593,6 +730,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(outputs[option]) in err
+
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "hard-link"])
+    def test_one_file_for_trace_and_report_is_refused_before_the_run(
+        self, tmp_path, capsys, monkeypatch, spelling
+    ):
+        # The report would overwrite the trace, and the command would exit 0.
+        monkeypatch.setattr(cli, "run_scenario", lambda *a: pytest.fail("the run started"))
+        out = tmp_path / "run.csv"
+        report = {"same": str(out), "dotted": f"{tmp_path}/./run.csv",
+                  "hard-link": str(tmp_path / "link.csv")}[spelling]
+        if spelling == "hard-link":
+            out.write_text("kept")
+            (tmp_path / "link.csv").hardlink_to(out)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        code = main([
+            "simulate",
+            "--scenario", str(CORPUS_DIR / "type0_scenario.json"),
+            "--system", str(CORPUS_DIR / "type0_system.json"),
+            "--out", str(out), "--report", report,
+        ])
+        assert code == 2
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_key_error_inside_a_run_is_not_caught(self, tmp_path, monkeypatch):
         # Only input errors exit 2; a bug in a run keeps its traceback.

@@ -5,8 +5,8 @@ second rather than in a full traced benchmark run. The test installs the
 tracer itself, so it checks the rule the benchmark enforces: a binding
 counts only if its owner defines it, not if it inherits it. A binding
 must also stay on the path the program calls, as the validity predicate's
-`spi_breached` does, and every per-tick layer must record its calls in a
-traced run. The scenario lookups must record none: a run reads its inputs
+`spi_breached` does, and every per-tick layer, and the validity evaluation
+once per case revision, must record its calls in a traced run. The scenario lookups must record none: a run reads its inputs
 through forward cursors.
 """
 import importlib.util
@@ -24,8 +24,7 @@ SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 #: Layers called once per tick by both managed narratives.
 TICK_LAYERS = (
-    "assurance.evaluate_validity", "plant.plant_step",
-    "plant.hazard_update", "plant.guard_step", "mapek.GoalTracker.observe",
+    "plant.plant_step", "plant.hazard_update", "plant.guard_step", "mapek.GoalTracker.observe",
 )
 #: Scenario lookups the tick no longer makes: its inputs come from forward cursors.
 CURSOR_READ_LAYERS = ("scenario.Scenario.setpoint_at", "scenario.Trace.value_at")
@@ -62,19 +61,24 @@ def test_validity_predicate_calls_spi_breached_through_its_module(monkeypatch):
     assert calls == [window]
 
 
-@pytest.mark.parametrize("name, per_tick", [
-    ("type2", {"controller.pid_compute": 1}),
-    # `spi_update` returns the breach, so only the validity predicate calls `spi_breached`.
-    ("type3", {"controller.net_compute": 1, "spi.spi_update": 1, "spi.spi_breached": 1}),
+@pytest.mark.parametrize("name, duration, per_tick, per_run", [
+    # Validity is evaluated once a case revision; the first admission, at 300 s, makes the
+    # second.
+    ("type2", 310.0, {"controller.pid_compute": 1}, {"assurance.evaluate_validity": 2}),
+    # One revision before the first assessment, whose suite would step the plant too. The
+    # evaluation asks the SPI predicate, and so does the end-of-run verdict; `spi_update`
+    # returns the breach, so nothing else calls `spi_breached`.
+    ("type3", 120.0, {"controller.net_compute": 1, "spi.spi_update": 1},
+     {"assurance.evaluate_validity": 1, "spi.spi_breached": 2}),
 ], ids=["type2", "type3"])
-def test_traced_run_records_every_tick_layer(name, per_tick):
+def test_traced_run_records_every_tick_layer(name, duration, per_tick, per_run):
     # A layer whose binding drops off the call path would read 0 here.
-    scenario = replace(corpus_files.scenario(name), duration=120.0)
+    scenario = replace(corpus_files.scenario(name), duration=duration)
     system = corpus_files.system(name)
     tracer = _tracer()
     assert tracer.install() == []
     try:
-        harness.run_scenario(scenario, system)
+        _, report = harness.run_scenario(scenario, system)
     finally:
         assert tracer.restore()
     counts = dict(zip(tracer.span_names, tracer.counts_since(0)))
@@ -82,6 +86,7 @@ def test_traced_run_records_every_tick_layer(name, per_tick):
     expected = {name: ticks for name in TICK_LAYERS}
     expected.update((name, 0) for name in CURSOR_READ_LAYERS)
     expected.update((name, n * ticks) for name, n in per_tick.items())
-    if "spi.spi_breached" in per_tick:
-        expected["spi.spi_breached"] += 1  # the end-of-run verdict's predicate
+    expected.update(per_run)
     assert {name: counts[name] for name in expected} == expected
+    revisions = {e["revision"] for e in report.case_validity_timeline}
+    assert len(revisions) == per_run["assurance.evaluate_validity"]
