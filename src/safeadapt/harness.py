@@ -268,6 +268,7 @@ def run_scenario(
     goal = system.goal
 
     primary_model = system.models[0] if system.models else None
+    model_id = primary_model.id if primary_model else ""
     type_ids = [taxonomy.classify(model.descriptor) for model in system.models]
     type_id = type_ids[0] if type_ids else None
     if type_id == "TIII" and system.net_controller is None:
@@ -320,15 +321,14 @@ def run_scenario(
             return plan_type1(primary_model, trigger, repo.active_option_id, now=t)
         if type_id == "TII":
             return plan_type2(
-                primary_model, repo.sample_history, system.admission_policy,
-                repo.safety_case, repo.active_option_id, now=t, trigger=trigger,
+                primary_model, trigger, repo.sample_history, system.admission_policy,
+                repo.safety_case, repo.active_option_id, now=t,
             )
         if type_id == "TIII" and trigger.kind != "manual":
             seed = scenario.seed * 1_000_003 + candidate_index
             candidate_index += 1
             return plan_type3(
-                primary_model, repo.active_net, suite, seed, repo.safety_case,
-                now=t, trigger_kind=trigger.kind,
+                primary_model, trigger, repo.active_net, suite, seed, repo.safety_case, now=t,
             )
         return None
 
@@ -368,7 +368,7 @@ def run_scenario(
 
         # guard (observes the previous tick's outflow: one-tick latency)
         was_tripped = tripped
-        guard = guard_step(guard, state, t)
+        guard = guard_step(guard, state)
         tripped = guard.tripped  # a tripped guard closes the valve and zeroes the power
         if tripped and not was_tripped:
             report.guard_trips += 1
@@ -403,17 +403,9 @@ def run_scenario(
 
         # MAPE: fail-safe preempts any planned adaptation this tick
         if breached:
-            fail_safe(repo, now=t)
+            report.decisions.append(fail_safe(repo, model_id, t).to_dict())
             pid, pid_state = PidConfig.from_configuration(repo.current_config), PidState()
             report.spi_breaches += 1
-            report.decisions.append(AdaptationDecision(
-                trigger="spi-breach",
-                chosen_option=repo.baseline_option_id or None,
-                applied=True,
-                reason="fail-safe: SPI breach, baseline configuration restored",
-                time=t,
-                model_id=primary_model.id if primary_model else "",
-            ).to_dict())
         else:
             while t >= next_manual:
                 apply_decision(plan(AdaptationTrigger("manual", manual_option), t), t)

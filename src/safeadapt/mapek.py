@@ -6,8 +6,8 @@ statistical analysis under monotonically tightening domain constraints,
 Type III assesses run-time generated candidates in embedded simulations
 and refuses any candidate that fails.
 
-Each planner states the whole decision, including its safety-case
-patches; the executor applies it without knowing the adaptation type.
+Each planner, and the fail-safe, states the whole decision, including its
+safety-case patches; the executor applies a plan without knowing its type.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import math
 import random
 import statistics
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import islice
 from typing import Any, Mapping, Optional, Sequence
 
@@ -170,6 +170,43 @@ def _solution_discharging(case, obligation: str):
     return None
 
 
+def _refused(trigger: AdaptationTrigger, model: AdaptationModel, now: float, reason: str,
+             admission: Optional["AdmissionReport"] = None) -> AdaptationDecision:
+    return AdaptationDecision(
+        trigger=trigger.kind, chosen_option=None, applied=False, reason=reason,
+        time=now, model_id=model.id, admission=admission,
+    )
+
+
+def _design_time_choices(
+    model: AdaptationModel, trigger: AdaptationTrigger, active_option_id: str, now: float,
+    clause: str,
+) -> list[AdaptationOption] | AdaptationDecision:
+    """The requested option, or else the options ranked better than the active one, best
+    first. A requested option outside the design-time set is refused, citing ``clause``."""
+    options = model.options or ()
+    by_id = {o.id: o for o in options}
+    if trigger.requested_option_id is not None:
+        requested = by_id.get(trigger.requested_option_id)
+        if requested is None:
+            return _refused(trigger, model, now, (
+                f"refused: option {trigger.requested_option_id!r} is not "
+                f"among the design-time options ({clause})"
+            ))
+        return [requested]
+    active = by_id.get(active_option_id)
+    ranked = sorted((o for o in options if o.id != active_option_id), key=_rank)
+    return ranked if active is None else [o for o in ranked if _rank(o) < _rank(active)]
+
+
+def _runtime_evidence(prefix: str, kind: str, verdict: str, now: float,
+                      payload: str) -> EvidenceItem:
+    return EvidenceItem(
+        id=f"{prefix}-r{int(round(now * 10))}", kind=kind, verdict=verdict,
+        produced_at=now, freshness=DEFAULT_RUNTIME_FRESHNESS, payload_ref=payload,
+    )
+
+
 def plan_type1(
     model: AdaptationModel,
     trigger: AdaptationTrigger,
@@ -182,52 +219,18 @@ def plan_type1(
     synthesized); otherwise the eligible option with the smallest
     design-time rise time is chosen, ties broken by lowest id.
     """
-    options = list(model.options or ())
-    by_id = {o.id: o for o in options}
-
-    if trigger.requested_option_id is not None:
-        requested = by_id.get(trigger.requested_option_id)
-        if requested is None:
-            return AdaptationDecision(
-                trigger=trigger.kind,
-                chosen_option=None,
-                applied=False,
-                reason=(
-                    f"refused: option {trigger.requested_option_id!r} is not "
-                    "among the design-time options (TI.B1)"
-                ),
-                time=now,
-                model_id=model.id,
-            )
-        return AdaptationDecision(
-            trigger=trigger.kind,
-            chosen_option=requested.id,
-            applied=True,
-            reason="requested design-time option",
-            time=now,
-            model_id=model.id,
-            option=requested,
-        )
-
-    active = by_id.get(active_option_id)
-    candidates = [o for o in options if o.id != active_option_id]
-    if active is not None:
-        candidates = [c for c in candidates if _rank(c) < _rank(active)]
-    if not candidates:
-        return AdaptationDecision(
-            trigger=trigger.kind,
-            chosen_option=None,
-            applied=False,
-            reason="no better design-time option available",
-            time=now,
-            model_id=model.id,
-        )
-    best = min(candidates, key=_rank)
+    choices = _design_time_choices(model, trigger, active_option_id, now, "TI.B1")
+    if isinstance(choices, AdaptationDecision):
+        return choices
+    if not choices:
+        return _refused(trigger, model, now, "no better design-time option available")
+    best = choices[0]
     return AdaptationDecision(
         trigger=trigger.kind,
         chosen_option=best.id,
         applied=True,
-        reason=f"best design-time rise time {best.design_rise_time}",
+        reason=("requested design-time option" if trigger.requested_option_id is not None
+                else f"best design-time rise time {best.design_rise_time}"),
         time=now,
         model_id=model.id,
         option=best,
@@ -279,13 +282,7 @@ class AdmissionReport:
         return self.status == "admit"
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "status": self.status,
-            "n": self.n,
-            "window_start": self.window_start,
-            "window_end": self.window_end,
-            "variables": {k: dict(v) for k, v in self.variables.items()},
-        }
+        return asdict(self)
 
 
 def admission_test(
@@ -353,104 +350,69 @@ def admission_test(
 
 def plan_type2(
     model: AdaptationModel,
+    trigger: AdaptationTrigger,
     samples: Sequence[EnvironmentSample],
     policy: AdmissionPolicy,
     case,
     active_option_id: str = "",
     now: float = 0.0,
-    trigger: Optional[AdaptationTrigger] = None,
 ) -> AdaptationDecision:
     """Type II policy: statistical admission under monotone constraints.
 
     An option is admitted only if the admission test passes on the
     sample window and the option's domain is a subset of the case's
     current constraints (TII.C5). The admission statistics are recorded
-    as runtime evidence on the decision.
+    as runtime evidence on the decision. The planner's own search skips
+    an option outside the constraints, tries the next after a reject and
+    stops at not-ready; a requested option gets one try.
     """
-    options = list(model.options or ())
-    by_id = {o.id: o for o in options}
-    kind = trigger.kind if trigger is not None else "goal-violation"
+    choices = _design_time_choices(model, trigger, active_option_id, now, "TII.B1")
+    if isinstance(choices, AdaptationDecision):
+        return choices
+    requested = trigger.requested_option_id is not None
     context = constraint_context(case)
     constraints = UNBOUNDED_DOMAIN if context is None else context.constraint
-
-    def build(option: AdaptationOption, report: AdmissionReport) -> AdaptationDecision:
-        item = EvidenceItem(
-            id=f"adm-{option.id}-r{int(round(now * 10))}",
-            kind="runtime-observation",
-            verdict="pass",
-            produced_at=now,
-            freshness=DEFAULT_RUNTIME_FRESHNESS,
-            payload_ref=json.dumps(report.to_dict(), sort_keys=True),
-        )
-        patches: list[Patch] = []
-        if context is not None:
-            patches.append(ReplaceConstraintContext(context.id, option.domain))
-        target = _solution_discharging(case, "TII.B4")
-        if target is not None:
-            patches.append(AttachEvidence(target.id, item))
-        return AdaptationDecision(
-            trigger=kind,
-            chosen_option=option.id,
-            applied=True,
-            reason=f"admission passed on {report.n} samples",
-            time=now,
-            model_id=model.id,
-            evidence_items=[item],
-            admission=report,
-            option=option,
-            patches=patches,
-        )
-
-    if trigger is not None and trigger.requested_option_id is not None:
-        requested = by_id.get(trigger.requested_option_id)
-        if requested is None:
-            return AdaptationDecision(
-                trigger=kind, chosen_option=None, applied=False,
-                reason=(
-                    f"refused: option {trigger.requested_option_id!r} is not "
-                    "among the design-time options (TII.B1)"
-                ),
-                time=now, model_id=model.id,
-            )
-        if requested.domain is None or not domain_subset(requested.domain, constraints):
-            return AdaptationDecision(
-                trigger=kind, chosen_option=None, applied=False,
-                reason=(
-                    f"refused: option {requested.id!r} would relax the current "
+    report: Optional[AdmissionReport] = None
+    for option in choices:
+        if option.domain is None or not domain_subset(option.domain, constraints):
+            if requested:
+                return _refused(trigger, model, now, (
+                    f"refused: option {option.id!r} would relax the current "
                     "operational constraints (TII.C5)"
-                ),
-                time=now, model_id=model.id,
-            )
-        report = admission_test(samples, requested.domain, policy)
-        if report.admit:
-            return build(requested, report)
-        return AdaptationDecision(
-            trigger=kind, chosen_option=None, applied=False,
-            reason=f"admission {report.status} for requested option {requested.id!r}",
-            time=now, model_id=model.id, admission=report,
-        )
-
-    active = by_id.get(active_option_id)
-    candidates = sorted((o for o in options if o.id != active_option_id), key=_rank)
-    if active is not None:
-        candidates = [c for c in candidates if _rank(c) < _rank(active)]
-    last_report: Optional[AdmissionReport] = None
-    for candidate in candidates:
-        if candidate.domain is None or not domain_subset(candidate.domain, constraints):
+                ))
             continue
-        report = admission_test(samples, candidate.domain, policy)
+        report = admission_test(samples, option.domain, policy)
         if report.admit:
-            return build(candidate, report)
-        last_report = report
+            item = _runtime_evidence(
+                f"adm-{option.id}", "runtime-observation", "pass", now,
+                json.dumps(report.to_dict(), sort_keys=True),
+            )
+            patches: list[Patch] = []
+            if context is not None:
+                patches.append(ReplaceConstraintContext(context.id, option.domain))
+            target = _solution_discharging(case, "TII.B4")
+            if target is not None:
+                patches.append(AttachEvidence(target.id, item))
+            return AdaptationDecision(
+                trigger=trigger.kind,
+                chosen_option=option.id,
+                applied=True,
+                reason=f"admission passed on {report.n} samples",
+                time=now,
+                model_id=model.id,
+                evidence_items=[item],
+                admission=report,
+                option=option,
+                patches=patches,
+            )
+        if requested:
+            return _refused(trigger, model, now,
+                            f"admission {report.status} for requested option {option.id!r}",
+                            report)
         if report.status == "not-ready":
             break
-    reason = "no admissible option"
-    if last_report is not None:
-        reason = f"admission {last_report.status}"
-    return AdaptationDecision(
-        trigger=kind, chosen_option=None, applied=False, reason=reason,
-        time=now, model_id=model.id, admission=last_report,
-    )
+    reason = "no admissible option" if report is None else f"admission {report.status}"
+    return _refused(trigger, model, now, reason, report)
 
 
 # --- Type III candidates ----------------------------------------------------
@@ -569,51 +531,38 @@ def assess_candidate(
     ]
     verdict = "pass" if all(r["ok"] for r in results) else "fail"
     digest = spec_hash(candidate)  # plan_type3 reads the candidate id from payload_ref
-    evidence = EvidenceItem(
-        id=f"assess-{digest[:12]}-r{int(round(now * 10))}",
-        kind="runtime-assessment",
-        verdict=verdict,
-        produced_at=now,
-        freshness=DEFAULT_RUNTIME_FRESHNESS,
-        payload_ref=digest,
-    )
+    evidence = _runtime_evidence(f"assess-{digest[:12]}", "runtime-assessment", verdict, now,
+                                 digest)
     return {"verdict": verdict, "evidence": evidence, "results": results}
 
 
 def plan_type3(
     model: AdaptationModel,
+    trigger: AdaptationTrigger,
     current: NetControllerSpec,
     suite: AssessmentSuite,
     seed: int,
     case,
     now: float = 0.0,
-    trigger_kind: str = "goal-violation",
 ) -> AdaptationDecision:
-    """Type III policy: propose, assess, and only apply on a pass verdict."""
+    """Type III policy: propose, assess, and only apply on a pass verdict. A failed
+    candidate's decision carries its evidence, but neither the network nor a patch."""
     candidate = propose_candidate(current, seed)
     outcome = assess_candidate(candidate, suite, now)
     evidence: EvidenceItem = outcome["evidence"]
     candidate_id = f"candidate-{evidence.payload_ref[:12]}"
-    if outcome["verdict"] != "pass":
-        return AdaptationDecision(
-            trigger=trigger_kind,
-            chosen_option=None,
-            applied=False,
-            reason=f"candidate {candidate_id} failed assessment (TIII.B4)",
-            time=now,
-            model_id=model.id,
-            evidence_items=[evidence],
-        )
-    target = _solution_discharging(case, "TIII.B6")
+    passed = outcome["verdict"] == "pass"
+    target = _solution_discharging(case, "TIII.B6") if passed else None
     return AdaptationDecision(
-        trigger=trigger_kind,
-        chosen_option=candidate_id,
-        applied=True,
-        reason="candidate passed assessment suite",
+        trigger=trigger.kind,
+        chosen_option=candidate_id if passed else None,
+        applied=passed,
+        reason=("candidate passed assessment suite" if passed
+                else f"candidate {candidate_id} failed assessment (TIII.B4)"),
         time=now,
         model_id=model.id,
         evidence_items=[evidence],
-        candidate_net=candidate,
+        candidate_net=candidate if passed else None,
         patches=[] if target is None else [AttachEvidence(target.id, evidence)],
     )
 
@@ -655,8 +604,9 @@ def execute_adaptation(
         repo.active_option_id = decision.option.id
 
 
-def fail_safe(repo: KnowledgeRepository, now: float = 0.0) -> None:
-    """Revert to the designated baseline configuration after an SPI breach."""
+def fail_safe(repo: KnowledgeRepository, model_id: str, now: float) -> AdaptationDecision:
+    """Revert to the designated baseline configuration after an SPI breach, and state the
+    revert as the tick's ``spi-breach`` decision."""
     if repo.baseline_config is not None:
         repo.current_config = repo.baseline_config
     repo.active_net = repo.baseline_net
@@ -665,15 +615,17 @@ def fail_safe(repo: KnowledgeRepository, now: float = 0.0) -> None:
         spi_reset(window)
     target = _solution_discharging(repo.safety_case, "TIII.B7")
     if target is not None and repo.safety_case.node(target.id).lifecycle == "dynamic":
-        item = EvidenceItem(
-            id=f"failsafe-r{int(round(now * 10))}",
-            kind="runtime-observation",
-            verdict="pass",
-            produced_at=now,
-            freshness=DEFAULT_RUNTIME_FRESHNESS,
-            payload_ref="fail-safe engaged after SPI breach",
-        )
+        item = _runtime_evidence("failsafe", "runtime-observation", "pass", now,
+                                 "fail-safe engaged after SPI breach")
         repo.safety_case = adapt_case(
             repo.safety_case, [AttachEvidence(target.id, item)],
             now=now, cause="fail-safe",
         )
+    return AdaptationDecision(
+        trigger="spi-breach",
+        chosen_option=repo.baseline_option_id or None,
+        applied=True,
+        reason="fail-safe: SPI breach, baseline configuration restored",
+        time=now,
+        model_id=model_id,
+    )

@@ -83,11 +83,12 @@ def json_numbers(value: Any, what: str) -> dict[str, float]:
 
 
 def read_json(path: Union[str, Path]) -> Any:
-    """The JSON document in a file; bytes that are not UTF-8 JSON are a ValidationError."""
+    """The JSON document in a file; bytes that are not UTF-8 JSON, or JSON nested too deeply
+    for the decoder, are a ValidationError."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ValidationError(f"{path}: {exc}") from None
 
 

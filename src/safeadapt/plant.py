@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .model import EnvironmentSample, SimulationFault, ValidationError, json_number, json_value
 
@@ -73,7 +73,6 @@ class PlantState(NamedTuple):
 class GuardState(NamedTuple):
     enabled: bool = True
     tripped: bool = False
-    trip_time: Optional[float] = None
 
 
 def plant_step(
@@ -122,14 +121,14 @@ def hazard_update(state: PlantState, params: PlantParams) -> PlantState:
     return tuple.__new__(PlantState, (tank_temp, valve_open, 0.0, count, False))
 
 
-def guard_step(guard: GuardState, state: PlantState, now: float = 0.0) -> GuardState:
+def guard_step(guard: GuardState, state: PlantState) -> GuardState:
     """Evaluate the independent safety monitor for one tick.
 
     The guard observes the previous tick's outflow temperature, so the
     trip latency is exactly one tick. Once tripped it stays latched for the
     rest of the run, and the caller zeroes the power and closes the valve.
     """
-    enabled, tripped, _ = guard
+    enabled, tripped = guard
     if enabled and not tripped and state.tank_temp > HAZARD_TEMP:  # the outflow, well mixed
-        return tuple.__new__(GuardState, (True, True, now))
+        return tuple.__new__(GuardState, (True, True))
     return guard

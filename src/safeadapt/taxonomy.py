@@ -7,7 +7,7 @@ case actually discharges those obligations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from .model import ValidationError, json_value
@@ -111,13 +111,7 @@ class TaxonomyVerdict:
     discharge: dict[str, str]
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "model_id": self.model_id,
-            "type": self.type,
-            "matched_criteria": list(self.matched_criteria),
-            "required_obligations": list(self.required_obligations),
-            "discharge": dict(self.discharge),
-        }
+        return asdict(self)
 
 
 def all_discharged(verdicts: Iterable[Mapping[str, Any]]) -> bool:

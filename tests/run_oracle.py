@@ -24,7 +24,6 @@ from safeadapt.harness import (
     RunReport,
 )
 from safeadapt.mapek import (
-    AdaptationDecision,
     AdaptationTrigger,
     GoalTracker,
     execute_adaptation,
@@ -82,13 +81,13 @@ def reference_run(scenario, system):
         if type_id == "TI":
             return plan_type1(model, trigger, repo.active_option_id, now=t)
         if type_id == "TII":
-            return plan_type2(model, repo.sample_history, system.admission_policy,
-                              repo.safety_case, repo.active_option_id, now=t, trigger=trigger)
+            return plan_type2(model, trigger, repo.sample_history, system.admission_policy,
+                              repo.safety_case, repo.active_option_id, now=t)
         if type_id == "TIII" and trigger.kind != "manual":
             seed = scenario.seed * 1_000_003 + candidates
             candidates += 1
-            return plan_type3(model, repo.active_net, suite, seed, repo.safety_case,
-                              now=t, trigger_kind=trigger.kind)
+            return plan_type3(model, trigger, repo.active_net, suite, seed, repo.safety_case,
+                              now=t)
         return None
 
     def apply(decision, t):
@@ -121,7 +120,7 @@ def reference_run(scenario, system):
         tracker.observe(t, setpoint, state.outflow_temp)
 
         was_tripped = guard.tripped
-        guard = guard_step(guard, state, t)
+        guard = guard_step(guard, state)
         if guard.tripped and not was_tripped:
             report.guard_trips += 1
         if guard.tripped and state.valve_open:
@@ -145,17 +144,9 @@ def reference_run(scenario, system):
 
         breaches = [spi_update(window, state.outflow_temp) for window in repo.spi_windows]
         if any(breaches):
-            fail_safe(repo, now=t)
+            report.decisions.append(fail_safe(repo, model.id if model else "", t).to_dict())
             pid, pid_state = PidConfig.from_configuration(repo.current_config), PidState()
             report.spi_breaches += 1
-            report.decisions.append(AdaptationDecision(
-                trigger="spi-breach",
-                chosen_option=repo.baseline_option_id or None,
-                applied=True,
-                reason="fail-safe: SPI breach, baseline configuration restored",
-                time=t,
-                model_id=model.id if model else "",
-            ).to_dict())
         else:
             while pending and t >= pending[0][0]:
                 apply(plan(AdaptationTrigger("manual", pending.pop(0)[1]), t), t)

@@ -144,7 +144,7 @@ def test_criterion_4_dynamic_assurance(corpus_runs):
     proposals = 0
     failed_hashes = set()
     for seed in range(200):
-        decision = plan_type3(model, base, suite, seed, case)
+        decision = plan_type3(model, AdaptationTrigger("goal-violation"), base, suite, seed, case)
         proposals += 1
         item = decision.evidence_items[0]
         if item.verdict == "fail":

@@ -129,3 +129,17 @@ def test_every_import_is_referenced_in_its_module():
     )
     assert [u for u in unused if u not in ALLOWED_IMPORTS] == []
     assert sorted(ALLOWED_IMPORTS - set(unused)) == []  # a stale exemption goes too
+
+
+#: Built in ``src/`` only in ``mapek``, so that every decision and every piece of runtime
+#: evidence is stated in one module. ``EvidenceItem.from_dict`` builds through ``cls``.
+BUILT_IN_MAPEK_ONLY = {"AdaptationDecision", "EvidenceItem"}
+
+
+def test_decisions_and_evidence_are_built_only_in_mapek():
+    built = sorted(
+        f"{module}.py:{node.lineno}" for module, tree in _modules().items() if module != "mapek"
+        for node in ast.walk(tree) if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in BUILT_IN_MAPEK_ONLY
+    )
+    assert built == []

@@ -943,6 +943,34 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and fault in err
 
+    @pytest.mark.parametrize("depth", [1_000, 100_000])
+    @pytest.mark.parametrize("nested", [lambda n: "[" * n + "]" * n,
+                                        lambda n: '{"a":' * n + "0" + "}" * n],
+                             ids=["arrays", "objects"])
+    @pytest.mark.parametrize("input", ["system", "case-path", "scenario", "candidate"])
+    def test_input_nested_too_deeply_fails_at_load(self, tmp_path, capsys, input, nested,
+                                                     depth):
+        deep = tmp_path / "deep.json"
+        deep.write_text(nested(depth))
+        system = json.loads((CORPUS_DIR / "type3_system.json").read_text())
+        system["safety_case_path"] = str(deep if input == "case-path"
+                                         else CORPUS_DIR / "type3_case.json")
+        (tmp_path / "system.json").write_text(json.dumps(system))
+        paths = {"system": deep if input == "system" else tmp_path / "system.json",
+                 "scenario": deep if input == "scenario" else CORPUS_DIR / "type3_scenario.json"}
+        if input == "candidate":
+            argv = ["assess", "--system", str(paths["system"]), "--candidate", str(deep)]
+        else:
+            argv = ["simulate", "--scenario", str(paths["scenario"]),
+                    "--system", str(paths["system"]), "--out", str(tmp_path / "trace.csv"),
+                    "--report", str(tmp_path / "report.json")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "maximum recursion depth exceeded" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.json", "system.json"]
+
     @pytest.mark.parametrize("corrupt, fault", [
         (lambda s: s.update(duration=float("nan")), "duration"),
         (lambda s: s.update(duration=float("inf")), "duration"),

@@ -258,7 +258,7 @@ class TestAdmission:
 class TestPlanType2:
     def test_cold_window_admits_option_9(self):
         decision = plan_type2(
-            TYPE2_MODEL, _cold_samples(500), AdmissionPolicy(),
+            TYPE2_MODEL, AdaptationTrigger("goal-violation"), _cold_samples(500), AdmissionPolicy(),
             corpus_files.case("type2"), active_option_id="opt-1", now=500.0,
         )
         assert decision.applied and decision.chosen_option == "opt-9"
@@ -276,24 +276,23 @@ class TestPlanType2:
         case = replace(case, nodes={
             **case.nodes, "C-DOM": replace(case.node("C-DOM"), constraint=COLD_FAST_DOMAIN)})
         decision = plan_type2(
-            TYPE2_MODEL, _cold_samples(500), AdmissionPolicy(), case,
-            active_option_id="opt-9",
-            trigger=AdaptationTrigger("manual", requested_option_id="opt-1"),
+            TYPE2_MODEL, AdaptationTrigger("manual", requested_option_id="opt-1"),
+            _cold_samples(500), AdmissionPolicy(), case, active_option_id="opt-9",
         )
         assert not decision.applied
         assert "TII.C5" in decision.reason
 
     def test_rogue_request_refused(self):
         decision = plan_type2(
-            TYPE2_MODEL, _cold_samples(500), AdmissionPolicy(), corpus_files.case("type2"),
-            trigger=AdaptationTrigger("manual", requested_option_id="opt-77"),
+            TYPE2_MODEL, AdaptationTrigger("manual", requested_option_id="opt-77"),
+            _cold_samples(500), AdmissionPolicy(), corpus_files.case("type2"),
         )
         assert not decision.applied and "TII.B1" in decision.reason
 
     def test_not_ready_is_not_applied(self):
         decision = plan_type2(
-            TYPE2_MODEL, _cold_samples(50), AdmissionPolicy(), corpus_files.case("type2"),
-            active_option_id="opt-1",
+            TYPE2_MODEL, AdaptationTrigger("goal-violation"), _cold_samples(50), AdmissionPolicy(),
+            corpus_files.case("type2"), active_option_id="opt-1",
         )
         assert not decision.applied
 
@@ -469,8 +468,8 @@ class TestPlanType3:
         # zero-weight candidates, which fail the suite.
         failures = 0
         for seed in range(40):
-            decision = plan_type3(
-                TYPE3_MODEL, _baseline_net(), _suite(), seed, corpus_files.case("type3"))
+            decision = plan_type3(TYPE3_MODEL, AdaptationTrigger("goal-violation"),
+                                  _baseline_net(), _suite(), seed, corpus_files.case("type3"))
             item = decision.evidence_items[0]
             if item.verdict == "fail":
                 failures += 1
@@ -488,9 +487,9 @@ class TestPlanType3:
     def test_applied_candidate_updates_repo_and_case(self):
         passing = None
         for seed in range(40):
-            decision = plan_type3(
-                TYPE3_MODEL, _baseline_net(), _suite(), seed, corpus_files.case("type3"), now=7.0,
-            )
+            decision = plan_type3(TYPE3_MODEL, AdaptationTrigger("goal-violation"),
+                                  _baseline_net(), _suite(), seed, corpus_files.case("type3"),
+                                  now=7.0)
             if decision.applied:
                 passing = decision
                 break
@@ -520,7 +519,7 @@ def _type2_repo(case=None):
 class TestExecuteAdaptation:
     def test_type2_apply_updates_gains_and_constraints(self):
         decision = plan_type2(
-            TYPE2_MODEL, _cold_samples(500), AdmissionPolicy(),
+            TYPE2_MODEL, AdaptationTrigger("goal-violation"), _cold_samples(500), AdmissionPolicy(),
             corpus_files.case("type2"), active_option_id="opt-1", now=500.0,
         )
         repo = _type2_repo()
@@ -542,7 +541,7 @@ class TestExecuteAdaptation:
         case.node("Sn-B5").lifecycle = "static"
         case.node("G-B5").lifecycle = "static"
         decision = plan_type2(
-            TYPE2_MODEL, _cold_samples(500), AdmissionPolicy(),
+            TYPE2_MODEL, AdaptationTrigger("goal-violation"), _cold_samples(500), AdmissionPolicy(),
             case, active_option_id="opt-1", now=500.0,
         )
         assert decision.applied
@@ -591,7 +590,9 @@ class TestFailSafe:
         for _ in range(700):
             spi_update(repo.spi_windows[0], 86.0)
         assert spi_breached(repo.spi_windows[0])
-        fail_safe(repo, now=100.0)
+        decision = fail_safe(repo, "net-controller", 100.0)
+        assert (decision.chosen_option, decision.applied, decision.model_id) == (
+            "net-baseline", True, "net-controller")
         assert repo.active_net == _baseline_net()
         assert repo.active_option_id == "net-baseline"
         assert not spi_breached(repo.spi_windows[0])
@@ -599,14 +600,14 @@ class TestFailSafe:
     def test_records_runtime_observation_evidence(self):
         repo = _type3_repo()
         revision = repo.safety_case.revision
-        fail_safe(repo, now=100.0)
+        fail_safe(repo, "net-controller", 100.0)
         assert repo.safety_case.revision == revision + 1
         attached = repo.safety_case.node("Sn-B7").evidence
         assert any(e.startswith("failsafe-") for e in attached)
 
     def test_idempotent_when_baseline_already_active(self):
         repo = _type3_repo()
-        fail_safe(repo, now=1.0)
-        fail_safe(repo, now=2.0)
+        fail_safe(repo, "net-controller", 1.0)
+        fail_safe(repo, "net-controller", 2.0)
         assert repo.active_option_id == "net-baseline"
         assert evaluate_validity(repo.safety_case, 2.0, repo) == frozenset()

@@ -136,10 +136,10 @@ class TestGuard:
         guard = GuardState(enabled=True)
         below = PlantState(tank_temp=89.0)
         above = PlantState(tank_temp=90.5)
-        guard = guard_step(guard, below, now=0.0)
+        guard = guard_step(guard, below)
         assert not guard.tripped
-        guard = guard_step(guard, above, now=0.1)
-        assert guard.tripped and guard.trip_time == 0.1
+        guard = guard_step(guard, above)
+        assert guard.tripped
 
     def test_never_trips_at_or_below_limit(self):
         guard = GuardState(enabled=True)
@@ -149,10 +149,10 @@ class TestGuard:
 
     def test_latched_after_cooldown_until_reset(self):
         # Nothing resets the latch: a tripped guard stays tripped for the rest of the run.
-        guard = GuardState(enabled=True, tripped=True, trip_time=5.0)
-        for now in (100.0, 100.1):
-            guard = guard_step(guard, PlantState(tank_temp=50.0), now=now)
-            assert guard.tripped and guard.trip_time == 5.0
+        guard = GuardState(enabled=True, tripped=True)
+        for _ in range(2):
+            guard = guard_step(guard, PlantState(tank_temp=50.0))
+            assert guard.tripped
 
     def test_disabled_guard_never_trips(self):
         guard = GuardState(enabled=False)
@@ -166,7 +166,7 @@ class TestGuard:
         guard = GuardState(enabled=True)
         state = PlantState(tank_temp=89.9)
         for k in range(100):
-            guard = guard_step(guard, state, now=k * 0.1)
+            guard = guard_step(guard, state)
             if guard.tripped and state.valve_open:
                 state = PlantState(
                     tank_temp=state.tank_temp, valve_open=False,
