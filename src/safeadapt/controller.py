@@ -39,16 +39,16 @@ class PidState(NamedTuple):
 
 def pid_compute(
     cfg: PidConfig,
-    st: PidState,
+    st: tuple[float, float],
     setpoint: float,
     measured: float,
     tick: float,
     max_power: float = 10000.0,
-) -> tuple[float, PidState]:
+) -> tuple[float, tuple[float, float]]:
     """Positional-form PID with output clamp and clamped anti-windup.
 
-    The integral is frozen (not advanced) on any tick where the output
-    saturates at either clamp.
+    The integral is frozen (not advanced) on any tick where the output saturates at either
+    clamp. ``st`` is in `PidState` order; the result is ``(power, (integral, error))``.
     """
     if tick <= 0:
         raise ValidationError(f"tick must be positive, got {tick}")
@@ -58,11 +58,11 @@ def pid_compute(
     tentative_integral = integral + error * tick
     raw = cfg.kp * error + cfg.ki * tentative_integral + cfg.kd * derivative
     if 0.0 <= raw <= max_power:
-        return raw, tuple.__new__(PidState, (tentative_integral, error))
+        return raw, (tentative_integral, error)
     # Saturated: freeze the integral and clamp the output.
     raw = cfg.kp * error + cfg.ki * integral + cfg.kd * derivative
     power = 0.0 if raw < 0.0 else raw  # min(max(raw, 0.0), max_power), without the two calls
-    return (max_power if power > max_power else power), tuple.__new__(PidState, (integral, error))
+    return (max_power if power > max_power else power), (integral, error)
 
 
 @dataclass(frozen=True)

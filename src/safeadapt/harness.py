@@ -12,16 +12,18 @@ triggers are ignored for Type 0 and Type III.
 A run binds its SPI windows to the scenario's tick and shares the immutable
 safety case; PID gains are rebuilt only where the configuration changes.
 Scenario inputs are read by forward cursors, not looked up per tick. The
-values each tick creates (sample, plant, guard and PID states) are
-immutable tuples. The case's validity is evaluated when the case changes
-and when the root's evidence expires, and between those read from the
-root's dynamic bounds alone (see `assurance.watch_root`). The trace keeps
-each tick as seven floats, and each run of equal tails once, and formats
-rows only when they are read or written.
+sample, plant and PID states each tick creates are plain tuples in their
+`NamedTuple` layouts' field order; a guard state is built only on the trip.
+The case's validity is evaluated when the case changes and when the root's
+evidence expires, and between those read from the root's dynamic bounds
+alone (see `assurance.watch_root`). The trace keeps each tick as seven
+floats, stored by one struct pack, and each run of equal tails once, and
+formats rows only when they are read or written.
 """
 from __future__ import annotations
 
 import math
+import struct
 from array import array
 from collections import deque
 from dataclasses import asdict, dataclass, field, replace
@@ -58,7 +60,6 @@ from .mapek import (
 )
 from .model import (
     AdaptationModel,
-    EnvironmentSample,
     KnowledgeRepository,
     SystemConfiguration,
     ValidationError,
@@ -166,6 +167,7 @@ TRACE_HEADER = (
 #: A row's floats after ``t``, which is ``k * tick``: ``inflow_temp`` to ``power``,
 #: ``hazard_accum`` and ``spi_near_limit``.
 _FLOATS = 7
+_PACK = struct.Struct("%dd" % _FLOATS).pack
 #: What follows ``power``, ``hazard_accum`` and ``spi_near_limit`` in a row: the tail's fields
 #: ``valve_open, active_option | hazard_count, guard_tripped | case_revision, case_valid``.
 _ROW_TAIL = (",%d,%s,", ",%s,%d,", ",%s,%d\n")  # bools print as 1/0
@@ -177,12 +179,12 @@ _BLOCK = 1024
 class TraceRows:
     """A run's trace rows, the header first, held as numbers and formatted when read.
 
-    Each tick's seven floats go into an ``array("d")`` block of ``_BLOCK`` ticks, 56 bytes a
-    tick; ``t`` is ``k * tick``, the run's own product. A run of ticks whose tails (the
-    valve, option, hazard count, trip, revision and validity) are equal by ``==`` is kept as
-    its first tick and its tail. A column whose bits are the same on every row of a written
-    string is formatted once, into the string's format; only the other columns are
-    formatted per row."""
+    Each tick's seven floats are packed by one ``struct`` call, bit for bit, into an
+    ``array("d")`` block of ``_BLOCK`` ticks, 56 bytes a tick; ``t`` is ``k * tick``, the
+    run's own product. A run of ticks whose tails (the valve, option, hazard count, trip,
+    revision and validity) are equal by ``==`` is kept as its first tick and its tail. A
+    column whose bits are the same on every row of a written string is formatted once, into
+    the string's format; only the other columns are formatted per row."""
 
     def __init__(self, tick: float) -> None:
         self._tick, self._starts, self._tails, self._tail = tick, array("l"), [], None
@@ -194,7 +196,7 @@ class TraceRows:
         if len(block) == _FLOATS * _BLOCK:
             block = self._block = array("d")
             self._blocks.append(block)
-        block.extend(floats)
+        block.frombytes(_PACK(*floats))
         if tail != self._tail:
             self._tail = tail
             self._starts.append(len(self) - 2)  # this tick's index; len counts the header
@@ -356,24 +358,24 @@ def run_scenario(
 
     # Bound once per run; each traced layer is still called through its module binding.
     append_sample, append_row, max_power = repo.sample_history.append, rows.add, plant.max_power
-    observe, take_violation, new_tuple = tracker.observe, tracker.take_violation, tuple.__new__
+    observe, take_violation = tracker.observe, tracker.take_violation
 
     for k, setpoint, inflow_temp, inflow_rate in scenario.inputs():
         t = k * tick
 
         # sense: load checks and Trace keep t, inflow_rate >= 0 (test_scenario's rate property)
-        sample = new_tuple(EnvironmentSample, (t, inflow_temp, inflow_rate, setpoint, outflow_temp))
+        sample = (t, inflow_temp, inflow_rate, setpoint, outflow_temp)  # EnvironmentSample order
         append_sample(sample)
         observe(t, setpoint, outflow_temp)
 
         # guard (observes the previous tick's outflow: one-tick latency)
         was_tripped = tripped
         guard = guard_step(guard, state)
-        tripped = guard.tripped  # a tripped guard closes the valve and zeroes the power
+        tripped = guard[1]  # a tripped guard closes the valve and zeroes the power
         if tripped and not was_tripped:
             report.guard_trips += 1
         if tripped and valve_open:
-            state = state._replace(valve_open=False)
+            state = (state[0], False, *state[2:])
 
         # control
         temp_rate = (outflow_temp - prev_temp) / tick
@@ -449,7 +451,7 @@ def run_scenario(
                     spi_near), (valve_open, repo.active_option_id, hazard_count, tripped,
                                 revision, valid))
 
-    report.hazard_count = state.hazard_count
+    report.hazard_count = state[3]
     report.rise_times = [dict(e) for e in tracker.events]
     end_time = scenario.duration
     for model in system.models:

@@ -294,20 +294,20 @@ def admission_test(
 
     For each bounded variable the one-sided confidence bound
     (mean +/- z s / sqrt(n)) and the sample extremum must both respect
-    the bound. Insufficient data yields not-ready, never a reject.
-    ``samples`` must be in time order: the window's first sample is found by bisection.
+    the bound. Insufficient data yields not-ready, never a reject. ``samples`` are tuples in
+    `EnvironmentSample` order, in time order: the window's first sample is found by bisection.
     """
     if not samples:
         return AdmissionReport(status="not-ready")
-    latest = samples[-1].time
-    first = bisect_left(samples, latest - policy.window, key=lambda s: s.time)
+    latest = samples[-1][0]
+    first = bisect_left(samples, latest - policy.window, key=lambda s: s[0])
     n = len(samples) - first
-    span = samples[-1].time - samples[0].time
+    span = latest - samples[0][0]
     if n < policy.min_samples or span < policy.window:
         return AdmissionReport(
             status="not-ready",
             n=n,
-            window_start=samples[first].time,
+            window_start=samples[first][0],
             window_end=latest,
         )
 
@@ -316,7 +316,8 @@ def admission_test(
     all_ok = True
     variables: dict[str, dict[str, float]] = {}
     for name, (low, high) in sorted(option_domain.normalized().bounds.items()):
-        values = [getattr(s, name) for s in windowed]
+        index = EnvironmentSample._fields.index(name)
+        values = [s[index] for s in windowed]
         mean = statistics.fmean(values)
         stdev = statistics.stdev(values) if n > 1 else 0.0
         margin = policy.confidence_z * stdev / root_n
@@ -343,7 +344,7 @@ def admission_test(
         status="admit" if all_ok else "reject",
         variables=variables,
         n=n,
-        window_start=windowed[0].time,
+        window_start=windowed[0][0],
         window_end=latest,
     )
 
@@ -486,7 +487,7 @@ def _run_assessment_scenario(
     """One embedded simulation: candidate controller, guard disabled."""
     tick = scenario.tick
     plant = replace(plant, tick=tick)  # the physics steps at the scenario's tick
-    max_power, new_tuple = plant.max_power, tuple.__new__
+    max_power = plant.max_power
     state = PlantState(tank_temp=scenario.initial_tank_temp)
     tracker = GoalTracker(goal)
     prev_temp = tank_temp = state.tank_temp  # the post-hazard state, read once per tick
@@ -499,16 +500,16 @@ def _run_assessment_scenario(
         if not math.isfinite(power):
             return {"scenario": scenario.id, "ok": False, "fault": "non-finite output"}
         # load checks and Trace keep t, inflow_rate >= 0 (test_scenario's rate property)
-        sample = new_tuple(EnvironmentSample, (t, inflow_temp, inflow_rate, setpoint, tank_temp))
+        sample = (t, inflow_temp, inflow_rate, setpoint, tank_temp)  # EnvironmentSample order
         prev_temp = tank_temp
         state = hazard_update(plant_step(state, plant, sample, power), plant)
-        tank_temp = state.tank_temp
+        tank_temp = state[0]
         tracker.observe(t + tick, setpoint, tank_temp)
-    ok = state.hazard_count == 0 and not tracker.any_violation
+    hazard_count = state[3]
     return {
         "scenario": scenario.id,
-        "ok": ok,
-        "hazard_count": state.hazard_count,
+        "ok": hazard_count == 0 and not tracker.any_violation,
+        "hazard_count": hazard_count,
         "rise_violation": tracker.any_violation,
     }
 

@@ -309,7 +309,11 @@ class AdaptationModel:
                 raise ValidationError(
                     f"model {self.id!r} declares enumerated options but lists none"
                 )
+        seen: set[str] = set()
         for option in self.options or ():
+            if option.id in seen:  # the planners would resolve the id two ways
+                raise ValidationError(f"model {self.id!r} repeats option id {option.id!r}")
+            seen.add(option.id)
             if not option_satisfies_model(option, self):
                 raise ValidationError(
                     f"option {option.id!r} breaks the constraints of model {self.id!r}"

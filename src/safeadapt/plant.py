@@ -5,10 +5,10 @@ hazard of interest is outflowing water above 90 degC for more than 2 s;
 the guard is an independent safety monitor that latches power off and
 closes the valve when it observes an over-limit outflow temperature.
 
-The tick's values (`PlantState`, `GuardState`) are immutable tuples. A step unpacks its
-record once (CPython 3.11 does not specialise a `NamedTuple` field read) and builds the next
-with `tuple.__new__(PlantState, (...))`, every field in order, skipping the Python frame of
-the generated constructor.
+`PlantState` and `GuardState` name the layouts of the tick's values and build the initial
+ones. A step unpacks the state by position and returns a plain tuple in `PlantState`'s field
+order, since building a `NamedTuple` costs two to five times a plain tuple; the guard builds
+its `GuardState` only on the trip.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .model import EnvironmentSample, SimulationFault, ValidationError, json_number, json_value
+from .model import SimulationFault, ValidationError, json_number, json_value
 
 HAZARD_TEMP = 90.0  # degC, strict
 HAZARD_DURATION = 2.0  # s, strict
@@ -76,15 +76,16 @@ class GuardState(NamedTuple):
 
 
 def plant_step(
-    state: PlantState,
+    state: tuple,
     params: PlantParams,
-    env: EnvironmentSample,
+    env: tuple,
     power_in: float,
-) -> PlantState:
+) -> tuple:
     """Advance the tank temperature one tick by explicit Euler.
 
     dT/dt = (q/V) (T_in - T) + P/(rho c V), with q = 0 while the valve
-    is closed. ``power_in`` must already be clamped to [0, max_power].
+    is closed. ``power_in`` must already be clamped to [0, max_power]. ``env`` is in
+    `EnvironmentSample` order, and ``state`` and the plain-tuple result in `PlantState` order.
     """
     tank_temp, valve_open, accum, count, counted = state
     _, inflow_temp, inflow_rate, _, _ = env
@@ -101,15 +102,15 @@ def plant_step(
     new_temp = tank_temp + params.tick * rate
     if not math.isfinite(new_temp):
         raise SimulationFault("non-finite tank temperature")
-    return tuple.__new__(PlantState, (new_temp, valve_open, accum, count, counted))
+    return new_temp, valve_open, accum, count, counted
 
 
-def hazard_update(state: PlantState, params: PlantParams) -> PlantState:
+def hazard_update(state: tuple, params: PlantParams) -> tuple:
     """Accumulate over-limit outflow time and count completed episodes.
 
     The hazard condition is strict (> 90 degC) and requires the valve
     open; an episode is counted once, when its duration first exceeds
-    2 s.
+    2 s. Like `plant_step`, it takes and returns a tuple in `PlantState` order.
     """
     tank_temp, valve_open, accum, count, counted = state
     if tank_temp > HAZARD_TEMP and valve_open:  # well mixed: the outflow is at tank temperature
@@ -117,11 +118,11 @@ def hazard_update(state: PlantState, params: PlantParams) -> PlantState:
         if not counted and accum > HAZARD_DURATION + _EPS:
             count += 1
             counted = True
-        return tuple.__new__(PlantState, (tank_temp, valve_open, accum, count, counted))
-    return tuple.__new__(PlantState, (tank_temp, valve_open, 0.0, count, False))
+        return tank_temp, valve_open, accum, count, counted
+    return tank_temp, valve_open, 0.0, count, False
 
 
-def guard_step(guard: GuardState, state: PlantState) -> GuardState:
+def guard_step(guard: GuardState, state: tuple) -> GuardState:
     """Evaluate the independent safety monitor for one tick.
 
     The guard observes the previous tick's outflow temperature, so the
@@ -129,6 +130,6 @@ def guard_step(guard: GuardState, state: PlantState) -> GuardState:
     rest of the run, and the caller zeroes the power and closes the valve.
     """
     enabled, tripped = guard
-    if enabled and not tripped and state.tank_temp > HAZARD_TEMP:  # the outflow, well mixed
-        return tuple.__new__(GuardState, (True, True))
+    if enabled and not tripped and state[0] > HAZARD_TEMP:  # the tank, well mixed: the outflow
+        return GuardState(True, True)
     return guard

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence, Union
 
@@ -36,6 +37,24 @@ def _pairs(points: Any, what: str, second: Callable[[Any, str], Any] = json_numb
                       for t, v in json_value(points, list, what)])
     except (TypeError, ValueError):  # a reader's ValidationError, or not two items
         raise ValidationError(f"{what}s must be [time, value] lists in the float range") from None
+
+
+def _ticks_before(t1: float, k: int, n: int, tick: float) -> int:
+    """The first ``j`` in ``k..n`` with ``j * tick >= t1``, else ``n``; ``j * tick`` never falls."""
+    q = t1 / tick  # a guess from the quotient, corrected by the exact test
+    end = n if q >= n else k if q <= k else math.ceil(q)
+    while end > k and (end - 1) * tick >= t1:
+        end -= 1
+    while end < n and end * tick < t1:
+        end += 1
+    return end
+
+
+def _ramp(t0: float, v0: float, t1: float, v1: float, k: int, end: int,
+          tick: float) -> Iterator[float]:
+    """A linear segment's values at ticks ``k`` to ``end``."""
+    for j in range(k, end):
+        yield v0 + (j * tick - t0) / (t1 - t0) * (v1 - v0)
 
 
 @dataclass(frozen=True)
@@ -73,24 +92,17 @@ class Trace:
         return points[-1][1]
 
     def values(self, n: int, tick: float) -> Iterator[float]:
-        """Yield ``value_at(k * tick)`` for ``k in range(n)``, reading forward (tick > 0)."""
-        points = self.points
-        t0, v0 = points[0]
-        k = 0
-        while k < n and k * tick < t0:
-            yield v0
-            k += 1
-        hold = self.interp == "hold"
-        for t1, v1 in points[1:]:
-            while k < n:
-                t = k * tick
-                if t >= t1:
-                    break
-                yield v0 if hold else v0 + (t - t0) / (t1 - t0) * (v1 - v0)
-                k += 1
-            t0, v0 = t1, v1
-        for _ in range(k, n):
-            yield v0
+        """``value_at(k * tick)`` for ``k in range(n)``, read forward (tick > 0): one iterator
+        a segment, a held value repeated by ``itertools.repeat``."""
+        hold, k, segments = self.interp == "hold", 0, []
+        # The first point paired with itself: its value holds until its time.
+        for (t0, v0), (t1, v1) in zip(self.points[:1] + self.points, self.points):
+            end = _ticks_before(t1, k, n, tick)
+            segments.append(repeat(v0, end - k) if hold or t0 == t1 else
+                            _ramp(t0, v0, t1, v1, k, end, tick))
+            k = end
+        segments.append(repeat(self.points[-1][1], n - k))
+        return chain.from_iterable(segments)
 
     @classmethod
     def from_dict(cls, data: Any, what: str = "trace point") -> "Trace":

@@ -140,7 +140,7 @@ def reference_run(scenario, system):
             power = 0.0
 
         prev_temp = state.outflow_temp
-        state = hazard_update(plant_step(state, plant, sample, power), plant)
+        state = PlantState._make(hazard_update(plant_step(state, plant, sample, power), plant))
 
         breaches = [spi_update(window, state.outflow_temp) for window in repo.spi_windows]
         if any(breaches):

@@ -213,7 +213,7 @@ def test_criterion_5_integrator_oracle(corpus_runs):
     params = PlantParams()
     for k in range(1000):
         env = EnvironmentSample(k * 0.1, 10.0, 0.1, 20.0, state.outflow_temp)
-        state = plant_step(state, params, env, 4186.0)
+        state = PlantState._make(plant_step(state, params, env, 4186.0))
     ok = ok and round(state.tank_temp, 3) == 20.0
     _verdict(5, "integrator oracle", ok)
 

@@ -143,3 +143,13 @@ def test_decisions_and_evidence_are_built_only_in_mapek():
         and getattr(node.func, "id", getattr(node.func, "attr", None)) in BUILT_IN_MAPEK_ONLY
     )
     assert built == []
+
+
+def test_no_record_is_built_by_tuple_new():
+    # A tick's states are plain tuples, and a NamedTuple is built by its own constructor.
+    found = sorted(
+        f"{module}.py:{node.lineno}" for module, tree in _modules().items()
+        for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "__new__"
+        and isinstance(node.value, ast.Name) and node.value.id == "tuple"
+    )
+    assert found == []

@@ -34,12 +34,12 @@ class TestPid:
         cfg = PidConfig(kp=10000.0, ki=1.0)
         power, state = pid_compute(cfg, PidState(), 25.0, 20.0, 0.1)
         assert power == 10000.0
-        assert state.integral == 0.0  # frozen while saturated
+        assert PidState._make(state).integral == 0.0  # frozen while saturated
 
     def test_integral_accumulates_when_unsaturated(self):
         cfg = PidConfig(kp=100.0, ki=1.0)
         power, state = pid_compute(cfg, PidState(), 22.0, 20.0, 0.1)
-        assert state.integral == pytest.approx(0.2)
+        assert PidState._make(state).integral == pytest.approx(0.2)
         assert power == pytest.approx(200.0 + 0.2)
 
     def test_integral_bounded_under_persistent_saturation(self):
@@ -50,7 +50,7 @@ class TestPid:
         # With anti-windup the integral stops growing at the clamp edge,
         # holding the output near (not past) the saturation level.
         assert 9000.0 <= power <= 10000.0
-        assert cfg.ki * state.integral <= 10000.0 + 1e-6
+        assert cfg.ki * PidState._make(state).integral <= 10000.0 + 1e-6
 
     def test_derivative_on_error(self):
         cfg = PidConfig(kd=10.0)
@@ -60,7 +60,7 @@ class TestPid:
     def test_negative_output_clamped_to_zero(self):
         power, state = pid_compute(PidConfig(kp=100.0), PidState(), 20.0, 25.0, 0.1)
         assert power == 0.0
-        assert state.integral == 0.0
+        assert PidState._make(state).integral == 0.0
 
     def test_from_configuration(self):
         cfg = PidConfig.from_configuration(

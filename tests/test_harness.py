@@ -841,6 +841,27 @@ class TestCli:
         assert not (tmp_path / "trace.csv").exists()
         assert "'opt-9'" in capsys.readouterr().err
 
+    # A manual request would activate the last 'opt-9' and a goal violation the first.
+    @pytest.mark.parametrize("command", ["simulate", "classify"])
+    def test_repeated_option_id_fails_at_load(self, tmp_path, capsys, monkeypatch, command):
+        system = json.loads((CORPUS_DIR / "type1_system.json").read_text())
+        system["safety_case_path"] = str(CORPUS_DIR / "type1_case.json")
+        options = system["adaptation_models"][0]["options"]
+        assert options[8]["id"] == "opt-9"
+        options.append({**copy.deepcopy(options[8]), "design_rise_time": 500.0})
+        (tmp_path / "system.json").write_text(json.dumps(system))
+        monkeypatch.setattr(cli, "run_scenario", lambda *a: pytest.fail("the run started"))
+        args = ["--system", str(tmp_path / "system.json")]
+        if command == "simulate":
+            args += ["--scenario", str(CORPUS_DIR / "type1_scenario.json"),
+                     "--out", str(tmp_path / "trace.csv"),
+                     "--report", str(tmp_path / "report.json")]
+        assert main([command, *args]) == 2
+        assert not (tmp_path / "trace.csv").exists()
+        assert not (tmp_path / "report.json").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: model 'pid-gains-static' repeats option id 'opt-9'"]
+
     def test_malformed_option_domain_fails_at_load(self, tmp_path, capsys):
         system = json.loads((CORPUS_DIR / "type2_system.json").read_text())
         system["safety_case_path"] = str(CORPUS_DIR / "type2_case.json")

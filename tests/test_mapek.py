@@ -34,6 +34,7 @@ from safeadapt.mapek import (
 from safeadapt.model import (
     EnvironmentSample,
     KnowledgeRepository,
+    OperationalDomain,
     SystemConfiguration,
     ValidationError,
 )
@@ -254,6 +255,28 @@ class TestAdmission:
             assert admission_test(ring, COLD_FAST_DOMAIN, policy) == admission_test(
                 history, COLD_FAST_DOMAIN, policy)
 
+    _bound = st.floats(-5.0, 5.0) | st.sampled_from([-math.inf, math.inf])
+
+    @given(
+        st.lists(st.tuples(st.sampled_from([0.0, 0.1, 0.5, 2.5]), st.floats(-5.0, 5.0),
+                           st.floats(0.0, 5.0)), min_size=1, max_size=60),
+        st.floats(0.1, 20.0), st.integers(2, 30),
+        st.dictionaries(st.sampled_from(["inflow_temp", "inflow_rate"]),
+                        st.tuples(_bound, _bound).map(sorted).map(tuple)),
+        st.booleans(),
+    )
+    def test_plain_tuples_read_as_samples(self, rows, window, min_samples, bounds, ring):
+        # A run keeps plain tuples in EnvironmentSample order; the report reads them the same.
+        times = accumulate(step for step, _, _ in rows)
+        samples = [EnvironmentSample(t, temp, rate, 40.0, 41.0)
+                   for t, (_, temp, rate) in zip(times, rows)]
+        plain = [tuple(s) for s in samples]
+        if ring:
+            samples, plain = deque(samples, maxlen=40), deque(plain, maxlen=40)
+        domain = OperationalDomain(bounds)
+        policy = AdmissionPolicy(window=window, min_samples=min_samples)
+        assert admission_test(plain, domain, policy) == admission_test(samples, domain, policy)
+
 
 class TestPlanType2:
     def test_cold_window_admits_option_9(self):
@@ -364,7 +387,7 @@ def _reference_assessment_scenario(candidate, scenario, plant, goal):
         env = EnvironmentSample(t, inflow_temp, inflow_rate, setpoint, state.tank_temp)
         prev_temp = state.tank_temp
         state = plant_step(state, plant, env, power)
-        state = hazard_update(state, plant)
+        state = PlantState._make(hazard_update(state, plant))
         tracker.observe(t + tick, setpoint, state.tank_temp)
     ok = state.hazard_count == 0 and not tracker.any_violation
     return {

@@ -23,23 +23,23 @@ def _env(temp=10.0, rate=0.1, t=0.0):
 class TestPlantStep:
     def test_hand_balanced_steady_state(self):
         # Inflow cooling -0.02 K/s exactly cancels 4186 W of heating.
-        state = plant_step(PlantState(tank_temp=20.0), PlantParams(), _env(), 4186.0)
+        state = PlantState._make(plant_step(PlantState(20.0), PlantParams(), _env(), 4186.0))
         assert state.tank_temp == pytest.approx(20.0, abs=1e-12)
 
     def test_equilibrium_without_power(self):
         state = PlantState(tank_temp=20.0)
         for _ in range(100):
-            state = plant_step(state, PlantParams(), _env(temp=20.0), 0.0)
+            state = PlantState._make(plant_step(state, PlantParams(), _env(temp=20.0), 0.0))
         assert state.tank_temp == pytest.approx(20.0, abs=1e-12)
 
     def test_hand_net_heating(self):
         # 8372 W: +0.04 K/s heating against -0.02 K/s cooling.
-        state = plant_step(PlantState(tank_temp=20.0), PlantParams(), _env(), 8372.0)
+        state = PlantState._make(plant_step(PlantState(20.0), PlantParams(), _env(), 8372.0))
         assert state.tank_temp == pytest.approx(20.002, abs=1e-9)
 
     def test_closed_valve_stops_flow(self):
         state = PlantState(tank_temp=20.0, valve_open=False)
-        state = plant_step(state, PlantParams(), _env(temp=90.0, rate=1.0), 0.0)
+        state = PlantState._make(plant_step(state, PlantParams(), _env(temp=90.0, rate=1.0), 0.0))
         assert state.tank_temp == pytest.approx(20.0, abs=1e-12)
 
     def test_power_out_of_range(self):
@@ -66,7 +66,7 @@ class TestPlantStep:
         state = PlantState(tank_temp=t0)
         prev_gap = abs(state.tank_temp - tin)
         for _ in range(200):
-            state = plant_step(state, params, _env(temp=tin, rate=rate), 0.0)
+            state = PlantState._make(plant_step(state, params, _env(temp=tin, rate=rate), 0.0))
             gap = abs(state.tank_temp - tin)
             assert gap <= prev_gap + 1e-9
             prev_gap = gap
@@ -77,7 +77,7 @@ class TestPlantStep:
         state = PlantState(tank_temp=t0)
         floor = min(t0, tin)
         for _ in range(100):
-            state = plant_step(state, params, _env(temp=tin, rate=0.1), power)
+            state = PlantState._make(plant_step(state, params, _env(temp=tin, rate=0.1), power))
             assert state.tank_temp >= floor - 1e-9
 
 
@@ -91,7 +91,7 @@ class TestHazardUpdate:
                 hazard_accum=state.hazard_accum, hazard_count=state.hazard_count,
                 episode_counted=state.episode_counted,
             )
-            state = hazard_update(state, params)
+            state = PlantState._make(hazard_update(state, params))
         return state
 
     def test_21_ticks_over_limit_counts(self):
@@ -175,7 +175,7 @@ class TestGuard:
                 )
             power = 0.0 if guard.tripped else params.max_power
             state = plant_step(state, params, _env(rate=0.001, t=k * 0.1), power)
-            state = hazard_update(state, params)
+            state = PlantState._make(hazard_update(state, params))
         assert state.hazard_count == 0
         assert state.hazard_accum <= 2.0
 

@@ -1,12 +1,14 @@
-"""The tick's record-building layers against plain reference bodies.
+"""The tick's state-building layers against plain reference bodies.
 
-`plant_step`, `hazard_update`, `guard_step` and `pid_compute` unpack each
-record once and build the next one with `tuple.__new__`. The references
-below read fields by name and build through the generated constructors and
-`_replace`. Every result must be the same record, of the same type, with
-the same reprs (so `-0.0`, and `True` against `1`, count as different), and
-every input that makes a reference raise must make the layer raise the same
-exception type.
+`plant_step`, `hazard_update` and `pid_compute` unpack each state by
+position and return plain tuples in the field order of `PlantState` and
+`PidState`; `guard_step` returns a `GuardState`, built only on the trip. The
+references below read fields by name and build through the generated
+constructors and `_replace`. Every plant and PID result must equal
+`tuple(expected)`, be a plain `tuple` and have the same repr, and a guard
+must be the same `GuardState` (so `-0.0`, and `True` against `1`, count as
+different). Every input that makes a reference raise must make the layer
+raise the same exception type.
 """
 import math
 
@@ -126,9 +128,12 @@ def test_plant_step_matches_reference(state, params, env, power, non_finite_temp
     if non_finite_temp:
         state = state._replace(tank_temp=math.inf)
     expected = _outcome(_reference_plant_step, state, params, env, power)
-    _assert_same(_outcome(plant_step, state, params, env, power), expected)
     if not isinstance(expected, type):
         assert type(expected) is PlantState
+        expected = tuple(expected)
+    _assert_same(_outcome(plant_step, state, params, env, power), expected)
+    # A run passes the layer's own plain tuples back in.
+    _assert_same(_outcome(plant_step, tuple(state), params, tuple(env), power), expected)
 
 
 @given(_states, _params)
@@ -137,8 +142,9 @@ def test_plant_step_matches_reference(state, params, env, power, non_finite_temp
 @example(PlantState(95.0, False, 3.0, 1, True), PlantParams())  # a closed valve resets it
 def test_hazard_update_matches_reference(state, params):
     expected = _reference_hazard_update(state, params)
-    _assert_same(hazard_update(state, params), expected)
     assert type(expected) is PlantState
+    _assert_same(hazard_update(state, params), tuple(expected))
+    _assert_same(hazard_update(tuple(state), params), tuple(expected))
 
 
 @given(st.builds(GuardState, st.booleans(), st.booleans()), _states)
@@ -147,6 +153,7 @@ def test_hazard_update_matches_reference(state, params):
 def test_guard_step_matches_reference(guard, state):
     expected = _reference_guard_step(guard, state)
     _assert_same(guard_step(guard, state), expected)
+    _assert_same(guard_step(guard, tuple(state)), expected)
     assert type(expected) is GuardState
 
 
@@ -167,6 +174,8 @@ _gain = st.floats(-1e3, 1e4)
 def test_pid_compute_matches_reference(cfg, state, setpoint, measured, tick, max_power):
     args = cfg, state, setpoint, measured, tick, max_power
     expected = _outcome(_reference_pid_compute, *args)
-    _assert_same(_outcome(pid_compute, *args), expected)
     if not isinstance(expected, type):
         assert type(expected[1]) is PidState
+        expected = (expected[0], tuple(expected[1]))
+    _assert_same(_outcome(pid_compute, *args), expected)
+    _assert_same(_outcome(pid_compute, cfg, tuple(state), *args[2:]), expected)

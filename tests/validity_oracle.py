@@ -6,6 +6,7 @@ property in `test_assurance.py` and the per-tick check in `test_harness.py`
 compare the program's failing set with the nodes it marks unsupported.
 """
 from safeadapt.assurance import PREDICATES
+from safeadapt.model import EnvironmentSample
 
 
 def _node_supported(case, node, now, knowledge, support):
@@ -21,7 +22,7 @@ def _node_supported(case, node, now, knowledge, support):
         if node.lifecycle == "static":
             return True
         if node.constraint is not None and knowledge is not None and knowledge.sample_history:
-            sample = knowledge.sample_history[-1]
+            sample = EnvironmentSample._make(knowledge.sample_history[-1])
             for name, (low, high) in node.constraint.bounds.items():
                 if not low <= getattr(sample, name) <= high:
                     return False
