@@ -18,7 +18,15 @@ The case's validity is evaluated when the case changes and when the root's
 evidence expires, and between those read from the root's dynamic bounds
 alone (see `assurance.watch_root`). The trace keeps each tick as seven
 floats, stored by one struct pack, and each run of equal tails once, and
-formats rows only when they are read or written.
+formats rows only when they are read or written, a piece of up to
+``_TRACE_CHUNK`` rows at a time. A piece's varying columns go through one
+NumPy kernel, `_fixed6`, which prints ``"%.6f"`` without formatting a float
+in Python: ``rint(|v| * 1e6)`` gives the digits, except near a tie, where
+the exact ratio of integers decides; digit tables give the bytes; a narrow
+integer part is left-padded with ``0xFF``, a byte UTF-8 never holds, and the
+pads are deleted from the piece's bytes. A piece holding a non-finite value
+or one at or past ``2**52 / 1e6`` goes through the ``%`` operator instead,
+`_rows_reference`, which the property tests also use as the reference.
 """
 from __future__ import annotations
 
@@ -29,7 +37,7 @@ from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Optional, Union
+from typing import Any, Iterable, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
@@ -168,9 +176,10 @@ TRACE_HEADER = (
 #: ``hazard_accum`` and ``spi_near_limit``.
 _FLOATS = 7
 _PACK = struct.Struct("%dd" % _FLOATS).pack
-#: What follows ``power``, ``hazard_accum`` and ``spi_near_limit`` in a row: the tail's fields
-#: ``valve_open, active_option | hazard_count, guard_tripped | case_revision, case_valid``.
-_ROW_TAIL = (",%d,%s,", ",%s,%d,", ",%s,%d\n")  # bools print as 1/0
+#: What follows the commas after ``power``, ``hazard_accum`` and ``spi_near_limit`` in a row: the
+#: tail's fields ``valve_open, active_option | hazard_count, guard_tripped | case_revision,
+#: case_valid``.
+_ROW_TAIL = ("%d,%s,", "%s,%d,", "%s,%d\n")  # bools print as 1/0
 #: Ticks a block of the store holds. Blocks of one size are reused from run to run, where one
 #: growing array would be copied as it grows and leave each copy's pages resident.
 _BLOCK = 1024
@@ -184,7 +193,8 @@ class TraceRows:
     run's own product. A run of ticks whose tails (the valve, option, hazard count, trip,
     revision and validity) are equal by ``==`` is kept as its first tick and its tail. A
     column whose bits are the same on every row of a written string is formatted once, into
-    the string's format; only the other columns are formatted per row."""
+    the string's text; the other columns go through `_fixed6`, or `_rows_reference` when it
+    declines."""
 
     def __init__(self, tick: float) -> None:
         self._tick, self._starts, self._tails, self._tail = tick, array("l"), [], None
@@ -207,32 +217,164 @@ class TraceRows:
 
     def __iter__(self) -> Iterator[str]:
         yield TRACE_HEADER
-        yield from (row[:-1] for row in self.chunks(1))
+        for chunk in self.chunks(_TRACE_CHUNK):
+            yield from chunk.decode()[:-1].split("\n")
 
-    def chunks(self, size: int) -> Iterator[str]:
-        """The rows after the header, each ending in a newline, at most ``size`` to a string
-        and each string within one block."""
+    def chunks(self, size: int) -> Iterator[bytes]:
+        """The rows after the header as UTF-8, each ending in a newline, at most ``size`` to a
+        piece and each piece within one block."""
         tick, starts = self._tick, self._starts
         for a, end, tail in zip(starts, [*starts[1:], len(self) - 1], self._tails):
-            seps = (",",) * 4 + tuple((gap % fields).replace("%", "%%") for gap, fields in
+            seps = ("",) * 5 + tuple(gap % fields for gap, fields in
                                       zip(_ROW_TAIL, (tail[:2], tail[2:4], tail[4:])))
             b = a
             while b < end:
                 block, first = divmod(b, _BLOCK)
                 n = min(size, end - b, _BLOCK - first)
-                floats = self._blocks[block]
-                fmt, varying = ["%.6f,"], [map(tick.__mul__, range(b, b + n))]
-                for column, sep in enumerate(seps):
-                    values = floats[_FLOATS * first + column:_FLOATS * (first + n):_FLOATS]
-                    # Bits, not ==: -0.0 == 0.0 but prints differently, and nan != nan.
-                    if values.tobytes() == values[:1].tobytes() * n:
-                        fmt.append("%.6f" % values[0])
+                floats = np.frombuffer(  # a column to a row
+                    self._blocks[block][_FLOATS * first:_FLOATS * (first + n)], np.float64,
+                ).reshape(n, _FLOATS).T.copy()
+                bits = floats.view(np.int64)
+                # Bits, not ==: -0.0 == 0.0 but prints differently, and nan != nan.
+                baked = (bits.min(axis=1) == bits.max(axis=1)).tolist()
+                texts, varying = ["", ""], [None]  # t, which is k * tick, varies
+                for column, (value, sep) in enumerate(zip(floats[:, 0].tolist(), seps)):
+                    texts[-1] += sep
+                    if baked[column]:
+                        texts[-1] += "%.6f," % value
                     else:
-                        fmt.append("%.6f")
-                        varying.append(values)
-                    fmt.append(sep)
-                yield ("".join(fmt) * n) % tuple(chain.from_iterable(zip(*varying)))
+                        texts.append("")
+                        varying.append(column)
+                texts[-1] += seps[-1]
+                # Each k * tick is below _LIMIT, and NumPy's product cannot overflow, when the
+                # last one is: |k * tick| grows with k.
+                rows = None
+                if abs(tick) * (b + n) < _LIMIT:
+                    columns = np.empty((len(varying), n))
+                    columns[0] = np.arange(b, b + n) * tick
+                    columns[1:] = floats[varying[1:]]
+                    rows = _fixed6([text.encode() for text in texts], columns)
+                if rows is None:
+                    rows = _rows_reference(texts, [
+                        map(tick.__mul__, range(b, b + n)),
+                        *(floats[column].tolist() for column in varying[1:])], n).encode()
+                yield rows
                 b += n
+
+
+#: Magnitudes `_fixed6` formats: below ``2**52 / 1e6`` each ``|v| * 1e6`` is below ``2**52``,
+#: where its nearest integer is exact in a float.
+_LIMIT = 2.0 ** 52 / 1e6
+#: A pad byte: never in UTF-8 text, so it is deleted from the rows after they are laid out.
+_PAD = 0xFF
+
+
+def _words(width: int, before: str = "", after: str = "", lead: bool = False) -> np.ndarray:
+    """``0 .. 10**width - 1`` as four-byte words: ``before``, the digits and ``after``. The
+    digits are zero-padded, or with ``lead`` right-aligned after pads, the units always shown."""
+    value = np.arange(10 ** width, dtype=np.int16)
+    words = np.empty((10 ** width, 4), np.uint8)
+    words[:, :len(before)] = np.frombuffer(before.encode(), np.uint8)
+    words[:, 4 - len(after):] = np.frombuffer(after.encode(), np.uint8)
+    for column in range(width):  # a digit column at a time, small temporaries
+        place = 10 ** (width - 1 - column)
+        digit = words[:, len(before) + column]
+        digit[:] = value // place % 10 + ord("0")
+        if lead and place > 1:
+            digit[value < place] = _PAD
+    return words.view(np.uint32).ravel()
+
+
+#: Word tables, 88 KB together: four integer digits zero-padded and pad-led, then a value's
+#: first three decimals after the point and its last three before its comma.
+_GROUP, _LEAD = _words(4), _words(4, lead=True)
+_POINT, _LAST = _words(3, before="."), _words(3, after=",")
+#: All pads, and a minus sign after pads.
+_PADS, _MINUS = np.array([[_PAD] * 4, [_PAD] * 3 + [ord("-")]], np.uint8).view(np.uint32).ravel()
+
+
+def _micros(columns: np.ndarray) -> Optional[np.ndarray]:
+    """``round(|v| * 10**6)`` of each value, half to even, as ``"%.6f"`` rounds the exact
+    value; None when a value is not finite or not below ``_LIMIT``.
+
+    ``s = |v| * 1e6`` lies within half an ulp of the exact product, so ``rint(s)`` is the
+    answer unless ``s`` lies within ``spacing(s.max())`` of a half: those near-ties are
+    rounded from the exact ratio of integers."""
+    scaled = np.abs(columns)
+    if not scaled.max() < _LIMIT:  # a NaN compares false too; checked before any cast
+        return None
+    scaled *= 1e6
+    nearest = np.rint(scaled)
+    for i in zip(*np.nonzero(np.abs(scaled - nearest) >= 0.5 - np.spacing(scaled.max()))):
+        p, q = abs(float(columns[i])).as_integer_ratio()
+        micros, rest = divmod(p * 10 ** 6, q)
+        nearest[i] = micros + (2 * rest + (micros & 1) > q)
+    return nearest.astype(np.int64)
+
+
+def _fixed6(texts: list[bytes], columns: np.ndarray) -> Optional[bytes]:
+    """``n`` rows of ``texts[0]``, then ``"%.6f,"`` of the row's value in the first column,
+    ``texts[1]``, and so on to ``texts[-1]``, as UTF-8, from ``m`` columns as an ``(m, n)``
+    float array and ``m + 1`` texts; None where `_micros` declines, and `_rows_reference`
+    formats.
+
+    No float is formatted in Python. Each value is laid out as four-byte words from the
+    tables above, the sign (from ``signbit``, so ``-0.0`` prints ``-0.000000``) first when
+    any value is negative, and the rows as one ``(n, W)`` byte matrix with the texts
+    broadcast into it. A narrow integer part is left-padded with ``_PAD``, and the pads are
+    deleted from the matrix's bytes when any was written."""
+    decimals = _micros(columns)
+    if decimals is None:
+        return None
+    whole = decimals // 10 ** 6
+    decimals -= whole * 10 ** 6
+    high = decimals // 1000
+    decimals -= high * 1000
+    negative = np.signbit(columns)
+    signed, widest = negative.any(axis=1).tolist(), whole.max(axis=1).tolist()
+    # A pad is left where a minus sign or a narrower integer part is written.
+    padded = any(signed) or any(len(str(w)) != len(str(v))
+                                for w, v in zip(widest, whole.min(axis=1).tolist()))
+    sign, top = int(any(signed)), max(widest)
+    groups = 1 + (top >= 10 ** 4) + (top >= 10 ** 8)
+    m, n = columns.shape
+    words = np.empty((m, n, sign + groups + 2), np.uint32)
+    if sign:
+        words[..., 0] = np.where(negative, _MINUS, _PADS)
+    for group in range(groups):  # the integer part, the leading group first
+        place = 10 ** (4 * (groups - 1 - group))
+        digits = whole if groups == 1 else whole // place % 10 ** 4
+        word = _LEAD[digits]
+        if group:  # zero-padded after a digit
+            word = np.where(whole >= 10 ** 4 * place, _GROUP[digits], word)
+        if place > 1:  # all pads before the number's first digit
+            word = np.where(whole >= place, word, _PADS)
+        words[..., sign + group] = word
+    words[..., -2] = _POINT[high]
+    words[..., -1] = _LAST[decimals]
+    # A column starts at its first byte that is not a pad on every row: its minus sign, or
+    # the first digit of its widest integer part.
+    field = words.view(np.uint8)
+    starts = [3 if minus else 4 * (sign + groups) - len(str(w)) for minus, w in zip(signed, widest)]
+    out = np.empty((n, sum(map(len, texts)) + m * field.shape[2] - sum(starts)), np.uint8)
+    at = 0
+    for column, text in enumerate(texts):
+        out[:, at:at + len(text)] = np.frombuffer(text, np.uint8)
+        at += len(text)
+        if column < m:
+            value = field[column, :, starts[column]:]
+            out[:, at:at + value.shape[1]] = value
+            at += value.shape[1]
+    data = out.tobytes()
+    del out, words  # copied into data
+    return data.replace(b"\xff", b"") if padded else data
+
+
+def _rows_reference(texts: list[str], columns: list[Iterable[float]], n: int) -> str:
+    """What `_fixed6` returns, by one ``%`` operation: the reference, and the path for the
+    values it declines."""
+    fmt = "%.6f,".join(text.replace("%", "%%") for text in texts)
+    return (fmt * n) % tuple(chain.from_iterable(zip(*columns)))
 
 
 @dataclass
@@ -469,8 +611,8 @@ def run_scenario(
 
 def emit_trace(rows: TraceRows, path: Union[str, Path]) -> None:
     """Write the bytes of ``"\\n".join(rows) + "\\n"`` as CSV, ``_TRACE_CHUNK`` rows to a write."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(TRACE_HEADER + "\n")
+    with open(path, "wb") as fh:
+        fh.write(TRACE_HEADER.encode() + b"\n")
         fh.writelines(rows.chunks(_TRACE_CHUNK))
 
 

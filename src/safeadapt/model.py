@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -82,14 +83,36 @@ def json_numbers(value: Any, what: str) -> dict[str, float]:
     return {name: json_number(v, name) for name, v in json_value(value, dict, what).items()}
 
 
+#: A JSON escape of a UTF-16 surrogate: the only way a lone surrogate enters decoded UTF-8 text.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89abcdefABCDEF]")
+
+
 def read_json(path: Union[str, Path]) -> Any:
-    """The JSON document in a file; bytes that are not UTF-8 JSON, or JSON nested too deeply
-    for the decoder, are a ValidationError."""
+    """The JSON document in a file; bytes that are not UTF-8 JSON, JSON nested too deeply
+    for the decoder, or a string holding a lone surrogate, which no output could encode, are
+    a ValidationError. Strings are walked only when the text escapes a surrogate."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            text = fh.read()
+            data = json.loads(text)
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ValidationError(f"{path}: {exc}") from None
+    if _SURROGATE_ESCAPE.search(text):
+        items = [data]
+        while items:
+            item = items.pop()
+            if type(item) is dict:
+                items += item
+                items += item.values()
+            elif type(item) is list:
+                items += item
+            elif type(item) is str and not item.isascii():
+                try:
+                    item.encode()
+                except UnicodeEncodeError:
+                    raise ValidationError(
+                        f"{path}: {item!r:.40} holds a lone surrogate") from None
+    return data
 
 
 def write_json(path: Union[str, Path], data: Any) -> None:

@@ -8,10 +8,14 @@ from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence, Union
 
+import numpy as np
+
 from .model import ValidationError, json_number, json_value, read_json
 
 #: Most ticks a run may take; a day at 0.1 s fits.
 MAX_RUN_TICKS = 1_000_000
+#: Ticks of a linear segment computed by one NumPy expression.
+_RAMP_BLOCK = 1024
 
 
 def _check_points(points: Sequence[tuple[float, float]], what: str, linear: bool = False) -> None:
@@ -52,9 +56,11 @@ def _ticks_before(t1: float, k: int, n: int, tick: float) -> int:
 
 def _ramp(t0: float, v0: float, t1: float, v1: float, k: int, end: int,
           tick: float) -> Iterator[float]:
-    """A linear segment's values at ticks ``k`` to ``end``."""
-    for j in range(k, end):
-        yield v0 + (j * tick - t0) / (t1 - t0) * (v1 - v0)
+    """A linear segment's values at ticks ``k`` to ``end``, ``value_at``'s expression in its
+    order, ``_RAMP_BLOCK`` ticks to a NumPy array: no list holds a long segment."""
+    return chain.from_iterable(
+        ((np.arange(a, min(a + _RAMP_BLOCK, end)) * tick - t0) / (t1 - t0) * (v1 - v0)
+         + v0).tolist() for a in range(k, end, _RAMP_BLOCK))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import copy
 import gc
 import json
+import math
 import tracemalloc
 from collections import deque
 from dataclasses import replace
@@ -358,7 +359,7 @@ def test_row_formatter_matches_the_one_string_row(tmp_path_factory, tick, block,
         assert len(store) == len(expected)
         assert list(store) == expected
         harness.emit_trace(store, path)
-        assert all(chunk.count("\n") <= 4 for chunk in store.chunks(4))
+        assert all(chunk.count(b"\n") <= 4 for chunk in store.chunks(4))
     assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
 
@@ -372,6 +373,83 @@ def test_chunked_trace_write_matches_the_one_string_write(tmp_path, monkeypatch,
         expected.append(_row(k, 1 / 3, floats, tail))
     harness.emit_trace(store, tmp_path / "trace.csv")
     assert (tmp_path / "trace.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
+# Ties of "%.6f" that a float holds exactly, and values a micro-unit's half away from one.
+_TIES = [k / 128 for k in range(-256, 257)] + [(n + 0.5) / 1e6 for n in
+                                               (0, 1, 2, 7, 12345, 999_999, 10 ** 9, 4 * 10 ** 12)]
+_NEIGHBOURS = [math.nextafter(x, direction) for x in _TIES for direction in (-math.inf, math.inf)]
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-7, 5e-7, -5e-7,
+          math.nextafter(harness._LIMIT, 0.0), -math.nextafter(harness._LIMIT, 0.0),
+          harness._LIMIT, -harness._LIMIT, math.nextafter(harness._LIMIT, math.inf),
+          7.25, 1234.5, 98765.4321, 12345678.0, 1e300]
+
+
+def _fixed6_cases(values, width):
+    """``values`` as ``n >= 1`` rows of ``width`` columns, a ``(width, n)`` array, with texts
+    that hold a comma, a percent sign and a two-byte character."""
+    n = len(values) // width
+    columns = np.array(values[:n * width], dtype=np.float64).reshape(n, width).T.copy()
+    texts = ["<", *["%s," % "é" * (column % 2) for column in range(1, width)], "%\n"]
+    return columns, texts
+
+
+_IN_RANGE = st.floats(-harness._LIMIT, harness._LIMIT, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=300)
+@given(values=st.lists(_IN_RANGE, min_size=3, max_size=60),
+       last=st.floats(allow_nan=False, allow_infinity=False), width=st.integers(1, 4))
+@example(values=_TIES, last=0.5, width=1)
+@example(values=_NEIGHBOURS, last=-0.5, width=2)
+@example(values=_EDGES, last=0.0, width=3)
+@example(values=[1.0, 9999.0, 10000.0, 99_999_999.0, 100_000_000.0], last=4.5e9, width=1)
+@example(values=[-1.5, 2.0, -0.0], last=3.0, width=2)  # a sign in some rows only
+def test_column_formatter_matches_percent_format(values, last, width):
+    # Element by element against Python's "%.6f", for any finite float: the kernel declines
+    # a piece that holds one at or past _LIMIT.
+    columns, texts = _fixed6_cases([last, *values], width)
+    got = harness._fixed6([text.encode() for text in texts], columns)
+    if not (np.abs(columns) < harness._LIMIT).all():
+        assert got is None
+        return
+    assert got.decode() == "".join(
+        texts[0] + "".join("%.6f," % x + text for x, text in zip(row, texts[1:]))
+        for row in columns.T.tolist())
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 1e300])
+def test_values_past_the_kernel_take_the_reference_path(monkeypatch, value):
+    # The kernel declines a piece with such a value; the reference formats it, and only it.
+    columns, texts = _fixed6_cases([1.5, value, -2.25, 3.0], 2)
+    assert harness._fixed6([text.encode() for text in texts], columns) is None
+    calls = []
+    reference = harness._rows_reference
+    monkeypatch.setattr(harness, "_rows_reference",
+                        lambda *args: calls.append(args) or reference(*args))
+    store = harness.TraceRows(0.1)
+    floats = [(20.0, 0.5, 60.0, 21.0 + k, 100.0 * k, 0.0, 0.0) for k in range(4)]
+    floats[2] = (20.0, 0.5, 60.0, value, 200.0, 0.0, 0.0)
+    for row in floats:
+        store.add(row, _TAILS[0])
+    store.add(floats[0], _TAILS[1])  # a second tail run, all finite: the kernel's
+    assert list(store)[1:] == [_row(k, 0.1, row, _TAILS[k == 4])
+                               for k, row in enumerate(floats + floats[:1])]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_corpus_traces_never_take_the_reference_path(monkeypatch, name):
+    # Every piece of a corpus trace is laid out by the kernel: a change that sends one back
+    # to the slow reference path fails here.
+    calls = []
+    reference = harness._rows_reference
+    monkeypatch.setattr(harness, "_rows_reference",
+                        lambda *args: calls.append(args) or reference(*args))
+    rows, _ = run_scenario(corpus_files.scenario(name), corpus_files.system(name))
+    pieces = list(rows.chunks(harness._TRACE_CHUNK))
+    assert sum(piece.count(b"\n") for piece in pieces) == len(rows) - 1
+    assert calls == []
 
 
 # Times from a small grid repeat; the rest fall anywhere in the run.
@@ -861,6 +939,30 @@ class TestCli:
         assert not (tmp_path / "report.json").exists()
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: model 'pid-gains-static' repeats option id 'opt-9'"]
+
+    # No output can encode a lone surrogate: refused at load, not after the run.
+    @pytest.mark.parametrize("part", ["system", "scenario"])
+    def test_lone_surrogate_fails_at_load(self, tmp_path, capsys, monkeypatch, part):
+        paths = {"system": CORPUS_DIR / "type1_system.json",
+                 "scenario": CORPUS_DIR / "type1_scenario.json"}
+        document = json.loads(paths[part].read_text())
+        if part == "system":
+            document["safety_case_path"] = str(CORPUS_DIR / "type1_case.json")
+            document["adaptation_models"][0]["options"][0]["id"] = "opt-\ud800"
+        else:
+            document["id"] = "narrative-\udfff"
+        paths[part] = tmp_path / f"{part}.json"
+        paths[part].write_text(json.dumps(document))  # written as the escape \\ud800
+        monkeypatch.setattr(cli, "run_scenario", lambda *a: pytest.fail("the run started"))
+        code = main(["simulate", "--scenario", str(paths["scenario"]),
+                     "--system", str(paths["system"]), "--out", str(tmp_path / "trace.csv"),
+                     "--report", str(tmp_path / "report.json")])
+        assert code == 2
+        assert not (tmp_path / "trace.csv").exists()
+        assert not (tmp_path / "report.json").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "lone surrogate" in err[0]
 
     def test_malformed_option_domain_fails_at_load(self, tmp_path, capsys):
         system = json.loads((CORPUS_DIR / "type2_system.json").read_text())

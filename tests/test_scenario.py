@@ -5,9 +5,10 @@ cursors ``Trace.values`` and ``Scenario.setpoints`` that a run reads must
 yield exactly ``reference(k * tick)`` for every tick ``k``.
 """
 import math
+import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from safeadapt.model import ValidationError
@@ -122,6 +123,21 @@ def test_trace_cursor_equals_value_at(data, tick, interp, n):
     # A run builds its samples unchecked: a trace of non-negative rates yields none below 0.
     rates = Trace(tuple((t, abs(v)) for t, v in trace.points), interp)
     assert min(rates.values(n, tick), default=0.0) >= 0.0
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+@settings(max_examples=50)
+@given(tick=TICKS, t0=st.floats(-20.0, 20.0), span=st.floats(1.0, 600.0),
+       v0=VALUES, v1=VALUES, n=st.integers(0, 7000))
+@example(tick=0.1, t0=-0.05, span=300.0, v0=-3.3, v1=97.1, n=3100)  # three blocks, then hold
+def test_long_linear_segment_equals_value_at_bit_for_bit(tick, t0, span, v0, v1, n):
+    # A segment reads up to _RAMP_BLOCK ticks to a NumPy expression; the bits, -0.0 included,
+    # are value_at's at every tick, across block edges.
+    trace = Trace(((t0, v0), (t0 + span, v1), (t0 + span, -0.0)), "linear")
+    assert _bits(trace.values(n, tick)) == _bits(trace.value_at(k * tick) for k in range(n))
 
 
 @settings(max_examples=300)
