@@ -27,6 +27,22 @@ integer part is left-padded with ``0xFF``, a byte UTF-8 never holds, and the
 pads are deleted from the piece's bytes. A piece holding a non-finite value
 or one at or past ``2**52 / 1e6`` goes through the ``%`` operator instead,
 `_rows_reference`, which the property tests also use as the reference.
+
+Between events a managed plant often chatters with period 2, and the loop then advances to
+the next event instead of stepping (next-event time advance). It steps ``_SPAN`` ticks, marks
+the state after tick ``k - 2`` and steps two more. The state is all that tick ``k + 1`` reads
+besides its inputs and ``t``: the plant tuple, the previous outflow, the guard and PID
+states, the PID gains, net and case (by identity), the validity, the active option, each SPI
+window's count, the lengths of the decision log and validity timeline, and the goal tracker
+at rest. When the state after ``k`` equals the mark, every later tick repeats the one two
+before it until a horizon, the earliest of: the next input segment start, the first tick at
+or past the next manual trigger or (Type II) plan time, the tick a watched evidence item is
+stale, the tick that evicts an SPI window's oldest 1, and the run's end. The run then appends
+the last two rows an even number of times up to the horizon (`TraceRows.repeat_pair`), the
+samples the history ring would keep, their outflows alternating between the two phases, and
+clear pushes to each SPI window, advances the input iterator, and resumes stepping at the
+horizon. It never skips while a rise event is open (its elapsed time reads ``t``), while
+either phase's outflow reaches a window's threshold, or inside a linear input segment.
 """
 from __future__ import annotations
 
@@ -35,7 +51,8 @@ import struct
 from array import array
 from collections import deque
 from dataclasses import asdict, dataclass, field, replace
-from itertools import chain
+from itertools import chain, islice
+from operator import is_
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Optional, Union
 
@@ -77,9 +94,9 @@ from .model import (
     write_json,
 )
 from .plant import GuardState, PlantParams, PlantState, guard_step, hazard_update, plant_step
-from .scenario import Scenario
+from .scenario import Scenario, ticks_before
 # Unused here (`spi_update` returns the breach); perfbench's tracer needs every binding it wraps.
-from .spi import SpiWindow, spi_breached, spi_update
+from .spi import SpiWindow, spi_breached, spi_evicts_in, spi_push_clear, spi_update
 
 #: Planner cadence and damping, s.
 TYPE2_PLAN_INTERVAL = 10.0
@@ -88,6 +105,7 @@ TYPE3_ASSESS_COOLDOWN = 120.0
 
 _GOAL_VIOLATION = AdaptationTrigger("goal-violation")
 _TRACE_CHUNK = 1024  # rows formatted per write: a run's trace is never held as one string
+_SPAN = 256  # ticks stepped between two cycle checks
 
 
 @dataclass
@@ -211,6 +229,27 @@ class TraceRows:
             self._tail = tail
             self._starts.append(len(self) - 2)  # this tick's index; len counts the header
             self._tails.append(tail)
+
+    def repeat_pair(self, n: int) -> None:
+        """Append the last two rows ``n`` more times, as ``2 * n`` calls of `add` would: a block
+        at a time, from a view of one block-sized run of the pair."""
+        last = len(self) - 1  # the next row's index
+        pair = b"".join(self._blocks[i // _BLOCK][_FLOATS * (i % _BLOCK):
+                                                   _FLOATS * (i % _BLOCK + 1)].tobytes()
+                        for i in (last - 2, last - 1))
+        pattern, row, phase = memoryview(pair * (_BLOCK // 2 + 1)), len(pair) // 2, 0
+        left = 2 * n
+        while left:
+            block = self._block
+            if len(block) == _FLOATS * _BLOCK:
+                block = self._block = array("d")
+                self._blocks.append(block)
+            take = min(left, _BLOCK - len(block) // _FLOATS)
+            block.frombytes(pattern[row * phase:row * (phase + take)])
+            phase, left = (phase + take) % 2, left - take
+        if self._starts[-1] == last - 1:  # the pair's tails differ: each row opens a run
+            self._starts.extend(range(last, last + 2 * n))
+            self._tails.extend(self._tails[-2:] * n)
 
     def __len__(self) -> int:
         return 1 + _BLOCK * (len(self._blocks) - 1) + len(self._block) // _FLOATS
@@ -502,96 +541,142 @@ def run_scenario(
     append_sample, append_row, max_power = repo.sample_history.append, rows.add, plant.max_power
     observe, take_violation = tracker.observe, tracker.take_violation
 
-    for k, setpoint, inflow_temp, inflow_rate in scenario.inputs():
-        t = k * tick
+    inputs, held_until, history = scenario.inputs(), scenario.held_until(), repo.sample_history
+    k, span, mark = -1, _SPAN, None
+    while k + 1 < ticks:
+        for k, setpoint, inflow_temp, inflow_rate in islice(inputs, span):
+            t = k * tick
 
-        # sense: load checks and Trace keep t, inflow_rate >= 0 (test_scenario's rate property)
-        sample = (t, inflow_temp, inflow_rate, setpoint, outflow_temp)  # EnvironmentSample order
-        append_sample(sample)
-        observe(t, setpoint, outflow_temp)
+            # sense: load checks and Trace keep t, inflow_rate >= 0 (test_scenario's rate
+            # property); the sample is in EnvironmentSample order
+            sample = (t, inflow_temp, inflow_rate, setpoint, outflow_temp)
+            append_sample(sample)
+            observe(t, setpoint, outflow_temp)
 
-        # guard (observes the previous tick's outflow: one-tick latency)
-        was_tripped = tripped
-        guard = guard_step(guard, state)
-        tripped = guard[1]  # a tripped guard closes the valve and zeroes the power
-        if tripped and not was_tripped:
-            report.guard_trips += 1
-        if tripped and valve_open:
-            state = (state[0], False, *state[2:])
+            # guard (observes the previous tick's outflow: one-tick latency)
+            was_tripped = tripped
+            guard = guard_step(guard, state)
+            tripped = guard[1]  # a tripped guard closes the valve and zeroes the power
+            if tripped and not was_tripped:
+                report.guard_trips += 1
+            if tripped and valve_open:
+                state = (state[0], False, *state[2:])
 
-        # control
-        temp_rate = (outflow_temp - prev_temp) / tick
-        if use_pid:
-            power, pid_state = pid_compute(
-                pid, pid_state, setpoint, outflow_temp, tick, max_power,
-            )
-        else:
-            power = net_compute(
-                repo.active_net,
-                (setpoint, outflow_temp, inflow_temp, inflow_rate, temp_rate),
-                max_power,
-            )
-        if tripped:
-            power = 0.0
+            # control
+            temp_rate = (outflow_temp - prev_temp) / tick
+            if use_pid:
+                power, pid_state = pid_compute(
+                    pid, pid_state, setpoint, outflow_temp, tick, max_power,
+                )
+            else:
+                power = net_compute(
+                    repo.active_net,
+                    (setpoint, outflow_temp, inflow_temp, inflow_rate, temp_rate),
+                    max_power,
+                )
+            if tripped:
+                power = 0.0
 
-        # plant + hazard
-        prev_temp = outflow_temp
-        state = plant_step(state, plant, sample, power)
-        state = hazard_update(state, plant)
-        outflow_temp, valve_open, hazard_accum, hazard_count, _ = state
+            # plant + hazard
+            prev_temp = outflow_temp
+            state = plant_step(state, plant, sample, power)
+            state = hazard_update(state, plant)
+            outflow_temp, valve_open, hazard_accum, hazard_count, _ = state
 
-        # SPI: every window takes the tick before a breach is acted on
-        breached = False
+            # SPI: every window takes the tick before a breach is acted on
+            breached = False
+            for window in spi_windows:
+                breached = spi_update(window, outflow_temp) or breached
+
+            # MAPE: fail-safe preempts any planned adaptation this tick
+            if breached:
+                report.decisions.append(fail_safe(repo, model_id, t).to_dict())
+                pid, pid_state = PidConfig.from_configuration(repo.current_config), PidState()
+                report.spi_breaches += 1
+            else:
+                while t >= next_manual:
+                    apply_decision(plan(AdaptationTrigger("manual", manual_option), t), t)
+                    next_manual, manual_option = next(manual_triggers)
+
+                # Only Type I and Type III take the violation edge, each on every such tick.
+                if (type_id == "TI" and take_violation()
+                        and t - last_adaptation_time >= ADAPTATION_COOLDOWN):
+                    apply_decision(plan(_GOAL_VIOLATION, t), t)
+                elif type_id == "TII" and t >= next_type2_plan:
+                    next_type2_plan = t + TYPE2_PLAN_INTERVAL
+                    if t - last_adaptation_time >= ADAPTATION_COOLDOWN:
+                        decision = plan(_GOAL_VIOLATION, t)
+                        if decision.applied:
+                            apply_decision(decision, t)
+                elif (
+                    type_id == "TIII" and take_violation() and suite is not None
+                    and t - last_assessment_time >= TYPE3_ASSESS_COOLDOWN
+                ):
+                    last_assessment_time = t
+                    apply_decision(plan(_GOAL_VIOLATION, t), t)
+
+            # trace: the root's validity is evaluated when the case changes and at an expiry;
+            # between those it changes only with the bounds it rests on (see watch_root)
+            case = repo.safety_case
+            if case is not watched or k == stale_at:
+                watched, valid = case, case.root not in evaluate_validity(case, t, repo)
+                bounds, stale_at = watch_root(case, k, tick, ticks)
+            elif bounds:
+                valid = True
+                for index, low, high in bounds:
+                    if not low <= sample[index] <= high:
+                        valid = False
+                        break
+            revision = case.revision
+            if valid != last_valid or revision != last_revision:
+                last_valid, last_revision = valid, revision
+                report.case_validity_timeline.append(
+                    {"time": t, "revision": revision, "valid": valid})
+            spi_near = spi_windows[0].accumulated() if spi_windows else 0.0
+            append_row((inflow_temp, inflow_rate, setpoint, outflow_temp, power, hazard_accum,
+                        spi_near), (valve_open, repo.active_option_id, hazard_count, tripped,
+                                    revision, valid))
+
+        # Next-event advance: a span of _SPAN ticks marks the state, two more compare it.
+        if span == 2 and state != mark[1][0]:  # the plant tuple first, the rest on a match
+            span = _SPAN
+            continue
+        # All tick k + 1 reads but its inputs and t: objects, then values.
+        now = (pid, repo.active_net, repo.safety_case), (
+            state, prev_temp, guard, pid_state, valid, repo.active_option_id,
+            len(report.decisions), len(report.case_validity_timeline), tracker.at_rest(),
+            [w.true_count for w in spi_windows])
+        if span == _SPAN:
+            span, mark = 2, now
+            continue
+        span = _SPAN
+        # Objects by identity; values by repr, whose floats are exact and tell -0.0 from 0.0.
+        if (not all(map(is_, now[0], mark[0])) or repr(now[1]) != repr(mark[1])
+                or tracker.at_rest() is None
+                or any(max(outflow_temp, prev_temp) >= w.temp_threshold for w in spi_windows)):
+            continue
+        # Ticks k - 1 and k repeat k - 3 and k - 2, and so does each later pair until an
+        # event: the first tick whose inputs change, that may fire a trigger or plan, whose
+        # evidence expires, or that evicts an SPI window's oldest 1.
+        horizon = min(
+            held_until(k - 1),
+            ticks_before(next_manual, k + 1, ticks, tick),
+            ticks_before(next_type2_plan, k + 1, ticks, tick) if type_id == "TII" else ticks,
+            stale_at if stale_at > k else ticks,
+            *(k + spi_evicts_in(w) for w in spi_windows),
+        )
+        m = (horizon - k - 1) // 2 * 2
+        if m <= 0:
+            continue
+        rows.repeat_pair(m // 2)
+        # Each sample's outflow is the tick before's: the phases alternate.
+        history.extend((j * tick, inflow_temp, inflow_rate, setpoint,
+                        outflow_temp if (j - k) % 2 else prev_temp)
+                       for j in range(max(k + 1, k + m + 1 - history.maxlen), k + m + 1))
         for window in spi_windows:
-            breached = spi_update(window, outflow_temp) or breached
-
-        # MAPE: fail-safe preempts any planned adaptation this tick
-        if breached:
-            report.decisions.append(fail_safe(repo, model_id, t).to_dict())
-            pid, pid_state = PidConfig.from_configuration(repo.current_config), PidState()
-            report.spi_breaches += 1
-        else:
-            while t >= next_manual:
-                apply_decision(plan(AdaptationTrigger("manual", manual_option), t), t)
-                next_manual, manual_option = next(manual_triggers)
-
-            # Only Type I and Type III take the violation edge, each on every such tick.
-            if (type_id == "TI" and take_violation()
-                    and t - last_adaptation_time >= ADAPTATION_COOLDOWN):
-                apply_decision(plan(_GOAL_VIOLATION, t), t)
-            elif type_id == "TII" and t >= next_type2_plan:
-                next_type2_plan = t + TYPE2_PLAN_INTERVAL
-                if t - last_adaptation_time >= ADAPTATION_COOLDOWN:
-                    decision = plan(_GOAL_VIOLATION, t)
-                    if decision.applied:
-                        apply_decision(decision, t)
-            elif (
-                type_id == "TIII" and take_violation() and suite is not None
-                and t - last_assessment_time >= TYPE3_ASSESS_COOLDOWN
-            ):
-                last_assessment_time = t
-                apply_decision(plan(_GOAL_VIOLATION, t), t)
-
-        # trace: the root's validity is evaluated when the case changes and at an expiry;
-        # between those it changes only with the bounds it rests on (see watch_root)
-        case = repo.safety_case
-        if case is not watched or k == stale_at:
-            watched, valid = case, case.root not in evaluate_validity(case, t, repo)
-            bounds, stale_at = watch_root(case, k, tick, ticks)
-        elif bounds:
-            valid = True
-            for index, low, high in bounds:
-                if not low <= sample[index] <= high:
-                    valid = False
-                    break
-        revision = case.revision
-        if valid != last_valid or revision != last_revision:
-            last_valid, last_revision = valid, revision
-            report.case_validity_timeline.append({"time": t, "revision": revision, "valid": valid})
-        spi_near = spi_windows[0].accumulated() if spi_windows else 0.0
-        append_row((inflow_temp, inflow_rate, setpoint, outflow_temp, power, hazard_accum,
-                    spi_near), (valve_open, repo.active_option_id, hazard_count, tripped,
-                                revision, valid))
+            spi_push_clear(window, m)
+        next(islice(inputs, m, m), None)
+        k += m
 
     report.hazard_count = state[3]
     report.rise_times = [dict(e) for e in tracker.events]

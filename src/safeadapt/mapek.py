@@ -108,6 +108,14 @@ class GoalTracker:
             event["violation"] = True
             self._violations_seen += 1
 
+    def at_rest(self) -> Optional[tuple[Optional[float], int]]:
+        """What `observe` and `take_violation` would read, when a held setpoint can change
+        none of it: the last setpoint and the violations not yet taken. None while a rise
+        event is open, whose elapsed time reads the clock."""
+        if self._open is not None:
+            return None
+        return self._prev_setpoint, self._violations_seen - self._violations_taken
+
     def take_violation(self) -> bool:
         """True once per newly observed violation (planner trigger edge)."""
         if self._violations_seen > self._violations_taken:

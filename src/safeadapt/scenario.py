@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -43,7 +45,7 @@ def _pairs(points: Any, what: str, second: Callable[[Any, str], Any] = json_numb
         raise ValidationError(f"{what}s must be [time, value] lists in the float range") from None
 
 
-def _ticks_before(t1: float, k: int, n: int, tick: float) -> int:
+def ticks_before(t1: float, k: int, n: int, tick: float) -> int:
     """The first ``j`` in ``k..n`` with ``j * tick >= t1``, else ``n``; ``j * tick`` never falls."""
     q = t1 / tick  # a guess from the quotient, corrected by the exact test
     end = n if q >= n else k if q <= k else math.ceil(q)
@@ -97,18 +99,21 @@ class Trace:
                 return v0 + frac * (v1 - v0)
         return points[-1][1]
 
-    def values(self, n: int, tick: float) -> Iterator[float]:
-        """``value_at(k * tick)`` for ``k in range(n)``, read forward (tick > 0): one iterator
-        a segment, a held value repeated by ``itertools.repeat``."""
-        hold, k, segments = self.interp == "hold", 0, []
+    def segments(self, n: int, tick: float) -> Iterator[tuple[int, Iterator[float]]]:
+        """Each segment's first tick and values over ``range(n)``, in order, read forward
+        (tick > 0): a held value is an ``itertools.repeat``, a ramp a `_ramp`."""
+        hold, k = self.interp == "hold", 0
         # The first point paired with itself: its value holds until its time.
         for (t0, v0), (t1, v1) in zip(self.points[:1] + self.points, self.points):
-            end = _ticks_before(t1, k, n, tick)
-            segments.append(repeat(v0, end - k) if hold or t0 == t1 else
-                            _ramp(t0, v0, t1, v1, k, end, tick))
+            end = ticks_before(t1, k, n, tick)
+            yield k, (repeat(v0, end - k) if hold or t0 == t1 else
+                      _ramp(t0, v0, t1, v1, k, end, tick))
             k = end
-        segments.append(repeat(self.points[-1][1], n - k))
-        return chain.from_iterable(segments)
+        yield k, repeat(self.points[-1][1], n - k)
+
+    def values(self, n: int, tick: float) -> Iterator[float]:
+        """``value_at(k * tick)`` for ``k in range(n)``: the segments' values chained."""
+        return chain.from_iterable(values for _, values in self.segments(n, tick))
 
     @classmethod
     def from_dict(cls, data: Any, what: str = "trace point") -> "Trace":
@@ -176,6 +181,30 @@ class Scenario:
         n, tick = self.ticks(), self.tick
         return zip(range(n), self.setpoints(n, tick), self.inflow_temp_trace.values(n, tick),
                    self.inflow_rate_trace.values(n, tick))
+
+    def held_until(self) -> Callable[[int], int]:
+        """A map from tick ``k`` to the end of the run of ticks from ``k`` on at which
+        `inputs` yields ``k``'s values: the next segment start of any of the three traces, or
+        ``k`` itself where a trace ramps at ``k``. Built once, in O(segments), from the same
+        segments `inputs` reads."""
+        n, tick = self.ticks(), self.tick
+        ramping = Counter({n: 0})  # segment start -> change in the number of traces ramping
+        for trace in (self.setpoint_trace, self.inflow_temp_trace, self.inflow_rate_trace):
+            segments = list(trace.segments(n, tick))
+            for (k, values), (end, _) in zip(segments, [*segments[1:], (n, None)]):
+                if k < end:  # an empty segment yields nothing
+                    ramp = not isinstance(values, repeat)
+                    ramping[k] += ramp
+                    ramping[end] -= ramp
+        starts, held, depth = sorted(ramping), [], 0
+        for k in starts:
+            depth += ramping[k]
+            held.append(depth == 0)
+
+        def until(k: int) -> int:
+            i = bisect_right(starts, k)
+            return starts[i] if held[i - 1] else k
+        return until
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":

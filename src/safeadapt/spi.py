@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -22,9 +21,11 @@ class SpiWindow:
     """Windowed duration for which a state predicate held.
 
     The predicate is a temperature threshold test on the outflow
-    (inclusive, >=). The ring holds one boolean per tick, sized at
-    construction; a run binds its own copy with ``replace(w, tick=...)``.
-    A running count keeps updates O(1).
+    (inclusive, >=). The ring holds one byte per tick, 0 or 1: it grows by
+    appending until it holds ``capacity`` ticks (the window over the tick),
+    then is overwritten in place from ``head``, its oldest byte, so a window
+    far longer than any run costs only the ticks it has seen. A run binds its
+    own copy with ``replace(w, tick=...)``. A running count keeps updates O(1).
     """
 
     id: str = "near-limit"
@@ -32,7 +33,9 @@ class SpiWindow:
     window: float = 3600.0  # s
     threshold: float = 60.0  # s
     tick: float = 0.1  # s
-    ring: deque = field(init=False, repr=False)
+    ring: bytearray = field(init=False, repr=False)
+    capacity: int = field(init=False, repr=False)
+    head: int = field(init=False, default=0, repr=False)
     true_count: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
@@ -47,7 +50,7 @@ class SpiWindow:
         ticks = self.window / self.tick
         if not ticks < sys.maxsize:
             raise ValidationError(f"SPI window {self.window} spans too many ticks of {self.tick}")
-        self.ring = deque(maxlen=max(1, int(round(ticks))))
+        self.ring, self.capacity = bytearray(), max(1, int(round(ticks)))
 
     def accumulated(self) -> float:
         """Duration (s) for which the predicate held within the window."""
@@ -63,12 +66,15 @@ class SpiWindow:
 
 def spi_update(w: SpiWindow, outflow_temp: float) -> bool:
     """Push one tick's predicate result, evicting past the window; return ``spi_breached(w)``."""
-    ring = w.ring
-    if len(ring) == ring.maxlen:
-        w.true_count -= ring[0]
+    ring, head = w.ring, w.head
     flag = 1 if outflow_temp >= w.temp_threshold else 0
-    ring.append(flag)
-    w.true_count = true_count = w.true_count + flag
+    if len(ring) < w.capacity:
+        ring.append(flag)
+        w.true_count = true_count = w.true_count + flag
+    else:
+        w.true_count = true_count = w.true_count + flag - ring[head]
+        ring[head] = flag
+        w.head = head + 1 if head + 1 < len(ring) else 0
     return true_count * w.tick > w.threshold + _EPS
 
 
@@ -81,4 +87,25 @@ def spi_breached(w: SpiWindow) -> bool:
 def spi_reset(w: SpiWindow) -> None:
     """Zero the accumulator, e.g. after an adaptation's reset-spi step."""
     w.ring.clear()
-    w.true_count = 0
+    w.head = w.true_count = 0
+
+
+def spi_evicts_in(w: SpiWindow) -> float:
+    """How many pushes from now the oldest 1 leaves the ring (``inf`` if it holds none): the
+    pushes that fill the ring, then one per byte up to and including that 1."""
+    if not w.true_count:
+        return math.inf
+    ring, head = w.ring, w.head
+    at = ring.find(1, head)
+    older = at - head if at >= 0 else len(ring) - head + ring.find(1)
+    return w.capacity - len(ring) + older + 1
+
+
+def spi_push_clear(w: SpiWindow, n: int) -> None:
+    """Push ``n`` ticks below the threshold, as ``n`` calls of `spi_update` would, when none of
+    them evicts a 1 (``n < spi_evicts_in(w)``): the count holds, and the bytes a push would
+    overwrite already read 0, so only the ring's length and ``head`` move."""
+    ring = w.ring
+    grow = min(n, w.capacity - len(ring))
+    ring.extend(bytes(grow))
+    w.head = (w.head + n - grow) % len(ring) if ring else 0

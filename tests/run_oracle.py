@@ -5,8 +5,8 @@ builds each record with its constructor, reads each tick's inputs with
 `Trace.value_at` and `Scenario.setpoint_at`, keeps the whole sample history,
 decides the case's validity with `support_map`, computes the network's power
 with the memo-free `matmul_net`, and formats each row with the one-string `ROW`.
-The property in `test_harness.py` compares its bytes and report with the
-program's.
+The properties in `test_harness.py` compare its bytes, report and end state
+with the program's.
 """
 from collections import deque
 from dataclasses import replace
@@ -44,8 +44,12 @@ ROW = "%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%d,%s,%.6f,%s,%d,%.6f,%s,%d"
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def reference_run(scenario, system):
-    """The CSV bytes and the report of one run, as `emit_trace` and `run_scenario` give them."""
+def reference_run(scenario, system, end=None):
+    """The CSV bytes and the report of one run, as `emit_trace` and `run_scenario` give them.
+
+    A dict passed as ``end`` receives the run's end state: its whole sample history as
+    plain tuples (``history``), its SPI windows (``spi_windows``) and its goal tracker
+    (``tracker``)."""
     tick, ticks = scenario.tick, scenario.ticks()
     plant = replace(system.plant, tick=tick)
     model = system.models[0] if system.models else None
@@ -190,4 +194,7 @@ def reference_run(scenario, system):
             not any(h in failed for h in activated) if type_id == "TIII" else None
         ),
     }
+    if end is not None:
+        end.update(history=[tuple(sample) for sample in repo.sample_history],
+                   spi_windows=repo.spi_windows, tracker=tracker)
     return ("\n".join(rows) + "\n").encode(), report

@@ -1,5 +1,6 @@
 import copy
 import gc
+import itertools
 import json
 import math
 import tracemalloc
@@ -20,7 +21,7 @@ from safeadapt.harness import (
     load_system,
     run_scenario,
 )
-from safeadapt.model import SystemConfiguration
+from safeadapt.model import KnowledgeRepository, SystemConfiguration
 from safeadapt.plant import PlantParams
 from safeadapt.scenario import Scenario, Trace
 from safeadapt.spi import SpiWindow
@@ -28,6 +29,7 @@ from run_oracle import ROW as _ROW, reference_run
 from validity_oracle import support_map, unsupported
 import corpus_files
 from corpus_files import CORPUS_DIR, NAMES
+from test_golden import GOLDEN, _sha256
 
 
 def _bare_system(**overrides):
@@ -50,6 +52,11 @@ def _flat_scenario(duration, setpoint=20.0, inflow_temp=20.0, initial=20.0):
         inflow_rate_trace=Trace(((0.0, 0.1),)),
         initial_tank_temp=initial,
     )
+
+
+#: The corpus inflow temperature as a linear segment over the first hour: the same values,
+#: but a ramp, inside which the loop steps every tick.
+_FLAT_RAMP = Trace(((0.0, 10.0), (3600.0, 10.0)), "linear")
 
 
 def _with(case, table, key, field, value):
@@ -221,12 +228,26 @@ class TestRunScenario:
         new_repo, evaluate = harness.KnowledgeRepository, assurance.evaluate_validity
 
         class CheckedRows(harness.TraceRows):
+            def __init__(self, tick):
+                super().__init__(tick)
+                self.added = []
+
             def add(self, floats, tail):
-                repo, t = repos[-1], (len(self) - 1) * scenario.tick
+                self.check(len(self) - 1, tail)
+                self.added.append(tail)
+                super().add(floats, tail)
+
+            def repeat_pair(self, n):  # a skipped tick repeats the tail of the tick two before
+                first = len(self) - 1
+                for k in range(first, first + 2 * n):
+                    self.check(k, self.added[-2 + (k - first) % 2])
+                super().repeat_pair(n)
+
+            def check(self, k, tail):
+                repo, t = repos[-1], k * scenario.tick
                 case = repo.safety_case
                 assert tail[-2:] == (case.revision, support_map(case, t, repo)[case.root])
                 entries.add(tail[-2:])
-                super().add(floats, tail)
 
         def checked(case, now, repo):
             failing = evaluate(case, now, repo)
@@ -282,6 +303,8 @@ class TestRunScenario:
     def test_most_type3_ticks_skip_the_forward_pass(self, monkeypatch):
         # The controlled plant chatters with period 2: most calls repeat the inputs of the
         # call two before. np.array runs once a pass, and once a spec when its layers are built.
+        # The inflow is a flat linear segment (10 degC at both ends, the corpus value), inside
+        # which no tick is skipped, so the loop calls the controller on every tick.
         counts = {"calls": 0, "arrays": 0}
 
         class CountingNumpy:
@@ -299,7 +322,8 @@ class TestRunScenario:
         monkeypatch.setattr(controller, "np", CountingNumpy())
         monkeypatch.setattr(harness, "net_compute", counted_net_compute)
         monkeypatch.setattr(mapek, "net_compute", counted_net_compute)
-        run_scenario(replace(corpus_files.scenario("type3"), duration=300.0),
+        run_scenario(replace(corpus_files.scenario("type3"), duration=300.0,
+                             inflow_temp_trace=_FLAT_RAMP),
                      corpus_files.system("type3"))
         assert counts["calls"] >= 3000
         assert counts["arrays"] <= 0.15 * counts["calls"]
@@ -361,6 +385,27 @@ def test_row_formatter_matches_the_one_string_row(tmp_path_factory, tick, block,
         harness.emit_trace(store, path)
         assert all(chunk.count(b"\n") <= 4 for chunk in store.chunks(4))
     assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
+@settings(max_examples=200)
+@given(block=st.sampled_from([3, 5, harness._BLOCK]),
+       tails=st.lists(_row_tail, min_size=1, max_size=3),
+       rows=st.lists(st.tuples(_row_floats, st.integers(0, 2)), min_size=2, max_size=12),
+       n=st.integers(0, 8))
+@example(block=3, tails=_TAILS, rows=[(_FLOATS, 0), (_FLOATS, 1)], n=5)  # a tail run a row
+def test_repeated_pair_equals_adding_it_again(block, tails, rows, n):
+    # The same bits, tail runs and rows as 2 * n calls of add, across block edges.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_BLOCK", block)
+        repeated, added = harness.TraceRows(0.1), harness.TraceRows(0.1)
+        for floats, pick in rows + rows[-2:] * n:
+            added.add(floats, tails[pick % len(tails)])
+        for floats, pick in rows:
+            repeated.add(floats, tails[pick % len(tails)])
+        repeated.repeat_pair(n)
+        assert ([b.tobytes() for b in repeated._blocks], list(repeated._starts),
+                repeated._tails, list(repeated)) == (
+            [b.tobytes() for b in added._blocks], list(added._starts), added._tails, list(added))
 
 
 @pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 9])  # around a chunk of 4 rows
@@ -594,6 +639,242 @@ def test_an_expiry_mid_run_matches_the_reference_run(tmp_path):
     assert ((tmp_path / "run.csv").read_bytes(), report) == reference_run(scenario, system)
     assert [(e["time"], e["valid"]) for e in report.case_validity_timeline] == [
         (0.0, True), (3 * 0.1, False)]
+
+
+def _stepped(monkeypatch):
+    """The ticks whose plant the run loop steps, recorded as the runs go."""
+    ticks, step = [], harness.plant_step
+    monkeypatch.setattr(harness, "plant_step", lambda state, plant, sample, power: (
+        ticks.append(sample[0]) or step(state, plant, sample, power)))
+    return ticks
+
+
+def _cycling(name):
+    """A corpus system whose held-input runs settle into a two-tick cycle. Type I and Type II
+    take type0's saturating P gains, which hold the tank still once the guard trips."""
+    system = corpus_files.system(name)
+    if name in ("type1", "type2"):
+        system = replace(system, initial_config=corpus_files.system("type0").initial_config)
+    return system
+
+
+def _expiring(case, freshness):
+    """``case`` with a runtime-evidence solution under its root that is stale after
+    ``freshness`` s."""
+    item = EvidenceItem("E-fresh", "runtime-observation", "pass", freshness=freshness)
+    root = case.nodes[case.root]
+    return SafetyCase(
+        nodes={**case.nodes, case.root: replace(root, children=[*root.children, "S-fresh"]),
+               "S-fresh": CaseNode("S-fresh", "solution", evidence=["E-fresh"])},
+        root=case.root, evidence={**case.evidence, "E-fresh": item})
+
+
+def _held(setpoints=((0.0, 60.0),), inflow_temp=((0.0, 10.0),), inflow_rate=0.01, initial=50.0,
+          manual=(), duration=200.0, tick=0.1, guard=True, interp="hold"):
+    return Scenario("held", duration, setpoints, Trace(inflow_temp, interp),
+                    Trace(((0.0, inflow_rate),)), tick=tick, guard_enabled=guard,
+                    initial_tank_temp=initial, manual_triggers=manual)
+
+
+def _end_state(history, windows, tracker):
+    """What a run leaves behind, floats exact: its samples, its SPI rings and its tracker."""
+    return (repr([tuple(sample) for sample in history]),
+            [(bytes(w.ring), w.head, w.true_count) for w in windows], repr(vars(tracker)))
+
+
+def _run_and_reference(monkeypatch, scenario, system, path):
+    """The run's CSV bytes, report and end state, and the reference run's."""
+    kept = {}
+    monkeypatch.setattr(harness, "KnowledgeRepository",
+                        lambda **fields: kept.setdefault("repo", KnowledgeRepository(**fields)))
+    monkeypatch.setattr(harness, "GoalTracker",
+                        lambda goal: kept.setdefault("tracker", mapek.GoalTracker(goal)))
+    rows, report = run_scenario(scenario, system)
+    harness.emit_trace(rows, path)
+    ring = kept["repo"].sample_history
+    end = {}
+    expected = reference_run(scenario, system, end)
+    return ((path.read_bytes(), report,
+             _end_state(ring, kept["repo"].spi_windows, kept["tracker"])),
+            (*expected, _end_state(end["history"][-ring.maxlen:], end["spi_windows"],
+                                   end["tracker"])))
+
+
+#: (Setpoint, initial tank temperature) pairs from which each corpus system cycles within a
+#: few hundred ticks of held inputs: type3's net chatters, and the P gains trip the guard.
+_CYCLING_STARTS = {"type3": [(60.0, 50.0), (80.0, 50.0), (80.0, 88.0), (85.0, 88.0)]}
+
+
+@st.composite
+def _cycling_scenarios(draw, name, option_ids):
+    """Held inputs that settle into a cycle, with events at any time: input steps, manual
+    triggers and, now and then, a guard that is off."""
+    time = st.floats(20.0, 200.0)
+    setpoint, initial = draw(st.sampled_from(_CYCLING_STARTS.get(name, [(95.0, 88.0)])))
+    setpoints, inflow_temp = [(0.0, setpoint)], [(0.0, 10.0)]
+    step = draw(st.sampled_from(["none", "setpoint", "inflow_temp"]))
+    if step == "setpoint":
+        setpoints.append((draw(time), draw(st.sampled_from([50.0, 70.0, 95.0]))))
+    elif step == "inflow_temp":
+        inflow_temp.append((draw(time), draw(st.sampled_from([5.0, 30.0, 99.0]))))
+    return _held(
+        tuple(setpoints), tuple(inflow_temp), draw(st.sampled_from([0.01, 0.02])), initial,
+        tuple(draw(st.lists(st.tuples(time, st.sampled_from([*option_ids, "opt-99"])),
+                            max_size=2))),
+        duration=draw(st.floats(60.0, 200.0)), tick=draw(st.sampled_from([0.1, 0.1, 0.2])),
+        guard=draw(st.sampled_from([True, True, True, False])))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_cycling_runs_match_the_reference_run(tmp_path, monkeypatch, name):
+    # Held inputs, where the loop skips the ticks of a two-tick cycle, with an event from each
+    # of the horizon's sources at a time the run may be skipping through: an input step, a
+    # manual trigger, a validity expiry, Type II's plan ticks, a guard trip and, on type3, a
+    # short SPI window whose 1s leave it mid-run. Bytes, report and end state must match.
+    base = _cycling(name)
+    option_ids = [o.id for o in base.models[0].options or ()]
+
+    @settings(max_examples=20, deadline=None)
+    @given(_cycling_scenarios(name, option_ids), st.one_of(st.none(), st.floats(20.0, 200.0)),
+           st.one_of(st.none(), st.tuples(st.floats(5.0, 150.0), st.floats(0.05, 1.0))))
+    @example(_held(((0.0, 95.0),), initial=88.0), 150.0, None)
+    @example(_held(((0.0, 80.0),), initial=88.0), None, (100.0, 1.0))
+    def check(scenario, freshness, spi):
+        system = base
+        if freshness is not None:
+            system = replace(system, safety_case=_expiring(system.safety_case, freshness))
+        if spi is not None and system.spi_windows:
+            window, share = spi
+            system = replace(system, spi_windows=[
+                replace(system.spi_windows[0], window=window, threshold=share * window)])
+        run, expected = _run_and_reference(monkeypatch, scenario, system, tmp_path / "run.csv")
+        assert run == expected
+
+    check()
+
+
+def _first(rows, column, test):
+    """The first tick whose row's ``column`` passes ``test`` against the row before."""
+    fields = [row.split(",")[column] for row in rows]
+    return {next(k for k in range(1, len(fields)) if test(fields[k], fields[k - 1]))}
+
+
+_SPI = replace(corpus_files.system("type3").spi_windows[0], window=100.0, threshold=100.0)
+
+
+@pytest.mark.parametrize("system, scenario, eventless, events", [
+    # An operator request applies new gains at 150 s.
+    (_cycling("type1"), _held(((0.0, 95.0),), initial=88.0, manual=((150.0, "opt-2"),)),
+     (_cycling("type1"), _held(((0.0, 95.0),), initial=88.0)),
+     lambda rows, report, plans: {round(report.decisions[0]["time"] / 0.1)}),
+    # The setpoint steps at 150 s.
+    (corpus_files.system("type3"), _held(((0.0, 60.0), (150.0, 70.0))),
+     (corpus_files.system("type3"), _held()), lambda rows, report, plans: {1500}),
+    # A runtime evidence item goes stale at 150 s, and the root with it.
+    (replace(_cycling("type0"), safety_case=_expiring(_cycling("type0").safety_case, 150.0)),
+     _held(((0.0, 95.0),), initial=88.0),
+     (_cycling("type0"), _held(((0.0, 95.0),), initial=88.0)),
+     lambda rows, report, plans: {round(e["time"] / 0.1) for e in report.case_validity_timeline
+                                  if not e["valid"]}),
+    # The setpoint rises at 20 s past what the tripped tank holds: the rise event stays open
+    # and its 60 s limit passes at 80.1 s, where Type I plans.
+    (_cycling("type1"), _held(((0.0, 94.0), (20.0, 95.0)), initial=88.0),
+     (_cycling("type1"), _held(((0.0, 95.0),), initial=88.0)),
+     lambda rows, report, plans: {round(report.decisions[0]["time"] / 0.1)}),
+    # Type II plans every 10 s; the same system as Type I makes no plans.
+    (_cycling("type2"), _held(((0.0, 95.0),), initial=88.0),
+     (_cycling("type1"), _held(((0.0, 95.0),), initial=88.0)),
+     lambda rows, report, plans: set(plans)),
+    # Hot inflow from 100 s heats the tank past the guard's limit.
+    (corpus_files.system("type3"),
+     _held(((0.0, 85.0),), ((0.0, 10.0), (100.0, 99.0)), inflow_rate=0.02, initial=88.0),
+     (corpus_files.system("type3"), _held(((0.0, 85.0),), inflow_rate=0.02, initial=88.0)),
+     lambda rows, report, plans: _first(rows, 10, lambda now, before: now > before)),
+    # The first 1s pushed by a hot start leave a 100 s window mid-run; a window that never
+    # reads a 1 has nothing to evict.
+    (replace(corpus_files.system("type3"), spi_windows=[_SPI]),
+     _held(((0.0, 80.0),), initial=88.0),
+     (replace(corpus_files.system("type3"), spi_windows=[replace(_SPI, temp_threshold=99.0)]),
+      _held(((0.0, 80.0),), initial=88.0)),
+     lambda rows, report, plans: _first(rows, 11, lambda now, before: float(now) < float(before))),
+], ids=["manual", "input-step", "expiry", "rise-limit", "type2-plan", "guard-trip",
+       "spi-eviction"])
+def test_an_event_inside_a_skip_is_stepped(tmp_path, monkeypatch, system, scenario, eventless,
+                                           events):
+    # Each event falls on a tick that the run without it skips; the run with it steps that tick
+    # and matches the reference run, bytes, report and end state.
+    plans, plan = [], harness.plan_type2
+    monkeypatch.setattr(harness, "plan_type2", lambda *args, now: (
+        plans.append(round(now / scenario.tick)) or plan(*args, now=now)))
+    stepped = _stepped(monkeypatch)
+    run_scenario(*reversed(eventless))
+    skipped = set(range(eventless[1].ticks())) - {round(t / scenario.tick) for t in stepped}
+    stepped.clear()
+    run, expected = _run_and_reference(monkeypatch, scenario, system, tmp_path / "run.csv")
+    assert run == expected
+    ticks = events(run[0].decode().splitlines()[1:], run[1], plans)
+    assert ticks and ticks <= {round(t / scenario.tick) for t in stepped}
+    assert ticks & skipped
+
+
+def test_a_signed_zero_ramp_is_never_skipped(tmp_path, monkeypatch):
+    # A linear segment from -0.0 to -0.0 prints 0.000000, and the -0.0 held after it
+    # -0.000000: no tick inside a linear segment is skipped, and the run matches the reference.
+    scenario = _held(inflow_temp=((0.0, -0.0), (100.0, -0.0)), interp="linear")
+    system = corpus_files.system("type3")
+    until = scenario.held_until()
+    assert [until(k) for k in (0, 500, 999, 1000, 1999)] == [0, 500, 999, 2000, 2000]
+    stepped = _stepped(monkeypatch)
+    run, expected = _run_and_reference(monkeypatch, scenario, system, tmp_path / "run.csv")
+    assert run == expected
+    assert {round(t / scenario.tick) for t in stepped} >= set(range(1000))
+    assert len(stepped) < scenario.ticks()  # the held -0.0 after the ramp is skipped through
+    inflow = [row.split(",")[1] for row in run[0].decode().splitlines()[1:]]
+    assert set(inflow[:1000]) == {"0.000000"} and set(inflow[1000:]) == {"-0.000000"}
+
+
+@pytest.mark.parametrize("hot", [True, False], ids=["hot-phase", "count-falling"])
+def test_a_window_whose_count_moves_in_a_cycle_is_stepped(tmp_path, monkeypatch, hot):
+    # The tank cools from 88 degC into the net's two-tick cycle about 85 degC, so an SPI window
+    # first reads a block of 1s. The window is sized so that the block's last 1 leaves at a
+    # cycle check. With its threshold at the cycle's hot phase, that 1 leaves as the hot phase
+    # pushes one: the count holds over the check's two ticks, but the pushes after it add 1s.
+    # With its threshold above the cycle, the count falls over those two ticks. Neither check
+    # may skip, and the run must match the reference run.
+    scenario, system = _held(((0.0, 85.0),), initial=88.0), corpus_files.system("type3")
+    end = {}
+    reference_run(scenario, system, end)
+    outflows = [sample[4] for sample in end["history"][1:]]  # each tick's, as the SPI reads it
+    threshold = max(outflows[-2:]) + (0.0 if hot else 0.5)
+    flags = [temp >= threshold for temp in outflows]
+    last = flags.index(False) - 1  # the block's last 1, followed by at least three 0s
+    assert flags[last + 1:last + 4] == [False] * 3
+    cycle = 1 + max(k for k in range(2, len(outflows)) if outflows[k] != outflows[k - 2])
+    check = next(k for k in itertools.count(harness._SPAN + 1, harness._SPAN + 2) if k > cycle + 2)
+    size = check - last - hot  # the push at check - hot evicts the block's last 1
+    window = replace(system.spi_windows[0], window=size * scenario.tick,
+                     threshold=size * scenario.tick, temp_threshold=threshold)
+    stepped = _stepped(monkeypatch)
+    run, expected = _run_and_reference(
+        monkeypatch, scenario, replace(system, spi_windows=[window]), tmp_path / "run.csv")
+    assert run == expected
+    assert {check + 1, check + 2} <= {round(t / scenario.tick) for t in stepped}
+
+
+def test_corpus_runs_step_only_until_a_cycle(monkeypatch):
+    # The loop steps type3 until its chatter settles and between events, type1 and type2 on
+    # every tick (a moving integral, a ramping inflow), and every corpus output is unchanged.
+    stepped = _stepped(monkeypatch)
+    counts = {}
+    for name in NAMES:
+        stepped.clear()
+        rows, report = run_scenario(corpus_files.scenario(name), corpus_files.system(name))
+        trace = b"".join([TRACE_HEADER.encode() + b"\n", *rows.chunks(harness._TRACE_CHUNK)])
+        report_json = json.dumps(report.to_dict(), sort_keys=True).encode()
+        assert (_sha256(trace), _sha256(report_json)) == GOLDEN[name]
+        counts[name] = len(stepped)
+    assert counts["type3"] <= 0.15 * 36_000
+    assert counts["type1"] == counts["type2"] == 36_000
 
 
 class TestSystemFiles:

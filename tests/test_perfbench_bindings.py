@@ -18,6 +18,7 @@ import pytest
 from safeadapt import harness, spi
 from safeadapt.assurance import evaluate_validity
 from safeadapt.model import KnowledgeRepository, SystemConfiguration
+from safeadapt.scenario import Trace
 import corpus_files
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -72,8 +73,13 @@ def test_validity_predicate_calls_spi_breached_through_its_module(monkeypatch):
      {"assurance.evaluate_validity": 1, "spi.spi_breached": 2}),
 ], ids=["type2", "type3"])
 def test_traced_run_records_every_tick_layer(name, duration, per_tick, per_run):
-    # A layer whose binding drops off the call path would read 0 here.
+    # A layer whose binding drops off the call path would read 0 here. Both inflows are
+    # linear segments (type3's flat at its corpus 10 degC), inside which the loop skips no
+    # tick, so each per-tick layer is called on every tick.
     scenario = replace(corpus_files.scenario(name), duration=duration)
+    if name == "type3":
+        scenario = replace(scenario, inflow_temp_trace=Trace(((0.0, 10.0), (duration, 10.0)),
+                                                             "linear"))
     system = corpus_files.system(name)
     tracer = _tracer()
     assert tracer.install() == []

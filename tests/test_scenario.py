@@ -140,6 +140,27 @@ def test_long_linear_segment_equals_value_at_bit_for_bit(tick, t0, span, v0, v1,
     assert _bits(trace.values(n, tick)) == _bits(trace.value_at(k * tick) for k in range(n))
 
 
+@settings(max_examples=100)
+@given(data=st.data(), tick=TICKS, interps=st.tuples(*[st.sampled_from(["hold", "linear"])] * 2),
+       n=st.integers(1, 600))
+def test_inputs_hold_until_held_until(data, tick, interps, n):
+    # From each tick k up to held_until(k), every tick reads k's three inputs bit for bit; with
+    # no linear trace, every tick's run reaches the next tick at least.
+    temp, rate = (Trace(data.draw(_points(tick)), interp) for interp in interps)
+    rate = Trace(tuple((t, abs(v)) for t, v in rate.points), rate.interp)
+    scenario = _scenario(duration=n * tick, tick=tick, setpoint_schedule=data.draw(_points(tick)),
+                         inflow_temp_trace=temp, inflow_rate_trace=rate)
+    n, until = scenario.ticks(), scenario.held_until()
+    inputs = [_bits((scenario.setpoint_at(k * tick), temp.value_at(k * tick),
+                     rate.value_at(k * tick))) for k in range(n)]
+    same_until = [n] * n  # the first tick after k whose inputs differ from k's
+    for k in range(n - 2, -1, -1):
+        same_until[k] = same_until[k + 1] if inputs[k + 1] == inputs[k] else k + 1
+    for k in range(n):
+        assert k <= until(k) <= same_until[k]
+        assert until(k) > k or "linear" in interps
+
+
 @settings(max_examples=300)
 @given(data=st.data(), tick=TICKS, n=st.integers(0, 1500))
 def test_setpoint_cursor_equals_setpoint_at(data, tick, n):

@@ -1,3 +1,4 @@
+import copy
 import random
 from dataclasses import replace
 
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from safeadapt.model import ValidationError
-from safeadapt.spi import SpiWindow, spi_breached, spi_reset, spi_update
+from safeadapt.spi import (
+    SpiWindow, spi_breached, spi_evicts_in, spi_push_clear, spi_reset, spi_update,
+)
 from corpus_files import write
 
 
@@ -82,12 +85,18 @@ class TestResetAndLifecycle:
     def test_binding_a_tick_builds_a_fresh_ring(self):
         template = _feed(SpiWindow(window=10.0, threshold=5.0), [86.0] * 50)
         bound = replace(template, tick=0.5)
-        assert (bound.ring.maxlen, len(bound.ring), bound.true_count) == (20, 0, 0)
+        assert (bound.capacity, len(bound.ring), bound.true_count) == (20, 0, 0)
         assert (len(template.ring), template.true_count) == (50, 50)
 
     def test_ring_capacity_is_bounded(self):
         w = _feed(SpiWindow(window=10.0, threshold=5.0), [86.0] * 500)
-        assert len(w.ring) == w.ring.maxlen == 100
+        assert len(w.ring) == w.capacity == 100
+
+    def test_a_window_longer_than_any_run_holds_only_its_ticks(self):
+        # 1e18 ticks of 0.1 s: the ring grows one byte a push and is never sized to the window.
+        w = _feed(SpiWindow(window=1e17, threshold=1e17), [86.0] * 50 + [50.0] * 50)
+        assert (w.capacity, len(w.ring), w.true_count, spi_evicts_in(w)) == (10 ** 18, 100, 50,
+                                                                           10 ** 18 - 99)
 
     def test_round_trip(self):
         w = SpiWindow(id="x", temp_threshold=80.0, window=100.0, threshold=10.0)
@@ -131,3 +140,27 @@ def test_update_returns_the_breach_after_its_push(tick, window, share, steps):
             spi_reset(w)
         else:
             assert spi_update(w, temp) is spi_breached(w)
+
+
+@given(st.integers(1, 12), st.lists(st.sampled_from([50.0, 86.0]), max_size=40),
+       st.integers(0, 30))
+@example(5, [86.0, 50.0, 50.0, 50.0, 50.0, 50.0, 86.0], 3)  # a 1 two pushes from leaving
+@example(4, [50.0] * 9, 25)  # many laps of an all-zero ring
+def test_clear_pushes_equal_single_updates(capacity, temps, pushes):
+    # The push that evicts the oldest 1 is the spi_evicts_in-th, and up to it, n pushes below
+    # the threshold leave the ring exactly as n `spi_update` calls do.
+    w = _feed(SpiWindow(window=capacity * 0.5, threshold=capacity * 0.5, tick=0.5), temps)
+    flags = [t >= w.temp_threshold for t in temps][-capacity:]
+    assert bytes(w.ring[w.head:] + w.ring[:w.head]) == bytes(flags)
+    clear = min(pushes, spi_evicts_in(w) - 1)
+    stepped, evicted_at, expected = copy.deepcopy(w), None, (bytes(w.ring), w.head, w.true_count)
+    for push in range(1, pushes + 1):
+        count = stepped.true_count
+        spi_update(stepped, 50.0)
+        if evicted_at is None and stepped.true_count < count:
+            evicted_at = push
+        if push == clear:
+            expected = (bytes(stepped.ring), stepped.head, stepped.true_count)
+    assert evicted_at == (spi_evicts_in(w) if spi_evicts_in(w) <= pushes else None)
+    spi_push_clear(w, clear)
+    assert (bytes(w.ring), w.head, w.true_count) == expected
