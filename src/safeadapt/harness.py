@@ -6,8 +6,10 @@ adaptation within the same tick.
 
 Every adaptation model is classified before the first tick, so a system
 with an unclassifiable model fails with ``ClassificationError`` (CLI exit
-2) without running. The first model's type picks the planner; manual
-triggers are ignored for Type 0 and Type III.
+2) without running. The first model's type picks its policy from
+`_POLICIES` once a run, the one place that dispatches on adaptation type:
+the type's planner, trigger rule, bookkeeping after an applied decision
+and runtime criteria (see `_Policy`).
 
 A run binds its SPI windows to the scenario's tick and shares the immutable
 safety case; PID gains are rebuilt only where the configuration changes.
@@ -36,7 +38,7 @@ states, the PID gains, net and case (by identity), the validity, the active opti
 window's count, the lengths of the decision log and validity timeline, and the goal tracker
 at rest. When the state after ``k`` equals the mark, every later tick repeats the one two
 before it until a horizon, the earliest of: the next input segment start, the first tick at
-or past the next manual trigger or (Type II) plan time, the tick a watched evidence item is
+or past the next manual trigger or the policy's ``due`` time, the tick a watched evidence item is
 stale, the tick that evicts an SPI window's oldest 1, and the run's end. The run then appends
 the last two rows an even number of times up to the horizon (`TraceRows.repeat_pair`), the
 samples the history ring would keep, their outflows alternating between the two phases, and
@@ -436,6 +438,100 @@ class RunReport:
         return self.hazard_count == 0 and taxonomy.all_discharged(self.taxonomy_verdicts)
 
 
+class _Policy:
+    """Type 0's adaptation policy, which never plans, and the base of the other types'. The
+    run tests a policy's trigger inline, on the violation edge where ``edge`` and at ``due``,
+    and only then calls `fire`, which moves ``due`` on by ``interval`` and plans once
+    ``cooldown`` has passed since ``since``. `applied` keeps the records behind `criteria`.
+    Planners are called through this module's bindings, which the benchmark's tracer wraps."""
+
+    edge, due, interval, cooldown, since = False, math.inf, math.inf, ADAPTATION_COOLDOWN, -1e18
+    monotone = failed = None  # TII.C5's and TIII.B4's records, kept by those types
+
+    def __init__(self, system: SystemDescription, scenario: Scenario,
+                 repo: KnowledgeRepository) -> None:
+        self.system, self.scenario, self.repo = system, scenario, repo
+        self.model = system.models[0] if system.models else None
+
+    def plan(self, trigger: AdaptationTrigger, t: float) -> Optional[AdaptationDecision]:
+        return None
+
+    def fire(self, t: float) -> Optional[AdaptationDecision]:
+        self.due = t + self.interval
+        return self.plan(_GOAL_VIOLATION, t) if t - self.since >= self.cooldown else None
+
+    def applied(self, decision: AdaptationDecision, t: float) -> None:
+        self.since = t
+
+    def criteria(self) -> dict[str, Optional[bool]]:
+        return {"tii_c5_constraints_monotone": self.monotone, "tiii_b4_never_applied_failed":
+                None if self.failed is None else self.failed.isdisjoint(self.activated)}
+
+
+class _TypeI(_Policy):
+    """Picks a design-time option on a violation edge."""
+
+    edge = True
+
+    def plan(self, trigger: AdaptationTrigger, t: float) -> AdaptationDecision:
+        return plan_type1(self.model, trigger, self.repo.active_option_id, now=t)
+
+
+class _TypeII(_Policy):
+    """Plans every ``TYPE2_PLAN_INTERVAL``, logging a refusal only on a manual trigger, and
+    records whether each applied decision keeps the constraints monotone (TII.C5)."""
+
+    due, interval, monotone = 0.0, TYPE2_PLAN_INTERVAL, True
+
+    def __init__(self, *args: Any) -> None:
+        super().__init__(*args)
+        self.domain = current_constraints(self.repo.safety_case)
+
+    def plan(self, trigger: AdaptationTrigger, t: float) -> Optional[AdaptationDecision]:
+        decision = plan_type2(self.model, trigger, self.repo.sample_history,
+                              self.system.admission_policy, self.repo.safety_case,
+                              self.repo.active_option_id, now=t)
+        return decision if decision.applied or trigger.kind == "manual" else None
+
+    def applied(self, decision: AdaptationDecision, t: float) -> None:
+        super().applied(decision, t)
+        domain = current_constraints(self.repo.safety_case)
+        self.monotone, self.domain = domain_subset(domain, self.domain) and self.monotone, domain
+
+
+class _TypeIII(_Policy):
+    """Assesses a new candidate on a violation edge, never on a manual trigger, its cooldown
+    running from the last assessment, and records the failed and the activated candidates."""
+
+    edge, cooldown, candidates = True, TYPE3_ASSESS_COOLDOWN, 0
+
+    def __init__(self, *args: Any) -> None:
+        super().__init__(*args)
+        self.suite, self.failed, self.activated = self.system.assessment_suite(), set(), set()
+        if self.system.net_controller is None:
+            raise ValidationError("a Type III model needs a net_controller to perturb")
+        if self.suite is None:
+            raise ValidationError("a Type III model needs assessment_scenarios to assess")
+
+    def plan(self, trigger: AdaptationTrigger, t: float) -> Optional[AdaptationDecision]:
+        if trigger.kind == "manual":
+            return None
+        self.since, seed = t, self.scenario.seed * 1_000_003 + self.candidates
+        self.candidates += 1
+        decision = plan_type3(self.model, trigger, self.repo.active_net, self.suite, seed,
+                              self.repo.safety_case, now=t)
+        self.failed.update(item.payload_ref for item in decision.evidence_items
+                           if item.kind == "runtime-assessment" and item.verdict == "fail")
+        return decision
+
+    def applied(self, decision: AdaptationDecision, t: float) -> None:
+        self.activated.add(spec_hash(decision.candidate_net))
+
+
+#: Each adaptation type's policy, keyed by `taxonomy.TYPES`.
+_POLICIES = {"T0": _Policy, "TI": _TypeI, "TII": _TypeII, "TIII": _TypeIII}
+
+
 # A net that overflows meets the tick's own finiteness checks; entered per run, not per net call.
 @np.errstate(over="ignore", invalid="ignore")
 def run_scenario(
@@ -449,14 +545,8 @@ def run_scenario(
     tick, ticks = scenario.tick, scenario.ticks()
     plant = replace(system.plant, tick=tick)
     goal = system.goal
-
-    primary_model = system.models[0] if system.models else None
-    model_id = primary_model.id if primary_model else ""
-    type_ids = [taxonomy.classify(model.descriptor) for model in system.models]
-    type_id = type_ids[0] if type_ids else None
-    if type_id == "TIII" and system.net_controller is None:
-        raise ValidationError("a Type III model needs a net_controller to perturb")
-    suite = system.assessment_suite()
+    # Every model is classified before the first tick; the first one's type picks the policy.
+    types = [taxonomy.classify(model.descriptor) for model in system.models] or ["T0"]
 
     repo = KnowledgeRepository(
         current_config=system.initial_config,
@@ -470,6 +560,9 @@ def run_scenario(
         baseline_config=system.initial_config,
         baseline_net=system.net_controller,
     )
+    policy = _POLICIES[types[0]](system, scenario, repo)  # the one dispatch on adaptation type
+    edge, due = policy.edge, policy.due
+    model_id = policy.model.id if policy.model else ""
 
     state = PlantState(tank_temp=scenario.initial_tank_temp)
     guard = GuardState(enabled=scenario.guard_enabled)
@@ -486,56 +579,18 @@ def run_scenario(
     # The sentinel never fires: load-time checks make every trigger time finite.
     manual_triggers = iter([*sorted(scenario.manual_triggers), (math.inf, "")])
     next_manual, manual_option = next(manual_triggers)
-    last_adaptation_time = -1e18
-    last_assessment_time = -1e18
-    next_type2_plan = 0.0
-    candidate_index = 0
-    assessed_failures: set[str] = set()
-    activated_specs: list[str] = []
-    last_domain = current_constraints(repo.safety_case) if type_id == "TII" else None
-    monotone = True
     last_revision = last_valid = watched = None
     stale_at, bounds = -1, ()
 
-    def plan(trigger: AdaptationTrigger, t: float) -> Optional[AdaptationDecision]:
-        """The one map from the primary model's type to its planner."""
-        nonlocal candidate_index
-        if type_id == "TI":
-            return plan_type1(primary_model, trigger, repo.active_option_id, now=t)
-        if type_id == "TII":
-            return plan_type2(
-                primary_model, trigger, repo.sample_history, system.admission_policy,
-                repo.safety_case, repo.active_option_id, now=t,
-            )
-        if type_id == "TIII" and trigger.kind != "manual":
-            seed = scenario.seed * 1_000_003 + candidate_index
-            candidate_index += 1
-            return plan_type3(
-                primary_model, trigger, repo.active_net, suite, seed, repo.safety_case, now=t,
-            )
-        return None
-
     def apply_decision(decision: Optional[AdaptationDecision], now: float) -> None:
-        nonlocal pid, pid_state, last_adaptation_time, monotone, last_domain
+        nonlocal pid, pid_state
         if decision is None:
             return
-        for item in decision.evidence_items:
-            if item.kind == "runtime-assessment" and item.verdict == "fail":
-                assessed_failures.add(item.payload_ref)
-        if decision.applied:
-            execute_adaptation(decision, repo, now=now)
+        execute_adaptation(decision, repo, now=now)  # a no-op on a refused decision
         report.decisions.append(decision.to_dict())
-        if not decision.applied:  # refused by the planner or rolled back by the executor
-            return
-        pid, pid_state = PidConfig.from_configuration(repo.current_config), PidState()
-        last_adaptation_time = now
-        if type_id == "TII":
-            domain = current_constraints(repo.safety_case)
-            if not domain_subset(domain, last_domain):
-                monotone = False
-            last_domain = domain
-        if decision.candidate_net is not None:
-            activated_specs.append(spec_hash(decision.candidate_net))
+        if decision.applied:  # not refused by the planner nor rolled back by the executor
+            pid, pid_state = PidConfig.from_configuration(repo.current_config), PidState()
+            policy.applied(decision, now)
 
     # Bound once per run; each traced layer is still called through its module binding.
     append_sample, append_row, max_power = repo.sample_history.append, rows.add, plant.max_power
@@ -595,25 +650,12 @@ def run_scenario(
                 report.spi_breaches += 1
             else:
                 while t >= next_manual:
-                    apply_decision(plan(AdaptationTrigger("manual", manual_option), t), t)
+                    apply_decision(policy.plan(AdaptationTrigger("manual", manual_option), t), t)
                     next_manual, manual_option = next(manual_triggers)
-
-                # Only Type I and Type III take the violation edge, each on every such tick.
-                if (type_id == "TI" and take_violation()
-                        and t - last_adaptation_time >= ADAPTATION_COOLDOWN):
-                    apply_decision(plan(_GOAL_VIOLATION, t), t)
-                elif type_id == "TII" and t >= next_type2_plan:
-                    next_type2_plan = t + TYPE2_PLAN_INTERVAL
-                    if t - last_adaptation_time >= ADAPTATION_COOLDOWN:
-                        decision = plan(_GOAL_VIOLATION, t)
-                        if decision.applied:
-                            apply_decision(decision, t)
-                elif (
-                    type_id == "TIII" and take_violation() and suite is not None
-                    and t - last_assessment_time >= TYPE3_ASSESS_COOLDOWN
-                ):
-                    last_assessment_time = t
-                    apply_decision(plan(_GOAL_VIOLATION, t), t)
+                # Tested here on locals; the policy is called only when its trigger may fire.
+                if (edge and take_violation()) or t >= due:
+                    apply_decision(policy.fire(t), t)
+                    due = policy.due
 
             # trace: the root's validity is evaluated when the case changes and at an expiry;
             # between those it changes only with the bounds it rests on (see watch_root)
@@ -661,7 +703,7 @@ def run_scenario(
         horizon = min(
             held_until(k - 1),
             ticks_before(next_manual, k + 1, ticks, tick),
-            ticks_before(next_type2_plan, k + 1, ticks, tick) if type_id == "TII" else ticks,
+            ticks_before(due, k + 1, ticks, tick),
             stale_at if stale_at > k else ticks,
             *(k + spi_evicts_in(w) for w in spi_windows),
         )
@@ -684,13 +726,7 @@ def run_scenario(
     for model in system.models:
         verdict = taxonomy.verdict_for(model, repo.safety_case, end_time, repo)
         report.taxonomy_verdicts.append(verdict.to_dict())
-    report.runtime_criteria = {
-        "tii_c5_constraints_monotone": monotone if type_id == "TII" else None,
-        "tiii_b4_never_applied_failed": (
-            not any(h in assessed_failures for h in activated_specs)
-            if type_id == "TIII" else None
-        ),
-    }
+    report.runtime_criteria = policy.criteria()
     return rows, report
 
 

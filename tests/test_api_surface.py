@@ -15,6 +15,8 @@ import ast
 from collections import Counter, defaultdict
 from pathlib import Path
 
+from safeadapt import harness, taxonomy
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "safeadapt"
 
 #: Referenced from outside ``src/`` only.
@@ -32,6 +34,9 @@ SHARED_METHODS = {
         "mapek.AdmissionReport",  # AdaptationDecision.to_dict and plan_type2's evidence
         "taxonomy.TaxonomyVerdict",  # harness.run_scenario and cli._emit_verdicts
     },
+    # The adaptation policies' overrides, each called through harness.run_scenario's policy.
+    "plan": {"harness._Policy", "harness._TypeI", "harness._TypeII", "harness._TypeIII"},
+    "applied": {"harness._Policy", "harness._TypeII", "harness._TypeIII"},
 }
 
 
@@ -153,3 +158,16 @@ def test_no_record_is_built_by_tuple_new():
         and isinstance(node.value, ast.Name) and node.value.id == "tuple"
     )
     assert found == []
+
+
+def test_adaptation_type_is_dispatched_in_one_place():
+    # harness._POLICIES, looked up once a run, holds each type's behaviour: no code tests a
+    # type id.
+    found = sorted(
+        f"{module}.py:{node.lineno}" for module, tree in _modules().items()
+        for node in ast.walk(tree) if isinstance(node, ast.Compare)
+        and any(isinstance(operand, ast.Constant) and operand.value in taxonomy.TYPES
+                for operand in (node.left, *node.comparators))
+    )
+    assert found == []
+    assert list(harness._POLICIES) == list(taxonomy.TYPES)

@@ -1303,6 +1303,8 @@ class TestCli:
             ("type3", lambda s: s.update(initial_configuration={
                 "controller_kind": "pid", "parameters": {"kp": 50.0, "ki": 0.5, "kd": 0.0},
             }) or s.pop("net_controller"), "needs a net_controller"),
+            # A Type III model with no suite could never assess a candidate.
+            ("type3", lambda s: s.pop("assessment_scenarios"), "needs assessment_scenarios"),
             # Exact JSON types: a bool is not a number, a float not an integer.
             ("type0", lambda s: s["plant"].update(volume="abc"), "volume"),
             ("type0", lambda s: s["plant"].update(volume=True), "volume"),

@@ -64,8 +64,9 @@ def test_validity_predicate_calls_spi_breached_through_its_module(monkeypatch):
 
 @pytest.mark.parametrize("name, duration, per_tick, per_run", [
     # Validity is evaluated once a case revision; the first admission, at 300 s, makes the
-    # second.
-    ("type2", 310.0, {"controller.pid_compute": 1}, {"assurance.evaluate_validity": 2}),
+    # second. The planner runs every 10 s from t = 0 to 300 s, through harness's binding.
+    ("type2", 310.0, {"controller.pid_compute": 1},
+     {"assurance.evaluate_validity": 2, "mapek.plan_type2": 31}),
     # One revision before the first assessment, whose suite would step the plant too. The
     # evaluation asks the SPI predicate, and so does the end-of-run verdict; `spi_update`
     # returns the breach, so nothing else calls `spi_breached`.
