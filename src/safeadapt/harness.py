@@ -19,16 +19,18 @@ sample, plant and PID states each tick creates are plain tuples in their
 The case's validity is evaluated when the case changes and when the root's
 evidence expires, and between those read from the root's dynamic bounds
 alone (see `assurance.watch_root`). The trace keeps each tick as seven
-floats, stored by one struct pack, and each run of equal tails once, and
-formats rows only when they are read or written, a piece of up to
-``_TRACE_CHUNK`` rows at a time. A piece's varying columns go through one
-NumPy kernel, `_fixed6`, which prints ``"%.6f"`` without formatting a float
-in Python: ``rint(|v| * 1e6)`` gives the digits, except near a tie, where
-the exact ratio of integers decides; digit tables give the bytes; a narrow
-integer part is left-padded with ``0xFF``, a byte UTF-8 never holds, and the
-pads are deleted from the piece's bytes. A piece holding a non-finite value
-or one at or past ``2**52 / 1e6`` goes through the ``%`` operator instead,
-`_rows_reference`, which the property tests also use as the reference.
+floats, packed by one struct call in place into one buffer sized for the
+run, and each run of equal tails once, a tail built only on a tick that
+may change it. It formats rows only when they are read or written, a
+piece of up to ``_TRACE_CHUNK`` rows at a time. A piece's varying columns
+go through one NumPy kernel, `_fixed6`, which prints ``"%.6f"`` without
+formatting a float in Python: ``rint(|v| * 1e6)`` gives the digits, except
+near a tie, where the exact ratio of integers decides; digit tables give the
+bytes; a narrow integer part is left-padded with ``0xFF``, a byte UTF-8
+never holds, and the pads are deleted from the piece's bytes. A piece
+holding a non-finite value or one at or past ``2**52 / 1e6`` goes through
+the ``%`` operator instead, `_rows_reference`, which the property tests
+also use as the reference.
 
 Between events a managed plant often chatters with period 2, and the loop then advances to
 the next event instead of stepping (next-event time advance). It steps ``_SPAN`` ticks, marks
@@ -195,66 +197,54 @@ TRACE_HEADER = (
 #: A row's floats after ``t``, which is ``k * tick``: ``inflow_temp`` to ``power``,
 #: ``hazard_accum`` and ``spi_near_limit``.
 _FLOATS = 7
-_PACK = struct.Struct("%dd" % _FLOATS).pack
+#: Packs a row's floats into the store at byte ``_ROW.size * k``.
+_ROW = struct.Struct("%dd" % _FLOATS)
 #: What follows the commas after ``power``, ``hazard_accum`` and ``spi_near_limit`` in a row: the
 #: tail's fields ``valve_open, active_option | hazard_count, guard_tripped | case_revision,
 #: case_valid``.
 _ROW_TAIL = ("%d,%s,", "%s,%d,", "%s,%d\n")  # bools print as 1/0
-#: Ticks a block of the store holds. Blocks of one size are reused from run to run, where one
-#: growing array would be copied as it grows and leave each copy's pages resident.
-_BLOCK = 1024
 
 
 class TraceRows:
     """A run's trace rows, the header first, held as numbers and formatted when read.
 
-    Each tick's seven floats are packed by one ``struct`` call, bit for bit, into an
-    ``array("d")`` block of ``_BLOCK`` ticks, 56 bytes a tick; ``t`` is ``k * tick``, the
-    run's own product. A run of ticks whose tails (the valve, option, hazard count, trip,
-    revision and validity) are equal by ``==`` is kept as its first tick and its tail. A
-    column whose bits are the same on every row of a written string is formatted once, into
+    ``floats`` is one ``array("d")`` of seven floats a tick, 56 bytes, sized for the run's
+    ticks before the first one. The run packs row ``k`` into it at byte ``56 * k`` by one
+    ``struct`` call, bit for bit; ``t`` is ``k * tick``, the run's own product. A run of ticks
+    whose tails (the valve, option, hazard count, trip, revision and validity) are equal by
+    ``==`` is kept as its first tick and its tail: the run gives a tick's tail to `set_tail`
+    only where a field of it can change, and every other row keeps the tail of the row before.
+    A column whose bits are the same on every row of a written string is formatted once, into
     the string's text; the other columns go through `_fixed6`, or `_rows_reference` when it
     declines."""
 
-    def __init__(self, tick: float) -> None:
+    def __init__(self, tick: float, ticks: int) -> None:
         self._tick, self._starts, self._tails, self._tail = tick, array("l"), [], None
-        self._block = array("d")
-        self._blocks = [self._block]
+        self.floats = array("d", [0.0]) * (_FLOATS * ticks)
 
-    def add(self, floats: tuple, tail: tuple) -> None:
-        block = self._block
-        if len(block) == _FLOATS * _BLOCK:
-            block = self._block = array("d")
-            self._blocks.append(block)
-        block.frombytes(_PACK(*floats))
+    def set_tail(self, k: int, tail: tuple) -> None:
+        """Row ``k``'s tail, and that of each row after it until the next call."""
         if tail != self._tail:
             self._tail = tail
-            self._starts.append(len(self) - 2)  # this tick's index; len counts the header
+            self._starts.append(k)
             self._tails.append(tail)
 
-    def repeat_pair(self, n: int) -> None:
-        """Append the last two rows ``n`` more times, as ``2 * n`` calls of `add` would: a block
-        at a time, from a view of one block-sized run of the pair."""
-        last = len(self) - 1  # the next row's index
-        pair = b"".join(self._blocks[i // _BLOCK][_FLOATS * (i % _BLOCK):
-                                                   _FLOATS * (i % _BLOCK + 1)].tobytes()
-                        for i in (last - 2, last - 1))
-        pattern, row, phase = memoryview(pair * (_BLOCK // 2 + 1)), len(pair) // 2, 0
-        left = 2 * n
-        while left:
-            block = self._block
-            if len(block) == _FLOATS * _BLOCK:
-                block = self._block = array("d")
-                self._blocks.append(block)
-            take = min(left, _BLOCK - len(block) // _FLOATS)
-            block.frombytes(pattern[row * phase:row * (phase + take)])
-            phase, left = (phase + take) % 2, left - take
-        if self._starts[-1] == last - 1:  # the pair's tails differ: each row opens a run
-            self._starts.extend(range(last, last + 2 * n))
+    def repeat_pair(self, end: int, n: int) -> None:
+        """Fill the ``2 * n`` rows from row ``end`` with rows ``end - 2`` and ``end - 1`` in
+        turn, tails included, as writing each of them again would. The filled stretch doubles
+        with each copy, from a view of the store: no temporary holds the stretch."""
+        a, b, stop = _FLOATS * (end - 2), _FLOATS * end, _FLOATS * (end + 2 * n)
+        with memoryview(self.floats) as view:
+            while b < stop:  # floats a to b repeat the pair; copy them after themselves
+                take = min(b - a, stop - b)
+                view[b:b + take] = view[a:a + take]
+                b += take
+        if self._starts[-1] == end - 1:  # the pair's tails differ: each row opens a run
+            self._starts.extend(range(end, end + 2 * n))
             self._tails.extend(self._tails[-2:] * n)
 
     def __len__(self) -> int:
-        return 1 + _BLOCK * (len(self._blocks) - 1) + len(self._block) // _FLOATS
+        return 1 + len(self.floats) // _FLOATS
 
     def __iter__(self) -> Iterator[str]:
         yield TRACE_HEADER
@@ -263,17 +253,15 @@ class TraceRows:
 
     def chunks(self, size: int) -> Iterator[bytes]:
         """The rows after the header as UTF-8, each ending in a newline, at most ``size`` to a
-        piece and each piece within one block."""
+        piece and each piece within one tail run."""
         tick, starts = self._tick, self._starts
         for a, end, tail in zip(starts, [*starts[1:], len(self) - 1], self._tails):
             seps = ("",) * 5 + tuple(gap % fields for gap, fields in
                                       zip(_ROW_TAIL, (tail[:2], tail[2:4], tail[4:])))
-            b = a
-            while b < end:
-                block, first = divmod(b, _BLOCK)
-                n = min(size, end - b, _BLOCK - first)
+            for b in range(a, end, size):
+                n = min(size, end - b)
                 floats = np.frombuffer(  # a column to a row
-                    self._blocks[block][_FLOATS * first:_FLOATS * (first + n)], np.float64,
+                    self.floats, np.float64, _FLOATS * n, _ROW.size * b,
                 ).reshape(n, _FLOATS).T.copy()
                 bits = floats.view(np.int64)
                 # Bits, not ==: -0.0 == 0.0 but prints differently, and nan != nan.
@@ -300,7 +288,6 @@ class TraceRows:
                         map(tick.__mul__, range(b, b + n)),
                         *(floats[column].tolist() for column in varying[1:])], n).encode()
                 yield rows
-                b += n
 
 
 #: Magnitudes `_fixed6` formats: below ``2**52 / 1e6`` each ``|v| * 1e6`` is below ``2**52``,
@@ -575,15 +562,18 @@ def run_scenario(
     spi_windows = repo.spi_windows  # reset in place by fail_safe, never rebound
 
     report = RunReport(scenario_id=scenario.id)
-    rows = TraceRows(tick)
+    rows = TraceRows(tick, ticks)
     # The sentinel never fires: load-time checks make every trigger time finite.
     manual_triggers = iter([*sorted(scenario.manual_triggers), (math.inf, "")])
     next_manual, manual_option = next(manual_triggers)
     last_revision = last_valid = watched = None
     stale_at, bounds = -1, ()
+    # The row tail is built only on a tick that may change it: the first, a trip, a breach, an
+    # applied decision, a validity or revision change, or a new hazard count.
+    tail_changed, last_count = True, None
 
     def apply_decision(decision: Optional[AdaptationDecision], now: float) -> None:
-        nonlocal pid, pid_state
+        nonlocal pid, pid_state, tail_changed
         if decision is None:
             return
         execute_adaptation(decision, repo, now=now)  # a no-op on a refused decision
@@ -591,10 +581,12 @@ def run_scenario(
         if decision.applied:  # not refused by the planner nor rolled back by the executor
             pid, pid_state = PidConfig.from_configuration(repo.current_config), PidState()
             policy.applied(decision, now)
+            tail_changed = True
 
     # Bound once per run; each traced layer is still called through its module binding.
-    append_sample, append_row, max_power = repo.sample_history.append, rows.add, plant.max_power
+    append_sample, max_power = repo.sample_history.append, plant.max_power
     observe, take_violation = tracker.observe, tracker.take_violation
+    pack_row, floats, row_size, set_tail = _ROW.pack_into, rows.floats, _ROW.size, rows.set_tail
 
     inputs, held_until, history = scenario.inputs(), scenario.held_until(), repo.sample_history
     k, span, mark = -1, _SPAN, None
@@ -614,16 +606,17 @@ def run_scenario(
             tripped = guard[1]  # a tripped guard closes the valve and zeroes the power
             if tripped and not was_tripped:
                 report.guard_trips += 1
+                tail_changed = True
             if tripped and valve_open:
                 state = (state[0], False, *state[2:])
 
             # control
-            temp_rate = (outflow_temp - prev_temp) / tick
             if use_pid:
                 power, pid_state = pid_compute(
                     pid, pid_state, setpoint, outflow_temp, tick, max_power,
                 )
             else:
+                temp_rate = (outflow_temp - prev_temp) / tick
                 power = net_compute(
                     repo.active_net,
                     (setpoint, outflow_temp, inflow_temp, inflow_rate, temp_rate),
@@ -648,6 +641,7 @@ def run_scenario(
                 report.decisions.append(fail_safe(repo, model_id, t).to_dict())
                 pid, pid_state = PidConfig.from_configuration(repo.current_config), PidState()
                 report.spi_breaches += 1
+                tail_changed = True
             else:
                 while t >= next_manual:
                     apply_decision(policy.plan(AdaptationTrigger("manual", manual_option), t), t)
@@ -674,10 +668,13 @@ def run_scenario(
                 last_valid, last_revision = valid, revision
                 report.case_validity_timeline.append(
                     {"time": t, "revision": revision, "valid": valid})
-            spi_near = spi_windows[0].accumulated() if spi_windows else 0.0
-            append_row((inflow_temp, inflow_rate, setpoint, outflow_temp, power, hazard_accum,
-                        spi_near), (valve_open, repo.active_option_id, hazard_count, tripped,
-                                    revision, valid))
+                tail_changed = True
+            if tail_changed or hazard_count != last_count:
+                tail_changed, last_count = False, hazard_count
+                set_tail(k, (valve_open, repo.active_option_id, hazard_count, tripped, revision,
+                             valid))
+            pack_row(floats, row_size * k, inflow_temp, inflow_rate, setpoint, outflow_temp,
+                     power, hazard_accum, spi_windows[0].accumulated() if spi_windows else 0.0)
 
         # Next-event advance: a span of _SPAN ticks marks the state, two more compare it.
         if span == 2 and state != mark[1][0]:  # the plant tuple first, the rest on a match
@@ -710,7 +707,7 @@ def run_scenario(
         m = (horizon - k - 1) // 2 * 2
         if m <= 0:
             continue
-        rows.repeat_pair(m // 2)
+        rows.repeat_pair(k + 1, m // 2)
         # Each sample's outflow is the tick before's: the phases alternate.
         history.extend((j * tick, inflow_temp, inflow_rate, setpoint,
                         outflow_temp if (j - k) % 2 else prev_temp)

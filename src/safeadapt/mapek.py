@@ -166,11 +166,6 @@ class AdaptationTrigger:
     requested_option_id: Optional[str] = None
 
 
-def _rank(option: AdaptationOption) -> tuple[float, str]:
-    rise = option.design_rise_time
-    return (math.inf if rise is None else rise, option.id)
-
-
 def _solution_discharging(case, obligation: str):
     for node in nodes_discharging(case, obligation):
         if node.kind == "solution":
@@ -192,19 +187,19 @@ def _design_time_choices(
 ) -> list[AdaptationOption] | AdaptationDecision:
     """The requested option, or else the options ranked better than the active one, best
     first. A requested option outside the design-time set is refused, citing ``clause``."""
-    options = model.options or ()
-    by_id = {o.id: o for o in options}
+    ranked = model.ranked_options
     if trigger.requested_option_id is not None:
-        requested = by_id.get(trigger.requested_option_id)
+        requested = ranked.get(trigger.requested_option_id)
         if requested is None:
             return _refused(trigger, model, now, (
                 f"refused: option {trigger.requested_option_id!r} is not "
                 f"among the design-time options ({clause})"
             ))
         return [requested]
-    active = by_id.get(active_option_id)
-    ranked = sorted((o for o in options if o.id != active_option_id), key=_rank)
-    return ranked if active is None else [o for o in ranked if _rank(o) < _rank(active)]
+    options = list(ranked.values())
+    if active_option_id in ranked:  # those before it
+        return options[:list(ranked).index(active_option_id)]
+    return options
 
 
 def _runtime_evidence(prefix: str, kind: str, verdict: str, now: float,

@@ -11,6 +11,7 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Optional, Union
 
@@ -341,6 +342,14 @@ class AdaptationModel:
                 raise ValidationError(
                     f"option {option.id!r} breaks the constraints of model {self.id!r}"
                 )
+
+    @cached_property
+    def ranked_options(self) -> dict[str, AdaptationOption]:
+        """The design-time options by id in the planners' order, best first: the smallest
+        design-time rise time, an option without one last, ties to the lower id. Built on
+        first read; the model and its options are frozen."""
+        return {o.id: o for o in sorted(self.options or (), key=lambda o: (
+            math.inf if o.design_rise_time is None else o.design_rise_time, o.id))}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "AdaptationModel":

@@ -1,3 +1,4 @@
+import bisect
 import copy
 import gc
 import itertools
@@ -78,14 +79,16 @@ def _ring_sizes(monkeypatch):
 
 
 def _retained_run(scenario, system):
-    """A run's trace rows and the bytes its trace and report retain."""
+    """A run's trace rows, the bytes its trace and report retain, and the most bytes it held
+    allocated at once."""
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         rows, report = run_scenario(scenario, system)
         gc.collect()
-        return rows, tracemalloc.get_traced_memory()[0] - before
+        retained, peak = tracemalloc.get_traced_memory()
+        return rows, retained - before, peak - before
     finally:
         tracemalloc.stop()
 
@@ -222,32 +225,32 @@ class TestRunScenario:
                              ids=["type2", "type3"])
     def test_validity_agrees_with_support_map_every_tick(self, monkeypatch, name, duration):
         # Each tick's stored revision and validity against support_map on the run's own
-        # knowledge at that tick; each evaluation the run asks for, node by node.
+        # knowledge at that tick, taken as the run writes the row and checked against the tail
+        # the store keeps for it when the run ends; each evaluation the run asks for, node by
+        # node.
         scenario = replace(corpus_files.scenario(name), duration=duration)
-        repos, entries = [], set()
+        repos, written, expected = [], [], {}
         new_repo, evaluate = harness.KnowledgeRepository, assurance.evaluate_validity
+        row = harness._ROW
+
+        def expect(k):
+            repo, t = repos[-1], k * scenario.tick
+            case = repo.safety_case
+            written.append(k)
+            expected[k] = (case.revision, support_map(case, t, repo)[case.root])
+
+        class CheckedRow:  # a stepped tick's row is packed into the store through harness._ROW
+            size = row.size
+
+            def pack_into(self, buffer, offset, *floats):
+                expect(offset // row.size)
+                row.pack_into(buffer, offset, *floats)
 
         class CheckedRows(harness.TraceRows):
-            def __init__(self, tick):
-                super().__init__(tick)
-                self.added = []
-
-            def add(self, floats, tail):
-                self.check(len(self) - 1, tail)
-                self.added.append(tail)
-                super().add(floats, tail)
-
-            def repeat_pair(self, n):  # a skipped tick repeats the tail of the tick two before
-                first = len(self) - 1
-                for k in range(first, first + 2 * n):
-                    self.check(k, self.added[-2 + (k - first) % 2])
-                super().repeat_pair(n)
-
-            def check(self, k, tail):
-                repo, t = repos[-1], k * scenario.tick
-                case = repo.safety_case
-                assert tail[-2:] == (case.revision, support_map(case, t, repo)[case.root])
-                entries.add(tail[-2:])
+            def repeat_pair(self, end, n):  # a skipped tick repeats the tick two before
+                for k in range(end, end + 2 * n):
+                    expect(k)
+                super().repeat_pair(end, n)
 
         def checked(case, now, repo):
             failing = evaluate(case, now, repo)
@@ -257,9 +260,13 @@ class TestRunScenario:
         monkeypatch.setattr(harness, "KnowledgeRepository",
                             lambda **fields: repos.append(new_repo(**fields)) or repos[-1])
         monkeypatch.setattr(harness, "TraceRows", CheckedRows)
+        monkeypatch.setattr(harness, "_ROW", CheckedRow())
         monkeypatch.setattr(harness, "evaluate_validity", checked)
         rows, _ = run_scenario(scenario, corpus_files.system(name))
         assert len(rows) == scenario.ticks() + 1
+        assert sorted(written) == list(range(scenario.ticks()))  # every tick written once
+        assert [_tail_of(rows, k)[-2:] for k in written] == [expected[k] for k in written]
+        entries = set(expected.values())
         assert len({revision for revision, _ in entries}) > 1  # a plan made part way through
         if name == "type2":  # C-DOM's bound fails at 2428.6 s, inside revision 1
             assert (1, True) in entries and (1, False) in entries
@@ -284,9 +291,18 @@ class TestRunScenario:
     def test_trace_and_report_retain_at_most_80_bytes_a_tick(self):
         # Seven floats take 56 bytes a tick; rows held as strings took about 160.
         scenario = corpus_files.scenario("type3")
-        rows, retained = _retained_run(scenario, corpus_files.system("type3"))
+        rows, retained, _ = _retained_run(scenario, corpus_files.system("type3"))
         assert len(rows) == scenario.ticks() + 1 == 36_001
         assert retained <= 80 * scenario.ticks()
+
+    def test_run_allocates_at_most_80_bytes_a_tick_at_its_peak(self):
+        # The store, 56 bytes a tick, is sized before the first tick, and a skip copies rows
+        # inside it: the run peaks at the store and about 0.45 MB besides, 68 bytes a tick.
+        # Most type3 ticks are skipped, in a few long stretches; a skip that built a temporary
+        # as long as its stretch peaked at 108 bytes a tick.
+        scenario = corpus_files.scenario("type3")
+        _, _, peak = _retained_run(scenario, corpus_files.system("type3"))
+        assert peak <= 80 * scenario.ticks()
 
     def test_a_tail_run_outlasts_a_growing_spi_duration(self):
         # The outflow holds at 88 degC, over the 85.5 degC near-limit threshold, and the
@@ -294,7 +310,7 @@ class TestRunScenario:
         # not a new tail run.
         scenario = _flat_scenario(1800.0, setpoint=88.0, inflow_temp=88.0, initial=88.0)
         system = _bare_system(spi_windows=[SpiWindow(threshold=3600.0)])
-        rows, retained = _retained_run(scenario, system)
+        rows, retained, _ = _retained_run(scenario, system)
         spi_near = [float(row.split(",")[11]) for row in list(rows)[1:]]
         assert all(a < b for a, b in zip(spi_near, spi_near[1:]))
         assert len(rows._tails) == 1  # one tail run for the whole run
@@ -334,6 +350,11 @@ class TestRunScenario:
         assert all(len(r.split(",")) == arity for r in rows)
 
 
+def _tail_of(store, k):
+    """The tail a store keeps for row ``k``: its tail run's."""
+    return store._tails[bisect.bisect_right(store._starts, k) - 1]
+
+
 _row_floats = st.tuples(*[st.floats()] * 7)  # any float: -0.0, nan and the infinities too
 _row_tail = st.tuples(
     st.booleans(), st.text(st.sampled_from("%sd(a)-"), max_size=4), st.integers(0, 3),
@@ -344,42 +365,43 @@ _TAILS = [(True, "100%", 0, False, 0, True), (False, "%s", 1, True, 1, False)]
 
 
 def _row(k, tick, floats, tail):
-    """A trace row as the one-string ``ROW`` formats it, from what ``TraceRows.add`` takes."""
+    """A trace row as the one-string ``ROW`` formats it, from a row's floats and tail."""
     valve, option, count, tripped, revision, valid = tail
     return _ROW % (k * tick, *floats[:5], valve, option, floats[5], count, tripped, floats[6],
                    revision, valid)
 
 
+def _store(tick, rows, ticks=None):
+    """A store of ``ticks`` rows (by default ``len(rows)``) whose first rows are ``rows``,
+    ``(floats, tail)`` pairs, written as a run writes them: each tail given to ``set_tail``
+    before the row's floats are packed at the row's offset."""
+    store = harness.TraceRows(tick, len(rows) if ticks is None else ticks)
+    for k, (floats, tail) in enumerate(rows):
+        store.set_tail(k, tail)
+        harness._ROW.pack_into(store.floats, harness._ROW.size * k, *floats)
+    return store
+
+
 @settings(max_examples=300)
-@given(tick=st.floats(), block=st.sampled_from([3, 5, harness._BLOCK]),
-       tails=st.lists(_row_tail, min_size=1, max_size=4),
+@given(tick=st.floats(), tails=st.lists(_row_tail, min_size=1, max_size=4),
        rows=st.lists(st.tuples(_row_floats, st.integers(0, 3)), max_size=24))
-@example(tick=0.1, block=harness._BLOCK, tails=_TAILS, rows=[])  # no ticks: the header alone
-# One tail run in chunks of 4, 4 and 1, in one block and across blocks of 3 and 5 ticks.
-@example(tick=0.1, block=harness._BLOCK, tails=_TAILS, rows=[(_FLOATS, 0)] * 9)
-@example(tick=0.1, block=3, tails=_TAILS, rows=[(_FLOATS, 0)] * 9)
-@example(tick=0.1, block=5, tails=_TAILS, rows=[(_FLOATS, 0)] * 9)
+@example(tick=0.1, tails=_TAILS, rows=[])  # no ticks: the header alone
+# One tail run in chunks of 4, 4 and 1.
+@example(tick=0.1, tails=_TAILS, rows=[(_FLOATS, 0)] * 9)
 # The tail changes at, one row before and one row after a chunk boundary.
-@example(tick=0.1, block=harness._BLOCK, tails=_TAILS,
-         rows=[(_FLOATS, pick) for pick in [0] * 4 + [1] * 4])
-@example(tick=0.1, block=harness._BLOCK, tails=_TAILS,
-         rows=[(_FLOATS, pick) for pick in [0] * 3 + [1] * 5])
-@example(tick=0.1, block=harness._BLOCK, tails=_TAILS,
-         rows=[(_FLOATS, pick) for pick in [0] * 5 + [1] * 3])
+@example(tick=0.1, tails=_TAILS, rows=[(_FLOATS, pick) for pick in [0] * 4 + [1] * 4])
+@example(tick=0.1, tails=_TAILS, rows=[(_FLOATS, pick) for pick in [0] * 3 + [1] * 5])
+@example(tick=0.1, tails=_TAILS, rows=[(_FLOATS, pick) for pick in [0] * 5 + [1] * 3])
 # 0.0 and -0.0 are equal by == and print differently, in one chunk and in every column.
-@example(tick=-0.0, block=harness._BLOCK, tails=_TAILS,
-         rows=[((0.0,) * 7, 0), ((-0.0,) * 7, 0)] * 2)
-def test_row_formatter_matches_the_one_string_row(tmp_path_factory, tick, block, tails, rows):
+@example(tick=-0.0, tails=_TAILS, rows=[((0.0,) * 7, 0), ((-0.0,) * 7, 0)] * 2)
+def test_row_formatter_matches_the_one_string_row(tmp_path_factory, tick, tails, rows):
     # Rows draw from a few tails, so a tail repeats (as an equal copy) and changes.
     path = tmp_path_factory.getbasetemp() / "rows.csv"
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "_BLOCK", block)
         patch.setattr(harness, "_TRACE_CHUNK", 4)
-        store, expected = harness.TraceRows(tick), [TRACE_HEADER]
-        for k, (floats, pick) in enumerate(rows):
-            tail = tuple(list(tails[pick % len(tails)]))
-            store.add(floats, tail)
-            expected.append(_row(k, tick, floats, tail))
+        rows = [(floats, tuple(list(tails[pick % len(tails)]))) for floats, pick in rows]
+        store = _store(tick, rows)
+        expected = [TRACE_HEADER, *(_row(k, tick, *row) for k, row in enumerate(rows))]
         assert len(store) == len(expected)
         assert list(store) == expected
         harness.emit_trace(store, path)
@@ -388,34 +410,29 @@ def test_row_formatter_matches_the_one_string_row(tmp_path_factory, tick, block,
 
 
 @settings(max_examples=200)
-@given(block=st.sampled_from([3, 5, harness._BLOCK]),
-       tails=st.lists(_row_tail, min_size=1, max_size=3),
+@given(tails=st.lists(_row_tail, min_size=1, max_size=3),
        rows=st.lists(st.tuples(_row_floats, st.integers(0, 2)), min_size=2, max_size=12),
-       n=st.integers(0, 8))
-@example(block=3, tails=_TAILS, rows=[(_FLOATS, 0), (_FLOATS, 1)], n=5)  # a tail run a row
-def test_repeated_pair_equals_adding_it_again(block, tails, rows, n):
-    # The same bits, tail runs and rows as 2 * n calls of add, across block edges.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "_BLOCK", block)
-        repeated, added = harness.TraceRows(0.1), harness.TraceRows(0.1)
-        for floats, pick in rows + rows[-2:] * n:
-            added.add(floats, tails[pick % len(tails)])
-        for floats, pick in rows:
-            repeated.add(floats, tails[pick % len(tails)])
-        repeated.repeat_pair(n)
-        assert ([b.tobytes() for b in repeated._blocks], list(repeated._starts),
-                repeated._tails, list(repeated)) == (
-            [b.tobytes() for b in added._blocks], list(added._starts), added._tails, list(added))
+       n=st.integers(0, 20))
+@example(tails=_TAILS, rows=[(_FLOATS, 0), (_FLOATS, 1)], n=5)  # a tail run a row
+def test_repeated_pair_equals_adding_it_again(tails, rows, n):
+    # The same bits, tail runs and rows as writing the last two rows n more times, for
+    # stretches that double once, several times and past a power of two.
+    rows = [(floats, tails[pick % len(tails)]) for floats, pick in rows]
+    added = _store(0.1, rows + rows[-2:] * n)
+    repeated = _store(0.1, rows, len(rows) + 2 * n)
+    repeated.repeat_pair(len(rows), n)
+    assert (repeated.floats.tobytes(), list(repeated._starts), repeated._tails,
+            list(repeated)) == (
+        added.floats.tobytes(), list(added._starts), added._tails, list(added))
 
 
 @pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 9])  # around a chunk of 4 rows
 def test_chunked_trace_write_matches_the_one_string_write(tmp_path, monkeypatch, count):
     monkeypatch.setattr(harness, "_TRACE_CHUNK", 4)
-    store, expected = harness.TraceRows(1 / 3), [TRACE_HEADER]
-    for k in range(count):  # the tail changes after the third row, inside the first chunk
-        floats, tail = (k, -k, 0.5, 1e-9 * k, 90.0, 0.1 * k, 60.0), _TAILS[k >= 3]
-        store.add(floats, tail)
-        expected.append(_row(k, 1 / 3, floats, tail))
+    # The tail changes after the third row, inside the first chunk.
+    rows = [((k, -k, 0.5, 1e-9 * k, 90.0, 0.1 * k, 60.0), _TAILS[k >= 3]) for k in range(count)]
+    store = _store(1 / 3, rows)
+    expected = [TRACE_HEADER, *(_row(k, 1 / 3, *row) for k, row in enumerate(rows))]
     harness.emit_trace(store, tmp_path / "trace.csv")
     assert (tmp_path / "trace.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
 
@@ -472,12 +489,10 @@ def test_values_past_the_kernel_take_the_reference_path(monkeypatch, value):
     reference = harness._rows_reference
     monkeypatch.setattr(harness, "_rows_reference",
                         lambda *args: calls.append(args) or reference(*args))
-    store = harness.TraceRows(0.1)
     floats = [(20.0, 0.5, 60.0, 21.0 + k, 100.0 * k, 0.0, 0.0) for k in range(4)]
     floats[2] = (20.0, 0.5, 60.0, value, 200.0, 0.0, 0.0)
-    for row in floats:
-        store.add(row, _TAILS[0])
-    store.add(floats[0], _TAILS[1])  # a second tail run, all finite: the kernel's
+    # A second tail run, all finite: the kernel's.
+    store = _store(0.1, [(row, _TAILS[0]) for row in floats] + [(floats[0], _TAILS[1])])
     assert list(store)[1:] == [_row(k, 0.1, row, _TAILS[k == 4])
                                for k, row in enumerate(floats + floats[:1])]
     assert len(calls) == 1
@@ -725,12 +740,17 @@ def _cycling_scenarios(draw, name, option_ids):
         guard=draw(st.sampled_from([True, True, True, False])))
 
 
+#: Type III's near-limit SPI window, which the cycling runs give every system.
+_NEAR_LIMIT = corpus_files.system("type3").spi_windows[0]
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_cycling_runs_match_the_reference_run(tmp_path, monkeypatch, name):
     # Held inputs, where the loop skips the ticks of a two-tick cycle, with an event from each
     # of the horizon's sources at a time the run may be skipping through: an input step, a
-    # manual trigger, a validity expiry, Type II's plan ticks, a guard trip and, on type3, a
-    # short SPI window whose 1s leave it mid-run. Bytes, report and end state must match.
+    # manual trigger, a validity expiry, Type II's plan ticks, a guard trip and, on every
+    # system, a short near-limit SPI window whose 1s leave it mid-run or breach it. Bytes,
+    # report and end state must match.
     base = _cycling(name)
     option_ids = [o.id for o in base.models[0].options or ()]
 
@@ -739,14 +759,17 @@ def test_cycling_runs_match_the_reference_run(tmp_path, monkeypatch, name):
            st.one_of(st.none(), st.tuples(st.floats(5.0, 150.0), st.floats(0.05, 1.0))))
     @example(_held(((0.0, 95.0),), initial=88.0), 150.0, None)
     @example(_held(((0.0, 80.0),), initial=88.0), None, (100.0, 1.0))
+    # A fail-safe reverts an operator's option with no case revision: the tank over the window's
+    # 85.5 degC from the start breaches it at 30 s, after the request at 20 s.
+    @example(_held(((0.0, 95.0),), initial=88.0, manual=((20.0, "opt-2"),)), None, (60.0, 0.5))
     def check(scenario, freshness, spi):
         system = base
         if freshness is not None:
             system = replace(system, safety_case=_expiring(system.safety_case, freshness))
-        if spi is not None and system.spi_windows:
+        if spi is not None:
             window, share = spi
             system = replace(system, spi_windows=[
-                replace(system.spi_windows[0], window=window, threshold=share * window)])
+                replace(_NEAR_LIMIT, window=window, threshold=share * window)])
         run, expected = _run_and_reference(monkeypatch, scenario, system, tmp_path / "run.csv")
         assert run == expected
 
